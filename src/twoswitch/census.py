@@ -5,9 +5,11 @@ graphs for n up to 7 (about two million at n = 7), which is far outside
 per-graph Python speed.  Here a graph is a bitmask over the C(n,2) edge
 slots in lexicographic order, and each parameter becomes either a
 popcount-level dynamic program with numpy gathers (matching,
-independence), a sweep over the 2^n vertex subsets (vertex cover,
-domination), label propagation (components), or a chunked
-subset-partition DP (chromatic, path cover, edge cover).
+independence), a sweep over the 2^n vertex subsets (domination), label
+propagation (components), or a chunked subset-partition DP (chromatic,
+path cover).  The two cover numbers come from Gallai's identities:
+vertex cover is n - independence, and edge cover is n - matching on
+graphs with no isolated vertex.
 
 Tables are cross-checked against the per-graph algorithms in the test
 suite; this module is the audit engine, not an independent authority.
@@ -78,10 +80,14 @@ class Census:
         mu = self._matching_table()
         alpha = self._independence_table()
         omega = alpha[self.full_mask ^ self.masks]
-        nu = self._vertex_cover_table()
+        nu = np.uint8(n) - alpha
         gamma = self._domination_table()
         comp = self._components_table()
-        chi, pi, eps = self._chunked_tables()
+        chi, pi = self._chunked_tables()
+        no_isolated = np.ones(self.n_masks, dtype=bool)
+        for v in range(n):
+            no_isolated &= self._adjv[v] != 0
+        eps = np.where(no_isolated, np.uint8(n) - mu, np.uint8(_INF))
 
         self.tables = {
             "matching": mu,
@@ -191,18 +197,6 @@ class Census:
     def _vertex_subsets_by_size(self):
         return sorted(range(1 << self.n), key=lambda t: (bin(t).count("1"), t))
 
-    def _vertex_cover_table(self) -> np.ndarray:
-        nu = np.full(self.n_masks, 255, dtype=np.uint8)
-        vfull = (1 << self.n) - 1
-        for t in self._vertex_subsets_by_size():
-            outside = self.edges_within[vfull ^ t]
-            ok = (self.masks & outside) == 0
-            ok &= nu == 255
-            nu[ok] = bin(t).count("1")
-            if not (nu == 255).any():
-                break
-        return nu
-
     def _domination_table(self) -> np.ndarray:
         gamma = np.full(self.n_masks, 255, dtype=np.uint8)
         for t in self._vertex_subsets_by_size():
@@ -241,7 +235,6 @@ class Census:
         plan = _subset_plan(n)
         chi = np.zeros(self.n_masks, dtype=np.uint8)
         pi = np.zeros(self.n_masks, dtype=np.uint8)
-        eps = np.zeros(self.n_masks, dtype=np.uint8)
         for lo in range(0, self.n_masks, _CHUNK):
             hi = min(lo + _CHUNK, self.n_masks)
             mc = self.masks[lo:hi]
@@ -291,28 +284,7 @@ class Census:
                 cover[s] = best
             pi[lo:hi] = cover[vfull] if n else 0
             del ends, no_path, cover
-
-            # edge cover: repeatedly cover the lowest uncovered vertex
-            present = [
-                ((mc >> k) & 1).astype(bool) for k in range(self.n_slots)
-            ]
-            c = [None] * (1 << n)
-            c[0] = np.zeros(hi - lo, dtype=np.uint8)
-            for s, _subs in plan:
-                u = (s & -s).bit_length() - 1
-                best = np.full(hi - lo, _INF, dtype=np.uint8)
-                for v in range(n):
-                    if v == u:
-                        continue
-                    k = self.slot_index[(min(u, v), max(u, v))]
-                    child = s & ~((1 << u) | (1 << v))
-                    cand = c[child] + 1
-                    cand[~present[k]] = _INF
-                    np.minimum(best, cand, out=best)
-                c[s] = best
-            eps[lo:hi] = c[vfull] if n else 0
-            del present, c
-        return chi, pi, eps
+        return chi, pi
 
 
 @lru_cache(maxsize=None)

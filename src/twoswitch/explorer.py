@@ -54,15 +54,6 @@ FAMILY_PREDICATES = {
 ENUMERATION_CAP = 9
 
 
-@dataclass(frozen=True)
-class AuditConfig:
-    """Knobs for the exhaustive machinery."""
-
-    enumeration_cap: int = ENUMERATION_CAP
-    census_max: int = CENSUS_MAX
-    workers: int = 1
-
-
 # -- enumeration ---------------------------------------------------------------
 
 

@@ -4,7 +4,9 @@ Nine integer invariants that a single 2-switch can move by at most one:
 matching, independence, domination, path cover, edge cover, vertex cover,
 chromatic, clique and component count.  All algorithms here are exact and
 deterministic (ties always break toward the lowest label), sized for the
-package's working range of up to roughly twenty vertices.
+package's working range of up to roughly twenty vertices.  The two cover
+numbers come from Gallai's identities: vertex cover is n - independence,
+and edge cover is n - matching on graphs with no isolated vertex.
 
 Forests additionally get linear-time rooted DPs for matching,
 independence, domination and path cover.  Both routes are kept on purpose:
@@ -82,7 +84,10 @@ def matching_number(g: Graph) -> int:
         memo[avail] = best
         return best
 
-    return rec((1 << g.n) - 1)
+    try:
+        return rec((1 << g.n) - 1)
+    finally:
+        del rec  # rec refers to itself; unbinding it frees the memo now
 
 
 # -- independence / vertex cover -------------------------------------------
@@ -113,34 +118,16 @@ def independence_number(g: Graph) -> int:
         memo[avail] = best
         return best
 
-    return rec((1 << g.n) - 1)
+    try:
+        return rec((1 << g.n) - 1)
+    finally:
+        del rec  # rec refers to itself; unbinding it frees the memo now
 
 
 def vertex_cover_number(g: Graph) -> int:
-    """Smallest set of vertices meeting every edge, by branching on edges."""
-    adj = _adj_masks(g)
-    memo: dict[int, int] = {}
-
-    def rec(avail: int) -> int:
-        u = -1
-        live = avail
-        while live:
-            i = _lowest_bit_index(live)
-            if adj[i] & avail:
-                u = i
-                break
-            live ^= 1 << i
-        if u < 0:
-            return 0
-        cached = memo.get(avail)
-        if cached is not None:
-            return cached
-        v = _lowest_bit_index(adj[u] & avail)
-        best = 1 + min(rec(avail & ~(1 << u)), rec(avail & ~(1 << v)))
-        memo[avail] = best
-        return best
-
-    return rec((1 << g.n) - 1)
+    """Smallest set of vertices meeting every edge: the complement of a
+    largest independent set (Gallai)."""
+    return g.n - independence_number(g)
 
 
 # -- domination ------------------------------------------------------------
@@ -166,7 +153,10 @@ def domination_number(g: Graph) -> int:
         memo[undominated] = best
         return best
 
-    return rec((1 << g.n) - 1)
+    try:
+        return rec((1 << g.n) - 1)
+    finally:
+        del rec  # rec refers to itself; unbinding it frees the memo now
 
 
 # -- path cover ------------------------------------------------------------
@@ -220,9 +210,9 @@ def path_cover_number(g: Graph) -> int:
 def edge_cover_number(g: Graph) -> int:
     """Minimum number of edges touching every vertex.
 
-    Computed directly by branching on the lowest uncovered vertex, then
-    asserted against n - matching (the two must always agree on graphs
-    without isolated vertices).
+    Gallai's identity gives it as n - matching: extend a maximum matching
+    by one edge per unmatched vertex.  Undefined when a vertex has no
+    edge, which raises ``IsolatedVertexError``.
     """
     if g.n == 0:
         return 0
@@ -232,24 +222,7 @@ def edge_cover_number(g: Graph) -> int:
         raise IsolatedVertexError(
             f"vertex {isolated} has degree 0; edge cover undefined"
         )
-    memo: dict[int, int] = {}
-
-    def rec(uncovered: int) -> int:
-        if not uncovered:
-            return 0
-        cached = memo.get(uncovered)
-        if cached is not None:
-            return cached
-        u = _lowest_bit_index(uncovered)
-        best = g.n + 1
-        for v in _bits(adj[u]):
-            best = min(best, 1 + rec(uncovered & ~((1 << u) | (1 << v))))
-        memo[uncovered] = best
-        return best
-
-    direct = rec((1 << g.n) - 1)
-    assert direct == g.n - matching_number(g), "edge cover identity violated"
-    return direct
+    return g.n - matching_number(g)
 
 
 # -- colouring / cliques ----------------------------------------------------
@@ -323,9 +296,11 @@ def components_count(g: Graph) -> int:
 
 
 def _forest_roots_and_order(g: Graph):
-    """Rooted post-order per component; roots are lowest labels."""
-    if not graphs.is_forest(g):
-        raise NotAForestError("forest DP called on a graph with a cycle")
+    """Rooted post-order per component; roots are lowest labels.
+
+    In a forest every edge is a tree edge of this search, so reaching an
+    already seen vertex other than the parent means ``g`` has a cycle.
+    """
     adj = g.adjacency()
     seen = set()
     order = []  # (vertex, parent) in post-order
@@ -339,6 +314,10 @@ def _forest_roots_and_order(g: Graph):
             advanced = False
             for w in it:
                 if w != parent:
+                    if w in seen:
+                        raise NotAForestError(
+                            "forest DP called on a graph with a cycle"
+                        )
                     seen.add(w)
                     stack.append((w, v, iter(adj[w])))
                     advanced = True

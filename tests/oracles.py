@@ -4,6 +4,11 @@ Each oracle takes the dumbest correct route available: subset scans,
 set-partition enumeration, permutation checks.  They share no code with
 the package so a bug would have to happen twice, in different shapes, to
 slip through.
+
+The census derives its two cover tables from Gallai's identities; the
+direct table-level dynamic programs at the end of this file are their
+independent route.  They follow the census's mask layout (bit k of a
+mask is the k-th vertex pair in lexicographic order) and nothing else.
 """
 
 from __future__ import annotations
@@ -171,6 +176,68 @@ def oracle_rank(g: Graph) -> int:
     for u, v in g.edges:
         a[u - 1][v - 1] = a[v - 1][u - 1] = 1.0
     return int(np.linalg.matrix_rank(a))
+
+
+# -- census table references -------------------------------------------------
+
+_CHUNK = 1 << 18  # masks per edge-cover pass: 2^n arrays of this many bytes
+
+
+def _mask_geometry(n: int):
+    """Every edge mask on n vertices, and each vertex pair's slot."""
+    slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    masks = np.arange(1 << len(slots), dtype=np.int64)
+    return masks, {uv: k for k, uv in enumerate(slots)}
+
+
+def census_vertex_cover_table(n: int) -> np.ndarray:
+    """Vertex cover of every mask: the size of the first vertex subset, in
+    order of size, whose complement spans no edge."""
+    masks, slot = _mask_geometry(n)
+    nu = np.full(len(masks), 255, dtype=np.uint8)
+    vfull = (1 << n) - 1
+    for t in sorted(range(1 << n), key=lambda t: (bin(t).count("1"), t)):
+        outside = vfull ^ t
+        spanned = 0
+        for (u, v), k in slot.items():
+            if outside >> u & 1 and outside >> v & 1:
+                spanned |= 1 << k
+        ok = (masks & spanned) == 0
+        ok &= nu == 255
+        nu[ok] = bin(t).count("1")
+        if not (nu == 255).any():
+            break
+    return nu
+
+
+def census_edge_cover_table(n: int) -> np.ndarray:
+    """Edge cover of every mask, 99 where a vertex is isolated.
+
+    Subset DP over uncovered vertex sets: the lowest uncovered vertex is
+    covered by each of its edges in turn.  Runs over chunks of masks to
+    bound memory at order 7.
+    """
+    inf = 99
+    masks, slot = _mask_geometry(n)
+    eps = np.zeros(len(masks), dtype=np.uint8)
+    if n == 0:
+        return eps
+    for lo in range(0, len(masks), _CHUNK):
+        mc = masks[lo : lo + _CHUNK]
+        present = {uv: ((mc >> k) & 1).astype(bool) for uv, k in slot.items()}
+        c = [np.zeros(len(mc), dtype=np.uint8)]
+        for s in range(1, 1 << n):  # each child is a proper subset, so smaller
+            u = (s & -s).bit_length() - 1
+            best = np.full(len(mc), inf, dtype=np.uint8)
+            for v in range(n):
+                if v == u:
+                    continue
+                cand = c[s & ~((1 << u) | (1 << v))] + 1
+                cand[~present[(min(u, v), max(u, v))]] = inf
+                np.minimum(best, cand, out=best)
+            c.append(best)
+        eps[lo : lo + _CHUNK] = c[-1]
+    return eps
 
 
 ORACLES = {

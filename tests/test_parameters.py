@@ -1,12 +1,13 @@
+import gc
 import itertools
 
 import pytest
 from conftest import forests, graphs
 from hypothesis import given, settings
-from oracles import ORACLES, oracle_rank
+from oracles import ORACLES, oracle_edge_cover, oracle_rank, oracle_vertex_cover
 
 from twoswitch import parameters
-from twoswitch.graphs import Graph, degree_sequence, is_forest
+from twoswitch.graphs import Graph, NotAForestError, degree_sequence, is_forest
 from twoswitch.parameters import (
     STABLE_KINDS,
     IsolatedVertexError,
@@ -112,9 +113,11 @@ class TestAgainstOracles:
     @given(graphs(max_n=7, min_n=1))
     @settings(max_examples=60, deadline=None)
     def test_complement_identities(self, g):
-        assert independence_number(g) + vertex_cover_number(g) == g.n
+        # both cover numbers are defined by Gallai's identities; check the
+        # identities against brute force
+        assert vertex_cover_number(g) == oracle_vertex_cover(g)
         if all(d > 0 for d in degree_sequence(g)):
-            assert edge_cover_number(g) + matching_number(g) == g.n
+            assert edge_cover_number(g) == oracle_edge_cover(g)
 
 
 class TestForestRoutines:
@@ -146,6 +149,58 @@ class TestForestRoutines:
     def test_compute_routes_to_same_value(self, f):
         for kind, fast, _ in self.FOREST_PAIRS:
             assert compute(kind, f) == fast(f)
+
+
+class TestForestChecks:
+    TRIANGLE = Graph(3, [(1, 2), (1, 3), (2, 3)])
+    EDGE_AND_SQUARE = Graph(6, [(1, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
+
+    def test_one_forest_check_per_compute(self, monkeypatch):
+        calls = []
+
+        def counting_is_forest(g):
+            calls.append(g)
+            return is_forest(g)
+
+        monkeypatch.setattr("twoswitch.graphs.is_forest", counting_is_forest)
+        for g in (P5, self.TRIANGLE):
+            calls.clear()
+            compute("matching", g)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            parameters.forest_matching_number,
+            parameters.forest_independence_number,
+            parameters.forest_domination_number,
+            parameters.forest_path_cover_number,
+            forest_rank_nullity,
+        ],
+    )
+    def test_forest_routines_reject_cycles(self, fn):
+        for g in (self.TRIANGLE, self.EDGE_AND_SQUARE):
+            with pytest.raises(NotAForestError):
+                fn(g)
+
+
+class TestMemoRelease:
+    """The memoized branchers recurse through a closure that refers to
+    itself; none may leave that cycle, and with it the memo, to the
+    cycle collector."""
+
+    @pytest.mark.parametrize(
+        "fn", [matching_number, independence_number, domination_number]
+    )
+    def test_no_cycle_left(self, fn):
+        g = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 4)])
+        gc.collect()
+        gc.disable()
+        try:
+            fn(g)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestRank:
