@@ -20,6 +20,7 @@ from . import parameters
 from .census import CENSUS_MAX, census
 from .fixtures import fig2
 from .graphs import (
+    CapExceededError,
     Graph,
     GraphError,
     bipartition,
@@ -33,10 +34,6 @@ from .graphs import (
 )
 from .switch import ActionMatrix, apply_switch, nontrivial_matrices
 from .transition import SwitchTrace, replay, transition_forest, transition_graph
-
-
-class CapExceededError(GraphError):
-    """The requested order is above the configured exhaustive cap."""
 
 
 class ValueOutOfRangeError(GraphError):

@@ -23,6 +23,10 @@ class NotAForestError(GraphError):
     """An operation that needs an acyclic graph got a cyclic one."""
 
 
+class CapExceededError(GraphError):
+    """The requested order is above a documented cap of the operation."""
+
+
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     if u == v:
         raise GraphFormatError(f"loop edge {u}-{v} not allowed")

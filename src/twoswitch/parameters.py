@@ -6,7 +6,10 @@ chromatic, clique and component count.  All algorithms here are exact and
 deterministic (ties always break toward the lowest label), sized for the
 package's working range of up to roughly twenty vertices.  The two cover
 numbers come from Gallai's identities: vertex cover is n - independence,
-and edge cover is n - matching on graphs with no isolated vertex.
+and edge cover is n - matching on graphs with no isolated vertex.  Path
+cover is a numpy recurrence over the 2^n vertex subsets, O(2^n * n) time
+and about 5 * 2^n bytes whatever the edges; it refuses graphs above
+``PATH_COVER_MAX`` vertices with ``CapExceededError``.
 
 Forests additionally get linear-time rooted DPs for matching,
 independence, domination and path cover.  Both routes are kept on purpose:
@@ -15,8 +18,10 @@ the tests drive them against each other.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import graphs
-from .graphs import Graph, GraphError, NotAForestError
+from .graphs import CapExceededError, Graph, GraphError, NotAForestError
 
 
 class IsolatedVertexError(GraphError):
@@ -162,46 +167,46 @@ def domination_number(g: Graph) -> int:
 # -- path cover ------------------------------------------------------------
 
 
+PATH_COVER_MAX = 20  # the documented range: 2^20 subsets, about 5 MB of tables
+_PATH_COVER_ROWS = 1 << 14  # subsets per step: bounds each temporary to n * 2^14 entries
+
+
 def path_cover_number(g: Graph) -> int:
     """Minimum number of vertex-disjoint paths covering all vertices.
 
-    Isolated vertices count as trivial one-vertex paths.  Subset DP over
-    (vertex set, endpoint), practical to about sixteen vertices.
+    Isolated vertices count as trivial one-vertex paths.  For each vertex
+    subset S, ``best[S]`` is the fewest paths covering G[S] and
+    ``last[S]`` the bitmask of vertices that end a path in some cover of
+    that size.  Taking u out of S leaves P, and u either extends a path
+    ending next to it (when adj[u] meets last[P]) or opens a new one; the
+    cheapest u give best[S], and exactly those u form last[S].  Subsets
+    are processed one popcount layer at a time, vectorized over the layer
+    and over u: O(2^n * n) time and about 5 * 2^n bytes of tables
+    whatever the edges.  Above ``PATH_COVER_MAX`` vertices it raises
+    ``CapExceededError``.
     """
     n = g.n
-    if n == 0:
-        return 0
-    adj = _adj_masks(g)
-    full = (1 << n) - 1
-    # ends[T]: bitmask of vertices v such that G[T] has a spanning path ending at v
-    ends = [0] * (full + 1)
-    for v in range(n):
-        ends[1 << v] = 1 << v
-    order = sorted(range(1, full + 1), key=lambda m: bin(m).count("1"))
-    for t in order:
-        if t & (t - 1) == 0:
-            continue
-        e = 0
-        for v in _bits(t):
-            if ends[t ^ (1 << v)] & adj[v]:
-                e |= 1 << v
-        ends[t] = e
-    inf = n + 1
-    cover = [inf] * (full + 1)
-    cover[0] = 0
-    for s in order:
-        low = 1 << _lowest_bit_index(s)
-        best = inf
-        # enumerate submasks of s containing its lowest vertex
-        t = s
-        while t:
-            if t & low and ends[t]:
-                cand = cover[s ^ t] + 1
-                if cand < best:
-                    best = cand
-            t = (t - 1) & s
-        cover[s] = best
-    return cover[full]
+    if n > PATH_COVER_MAX:
+        raise CapExceededError(
+            f"path cover of a {n}-vertex graph: general DP capped at "
+            f"{PATH_COVER_MAX} vertices"
+        )
+    adj = np.array(_adj_masks(g), dtype=np.uint32)[:, None]
+    bit = (np.int64(1) << np.arange(n, dtype=np.int64))[:, None]
+    size = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    best = np.zeros(1 << n, dtype=np.uint8)
+    last = np.zeros(1 << n, dtype=np.uint32)
+    for k in range(1, n + 1):
+        layer = np.flatnonzero(size == k)
+        for lo in range(0, len(layer), _PATH_COVER_ROWS):
+            s = layer[lo : lo + _PATH_COVER_ROWS]
+            p = s ^ bit  # row u: S without u, or S with u where u is not in S
+            cost = best[p] + ((last[p] & adj) == 0)
+            cost[p > s] = 255  # u not in S
+            low = cost.min(axis=0)
+            best[s] = low
+            last[s] = ((cost == low) * bit).sum(axis=0, dtype=np.uint32)
+    return int(best[-1])
 
 
 # -- edge cover ------------------------------------------------------------

@@ -77,10 +77,14 @@ def forest_atlas():
 
 
 @st.composite
-def graphs(draw, max_n: int = 8, min_n: int = 0):
+def graphs(draw, max_n: int = 8, min_n: int = 0, max_edges=None):
     n = draw(st.integers(min_n, max_n))
     slots = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)]
-    picked = draw(st.lists(st.sampled_from(slots), unique=True) if slots else st.just([]))
+    picked = draw(
+        st.lists(st.sampled_from(slots), unique=True, max_size=max_edges)
+        if slots
+        else st.just([])
+    )
     return Graph(n, picked)
 
 

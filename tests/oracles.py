@@ -5,10 +5,14 @@ set-partition enumeration, permutation checks.  They share no code with
 the package so a bug would have to happen twice, in different shapes, to
 slip through.
 
-The census derives its two cover tables from Gallai's identities; the
-direct table-level dynamic programs at the end of this file are their
-independent route.  They follow the census's mask layout (bit k of a
-mask is the k-th vertex pair in lexicographic order) and nothing else.
+The census derives its two cover tables from Gallai's identities, and
+its path-cover table from the same subset recurrence as the per-graph
+``path_cover_number``; the direct table-level dynamic programs at the
+end of this file are their independent route.  They follow the census's
+mask layout (bit k of a mask is the k-th vertex pair in lexicographic
+order) and nothing else.  ``oracle_path_cover_partition`` is the
+partition into traceable vertex sets for one graph, fast enough to check
+``path_cover_number`` beyond the reach of ``oracle_path_cover``.
 """
 
 from __future__ import annotations
@@ -155,6 +159,37 @@ def oracle_path_cover(g: Graph) -> int:
     return best
 
 
+def oracle_path_cover_partition(g: Graph) -> int:
+    """Fewest traceable blocks partitioning V: a submask DP over vertex
+    subsets, O(3^n), whose block always holds the lowest remaining vertex."""
+    n = g.n
+    adj = [0] * n
+    for u, v in g.edges:
+        adj[u - 1] |= 1 << (v - 1)
+        adj[v - 1] |= 1 << (u - 1)
+    by_size = sorted(range(1, 1 << n), key=lambda m: bin(m).count("1"))
+    # ends[t]: the vertices at which some spanning path of G[t] ends
+    ends = [0] * (1 << n)
+    for t in by_size:
+        if t & (t - 1) == 0:
+            ends[t] = t
+            continue
+        for v in range(n):
+            if t >> v & 1 and ends[t ^ (1 << v)] & adj[v]:
+                ends[t] |= 1 << v
+    cover = [0] * (1 << n)
+    for s in by_size:
+        low = s & -s
+        best = n + 1
+        t = s
+        while t:
+            if t & low and ends[t]:
+                best = min(best, cover[s ^ t] + 1)
+            t = (t - 1) & s
+        cover[s] = best
+    return cover[-1]
+
+
 def oracle_components(g: Graph) -> int:
     parent = {v: v for v in g.vertices()}
 
@@ -180,7 +215,7 @@ def oracle_rank(g: Graph) -> int:
 
 # -- census table references -------------------------------------------------
 
-_CHUNK = 1 << 18  # masks per edge-cover pass: 2^n arrays of this many bytes
+_CHUNK = 1 << 18  # masks per pass: each subset DP holds 2^n arrays of this many bytes
 
 
 def _mask_geometry(n: int):
@@ -238,6 +273,56 @@ def census_edge_cover_table(n: int) -> np.ndarray:
             c.append(best)
         eps[lo : lo + _CHUNK] = c[-1]
     return eps
+
+
+def census_path_cover_table(n: int) -> np.ndarray:
+    """Path cover of every mask: the fewest traceable blocks partitioning
+    the vertex set.
+
+    First the possible ends of a spanning path of G[t] for each vertex
+    subset t, then a submask DP over partitions whose block always holds
+    the lowest remaining vertex.  Runs over chunks of masks to bound
+    memory at order 7.
+    """
+    inf = 99
+    masks, slot = _mask_geometry(n)
+    pi = np.zeros(len(masks), dtype=np.uint8)
+    if n == 0:
+        return pi
+    by_size = sorted(range(1, 1 << n), key=lambda t: (bin(t).count("1"), t))
+    for lo in range(0, len(masks), _CHUNK):
+        mc = masks[lo : lo + _CHUNK]
+        adj = [np.zeros(len(mc), dtype=np.uint8) for _ in range(n)]
+        for (u, v), k in slot.items():
+            present = ((mc >> k) & 1).astype(np.uint8)
+            adj[u] |= present << v
+            adj[v] |= present << u
+        ends = [None] * (1 << n)
+        for t in by_size:
+            if t & (t - 1) == 0:
+                ends[t] = np.full(len(mc), t, dtype=np.uint8)
+                continue
+            acc = np.zeros(len(mc), dtype=np.uint8)
+            for v in range(n):
+                if t >> v & 1:
+                    reach = (ends[t ^ (1 << v)] & adj[v]) != 0
+                    acc |= reach.astype(np.uint8) << v
+            ends[t] = acc
+        # one more path for a traceable block, effectively barred otherwise
+        step = [None] + [np.where(e == 0, inf, 1).astype(np.uint8) for e in ends[1:]]
+        cover = [None] * (1 << n)
+        cover[0] = np.zeros(len(mc), dtype=np.uint8)
+        for s in by_size:
+            low = s & -s
+            best = np.full(len(mc), inf, dtype=np.uint8)
+            t = s
+            while t:
+                if t & low:
+                    np.minimum(best, cover[s ^ t] + step[t], out=best)
+                t = (t - 1) & s
+            cover[s] = best
+        pi[lo : lo + _CHUNK] = cover[-1]
+    return pi
 
 
 ORACLES = {

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import census_path_cover_table
 
 from twoswitch.census import CENSUS_MAX, Census, census
 from twoswitch.graphs import Graph, GraphError, degree_sequence, is_forest
@@ -108,3 +109,15 @@ class TestTablesAgainstPerGraph:
         cen = census(7)
         for mask in range(0, cen.n_masks, 4001):
             _check_mask(cen, mask)
+
+
+class TestPathCoverReference:
+    """The census table and ``path_cover_number`` run the same subset
+    recurrence, so the per-graph rows above compare it with itself; the
+    traceable-set partition DP in the oracles is the independent route."""
+
+    @pytest.mark.parametrize("n", range(CENSUS_MAX + 1))
+    def test_every_mask(self, n):
+        table = census(n).tables["path_cover"]
+        assert table.dtype == np.uint8
+        assert np.array_equal(table, census_path_cover_table(n))

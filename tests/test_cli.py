@@ -81,6 +81,13 @@ class TestParams:
         assert "edge_cover" not in out
         assert "matching=1" in out
 
+    def test_path_cover_cap_is_usage_error(self, capsys, edges_file):
+        cycle = Graph(21, [(v, v % 21 + 1) for v in range(1, 22)])
+        path = edges_file("c21.edges", cycle)
+        code, out, err = invoke(capsys, "params", path, "--kind", "path_cover")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "capped at 20" in err
+
 
 class TestStabilityAudit:
     def test_single_graph(self, capsys):

@@ -1,13 +1,26 @@
 import gc
 import itertools
+import random
 
 import pytest
 from conftest import forests, graphs
 from hypothesis import given, settings
-from oracles import ORACLES, oracle_edge_cover, oracle_rank, oracle_vertex_cover
+from oracles import (
+    ORACLES,
+    oracle_edge_cover,
+    oracle_path_cover_partition,
+    oracle_rank,
+    oracle_vertex_cover,
+)
 
 from twoswitch import parameters
-from twoswitch.graphs import Graph, NotAForestError, degree_sequence, is_forest
+from twoswitch.graphs import (
+    CapExceededError,
+    Graph,
+    NotAForestError,
+    degree_sequence,
+    is_forest,
+)
 from twoswitch.parameters import (
     STABLE_KINDS,
     IsolatedVertexError,
@@ -149,6 +162,80 @@ class TestForestRoutines:
     def test_compute_routes_to_same_value(self, f):
         for kind, fast, _ in self.FOREST_PAIRS:
             assert compute(kind, f) == fast(f)
+
+
+def _path(n):
+    return Graph(n, [(v, v + 1) for v in range(1, n)])
+
+
+def _cycle(n):
+    return Graph(n, [(v, v % n + 1) for v in range(1, n + 1)])
+
+
+def _random_forest(rng, n):
+    """Random recursive forest on shuffled labels: each vertex joins an
+    earlier one with probability 0.85."""
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    edges = [
+        (labels[i], labels[rng.randrange(i)])
+        for i in range(1, n)
+        if rng.random() < 0.85
+    ]
+    return Graph(n, edges)
+
+
+def _disjoint_cliques(count, size):
+    return Graph(
+        count * size,
+        [
+            (b + u, b + v)
+            for b in range(0, count * size, size)
+            for u in range(1, size)
+            for v in range(u + 1, size + 1)
+        ],
+    )
+
+
+class TestPathCoverLargeOrders:
+    """The general DP where the brute-force oracle cannot reach."""
+
+    @pytest.mark.parametrize("n,seed", [(16, 0), (16, 1), (16, 2), (20, 0), (20, 1)])
+    def test_random_forests_match_the_tree_dp(self, n, seed):
+        f = _random_forest(random.Random(seed), n)
+        assert path_cover_number(f) == parameters.forest_path_cover_number(f)
+
+    @pytest.mark.parametrize(
+        "g,expected",
+        [
+            (Graph(20), 20),
+            (_path(20), 1),
+            (Graph(20, [(1, v) for v in range(2, 21)]), 18),  # K1,19
+            (Graph(20, [(v, v + 1) for v in range(1, 20, 2)]), 10),  # 10K2
+            (_disjoint_cliques(2, 10), 2),
+        ],
+        ids=["empty", "P20", "K1,19", "10K2", "2K10"],
+    )
+    def test_closed_forms_at_twenty(self, g, expected):
+        assert path_cover_number(g) == expected
+
+    @given(graphs(max_n=11, max_edges=12))
+    @settings(max_examples=40, deadline=None)
+    def test_sparse_graphs_match_the_partition_dp(self, g):
+        assert path_cover_number(g) == oracle_path_cover_partition(g)
+
+
+class TestPathCoverCap:
+    def test_refuses_order_above_cap(self):
+        with pytest.raises(CapExceededError):
+            path_cover_number(Graph(parameters.PATH_COVER_MAX + 1))
+
+    def test_compute_refuses_large_non_forest(self):
+        with pytest.raises(CapExceededError):
+            compute("path_cover", _cycle(21))
+
+    def test_forest_route_is_not_capped(self):
+        assert compute("path_cover", _path(30)) == 1
 
 
 class TestForestChecks:
