@@ -5,7 +5,8 @@ For every degree vector of each order, take all graphs with exactly one
 cycle and ask whether any two of them are joined by a switch sequence
 whose intermediates all stay unicyclic.  Equivalently: does each family
 form a single component under unicyclic-preserving switches?  A single
-breadth-first sweep per family answers that for all its pairs at once.
+bounded breadth-first ``explore`` per family, from its first member,
+answers that for all its pairs at once.
 
 The degree vector fixes the component count of its unicyclic members
 (kappa = n + 1 - edge count), so the verdict splits cleanly by kappa.
@@ -24,14 +25,12 @@ finish in about a second.
 import argparse
 import sys
 import time
-from collections import deque
 
 import numpy as np
 
 from twoswitch.census import census
-from twoswitch.explorer import _family_selector
+from twoswitch.explorer import _family_selector, explore
 from twoswitch.graphs import is_unicyclic, kappa
-from twoswitch.switch import apply_switch, nontrivial_matrices
 
 
 def check_order(n: int):
@@ -46,24 +45,16 @@ def check_order(n: int):
         graphs += len(members)
         k = kappa(members[0])
         tally = split.setdefault(k, [0, 0])
-        if len(members) == 1:
-            tally[0] += 1
-            continue
-        start = members[0]
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            g = queue.popleft()
-            for m in nontrivial_matrices(g):
-                h = apply_switch(m, g)
-                if h not in seen and is_unicyclic(h):
-                    seen.add(h)
-                    queue.append(h)
-        missing = [g for g in members if g not in seen]
+        # the component lies inside the family, so len(members) states
+        # always suffice to expand all of it
+        reach = explore(members[0], is_unicyclic, max_states=len(members))
+        if not reach.complete:
+            raise RuntimeError(f"component of {members[0]} outgrew its family")
+        missing = [g for g in members if g.edges not in reach.parents]
         if missing:
             tally[1] += 1
             if len(examples) < 3:
-                examples.append((start, missing[0]))
+                examples.append((members[0], missing[0]))
         else:
             tally[0] += 1
     return graphs, len(groups), split, examples

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -198,7 +198,7 @@ def stability_audit(
         raise GraphError("give exactly one of graph or n")
     if graph is not None:
         return _stability_single(kind, graph)
-    return _stability_order(kind, n)
+    return stability_sweep(n, kinds=(kind,))[kind]
 
 
 def _stability_single(kind: str, g: Graph) -> AuditReport:
@@ -226,10 +226,6 @@ def _stability_single(kind: str, g: Graph) -> AuditReport:
     return AuditReport(audit="stability", passed=True, kind=kind, checked=checked)
 
 
-def _stability_order(kind: str, n: int) -> AuditReport:
-    return stability_sweep(n, kinds=(kind,))[kind]
-
-
 def stability_sweep(n: int, kinds=parameters.STABLE_KINDS) -> dict[str, AuditReport]:
     """Order-wide stability check for several parameters at once.
 
@@ -240,7 +236,6 @@ def stability_sweep(n: int, kinds=parameters.STABLE_KINDS) -> dict[str, AuditRep
     if n > CENSUS_MAX:
         raise CapExceededError(f"order-wide stability audit capped at {CENSUS_MAX}")
     cen = census(n)
-    tables = {k: cen.tables[k].astype(np.int16) for k in kinds}
     checked = dict.fromkeys(kinds, 0)
     worst: dict[str, tuple[int, ActionMatrix]] = {}
     for k1, k2, a1, a2, m in _switch_patterns(cen):
@@ -256,7 +251,7 @@ def stability_sweep(n: int, kinds=parameters.STABLE_KINDS) -> dict[str, AuditRep
             continue
         new = idx ^ bits
         for kind in kinds:
-            table = tables[kind]
+            table = cen.tables[kind]
             if kind == "edge_cover":
                 # isolated vertices leave the table at the sentinel; the
                 # switch preserves degrees so either both sides are
@@ -266,7 +261,7 @@ def stability_sweep(n: int, kinds=parameters.STABLE_KINDS) -> dict[str, AuditRep
             else:
                 cur, nxt = idx, new
             checked[kind] += cur.size
-            bad = np.abs(table[nxt] - table[cur]) > 1
+            bad = np.abs(table[nxt].astype(np.int16) - table[cur]) > 1
             if bad.any():
                 mask = int(cur[bad][0])
                 if kind not in worst or mask < worst[kind][0]:
@@ -634,6 +629,78 @@ def are_isomorphic(g: Graph, h: Graph, cap: int = ISOMORPHISM_CAP) -> bool:
     return extend(0)
 
 
+# -- bounded search -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Exploration:
+    """What one bounded breadth-first search over switch space reached.
+
+    ``parents`` maps each discovered edge set to its discoverer's edge set
+    and switch (``None`` for the start); ``frontier`` counts the states
+    still queued for expansion.
+    """
+
+    parents: dict[frozenset, tuple[frozenset, ActionMatrix] | None]
+    found: bool
+    complete: bool
+    explored: int
+    frontier: int
+
+    def route(self, goal: Graph) -> tuple[ActionMatrix, ...]:
+        """The switches carrying the start to a discovered ``goal``."""
+        if goal.edges not in self.parents:
+            raise GraphError("goal was not reached by this search")
+        steps = []
+        link = self.parents[goal.edges]
+        while link is not None:
+            key, m = link
+            steps.append(m)
+            link = self.parents[key]
+        return tuple(reversed(steps))
+
+
+def explore(
+    start: Graph, keep, *, goal: Graph | None = None, max_states: int
+) -> Exploration:
+    """Breadth-first search from ``start`` through switches into ``keep``.
+
+    ``keep`` is asked only about unseen edge sets.  The search stops when
+    ``goal`` is discovered or after ``max_states`` expansions, each of
+    which enumerates and applies O(|E|^2) switches; memory is one entry
+    per discovered state.  ``complete`` means the component of ``start``
+    inside ``keep`` was expanded without meeting ``goal``.
+    """
+    if max_states < 1:
+        raise GraphError(f"state bound must be at least 1, got {max_states}")
+    if goal is not None and goal.n != start.n:
+        raise GraphError(f"goal has order {goal.n}, start has order {start.n}")
+    goal_key = None if goal is None else goal.edges
+    parents = {start.edges: None}
+    queue = deque([start])
+    found = goal_key == start.edges
+    explored = 0
+    while queue and explored < max_states and not found:
+        cur = queue.popleft()
+        explored += 1
+        for m in nontrivial_matrices(cur):
+            t = apply_switch(m, cur)
+            if t.edges in parents or not keep(t):
+                continue
+            parents[t.edges] = (cur.edges, m)
+            found = t.edges == goal_key
+            if found:
+                break
+            queue.append(t)
+    return Exploration(
+        parents=parents,
+        found=found,
+        complete=not queue and not found,
+        explored=explored,
+        frontier=len(queue),
+    )
+
+
 # -- bundled counterexample analysis ---------------------------------------------
 
 
@@ -669,12 +736,7 @@ class BipartiteCheckReport:
             "passed": self.passed,
         }
         if self.closure is not None:
-            d["closure"] = {
-                "explored": self.closure.explored,
-                "frontier": self.closure.frontier,
-                "reached_target": self.closure.reached_target,
-                "complete": self.closure.complete,
-            }
+            d["closure"] = asdict(self.closure)
         return d
 
 
@@ -686,8 +748,10 @@ def bipartite_counterexample_check(closure_budget: int | None = 2000) -> Biparti
     sit in different parts in one graph but the same part in the other.
     Every switch from the first graph that keeps bipartiteness also keeps
     those two vertices separated, so no switch walk through bipartite
-    graphs reaches the second graph; the optional bounded closure search
-    reports how far that was verified.
+    graphs reaches the second graph; the bounded closure search, an
+    ``explore`` through bipartite graphs of at most ``closure_budget``
+    states (``None`` skips it, below 1 raises ``GraphError``), reports
+    how far that was verified.
     """
     g0, g1 = fig2()
     same_vector = degree_sequence(g0) == degree_sequence(g1)
@@ -716,8 +780,9 @@ def bipartite_counterexample_check(closure_budget: int | None = 2000) -> Biparti
             break
 
     closure = None
-    if closure_budget is not None and closure_budget > 0:
-        closure = _bipartite_closure(g0, g1, closure_budget)
+    if closure_budget is not None:
+        reach = explore(g0, is_bipartite, goal=g1, max_states=closure_budget)
+        closure = ClosureReport(reach.explored, reach.frontier, reach.found, reach.complete)
 
     passed = all(
         (
@@ -739,35 +804,6 @@ def bipartite_counterexample_check(closure_budget: int | None = 2000) -> Biparti
         switches_checked=checked,
         closure=closure,
         passed=passed,
-    )
-
-
-def _bipartite_closure(g0: Graph, g1: Graph, budget: int) -> ClosureReport:
-    start = frozenset(g0.edges)
-    target = frozenset(g1.edges)
-    seen = {start}
-    queue = deque([g0])
-    explored = 0
-    reached = False
-    while queue and explored < budget:
-        g = queue.popleft()
-        explored += 1
-        for m in nontrivial_matrices(g):
-            t = apply_switch(m, g)
-            key = frozenset(t.edges)
-            if key in seen or not is_bipartite(t):
-                continue
-            if key == target:
-                reached = True
-            seen.add(key)
-            queue.append(t)
-        if reached:
-            break
-    return ClosureReport(
-        explored=explored,
-        frontier=len(queue),
-        reached_target=reached,
-        complete=not queue and not reached,
     )
 
 
@@ -797,49 +833,20 @@ def constrained_transition_search(
 
     ``complete`` is True when the reachable family component was fully
     explored, so a not-found verdict is then a proof of absence; when the
-    budget ran out first it is only a shrug.
+    budget of expanded states ran out first it is only a shrug.  A found
+    (shortest) route reports ``complete=False`` unless ``g == h``.
     """
+    if budget < 1:
+        raise GraphError(f"search budget must be at least 1, got {budget}")
     if family not in FAMILY_PREDICATES:
         raise GraphError(f"unknown family {family!r}")
     keep = FAMILY_PREDICATES[family]
-    if g.n != h.n or degree_sequence(g) != degree_sequence(h):
-        return SearchResult(found=False, trace=None, complete=True, explored=0)
-    if not keep(g) or not keep(h):
+    if g.n != h.n or degree_sequence(g) != degree_sequence(h) or not (keep(g) and keep(h)):
         return SearchResult(found=False, trace=None, complete=True, explored=0)
     if g == h:
         return SearchResult(
             found=True, trace=SwitchTrace(g, (), ()), complete=True, explored=0
         )
-    start = frozenset(g.edges)
-    goal = frozenset(h.edges)
-    parents: dict[frozenset, tuple[frozenset, ActionMatrix] | None] = {start: None}
-    queue = deque([g])
-    explored = 0
-    while queue and explored < budget:
-        cur = queue.popleft()
-        explored += 1
-        cur_key = frozenset(cur.edges)
-        for m in nontrivial_matrices(cur):
-            t = apply_switch(m, cur)
-            key = frozenset(t.edges)
-            if key in parents or not keep(t):
-                continue
-            parents[key] = (cur_key, m)
-            if key == goal:
-                steps = []
-                k = key
-                while parents[k] is not None:
-                    pk, pm = parents[k]
-                    steps.append(pm)
-                    k = pk
-                steps.reverse()
-                return SearchResult(
-                    found=True,
-                    trace=SwitchTrace(g, tuple(steps)),
-                    complete=False,
-                    explored=explored,
-                )
-            queue.append(t)
-    return SearchResult(
-        found=False, trace=None, complete=not queue, explored=explored
-    )
+    reach = explore(g, keep, goal=h, max_states=budget)
+    trace = SwitchTrace(g, reach.route(h)) if reach.found else None
+    return SearchResult(reach.found, trace, reach.complete, reach.explored)

@@ -189,6 +189,11 @@ class TestBipartiteCheck:
         assert code == 0
         assert "closure" not in out
 
+    def test_negative_closure_budget_is_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "bipartite-check", "--closure-budget", "-3")
+        assert code == 2
+        assert out == "" and "at least 1" in err
+
 
 class TestConstrainedSearch:
     def test_found_with_trace(self, capsys):
@@ -224,6 +229,13 @@ class TestConstrainedSearch:
         )
         assert code == 1
         assert "complete=false" in out
+
+    def test_zero_budget_is_usage_error(self, capsys):
+        code, out, err = invoke(
+            capsys, "constrained-search", "fig1_g0", "fig1_g2", "--family", "forest", "--budget", "0"
+        )
+        assert code == 2
+        assert out == "" and "at least 1" in err
 
 
 class TestValidateTrace:

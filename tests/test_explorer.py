@@ -16,6 +16,7 @@ from twoswitch.explorer import (
     edge_diff_audit,
     enumerate_family,
     enumerate_forests,
+    explore,
     family_members,
     interval_audit,
     interval_sweep,
@@ -23,8 +24,16 @@ from twoswitch.explorer import (
     stability_audit,
     stability_sweep,
 )
-from twoswitch.graphs import Graph, GraphError, degree_sequence, is_forest
-from twoswitch.transition import replay, validate_trace
+from twoswitch.graphs import (
+    Graph,
+    GraphError,
+    degree_sequence,
+    is_bipartite,
+    is_forest,
+    is_unicyclic,
+)
+from twoswitch.switch import apply_switch
+from twoswitch.transition import SwitchTrace, replay, validate_trace
 
 
 class TestEnumerateFamily:
@@ -116,6 +125,33 @@ class TestStabilityAudit:
         reports = stability_sweep(4)
         assert set(reports) == set(parameters.STABLE_KINDS)
         assert all(r.passed for r in reports.values())
+
+    def test_sweep_all_kinds_order_five(self):
+        # the first order where switches move parameters both ways, so a
+        # drop of one must not read as a jump
+        reports = stability_sweep(5)
+        assert all(r.passed and r.checked > 0 for r in reports.values())
+
+    @pytest.mark.parametrize("shift", [2, -2])
+    def test_sweep_reports_a_planted_jump(self, monkeypatch, shift):
+        # one graph's matching number moved by two, up or down, must be
+        # caught across a switch into or out of it, and nothing else
+        # flagged; order 5 is the first where switches change the matching
+        import copy
+
+        import twoswitch.explorer as ex
+
+        cen = copy.copy(census(5))
+        planted = Graph(5, [(1, 2), (3, 4)])
+        table = cen.tables["matching"].copy()
+        k = cen.mask_of(planted)
+        table[k] = int(table[k]) + shift
+        cen.tables = dict(cen.tables, matching=table)
+        monkeypatch.setattr(ex, "census", lambda n: cen)
+        report = stability_sweep(5, kinds=("matching",))["matching"]
+        assert not report.passed
+        g, m = report.counterexample
+        assert planted in (g, apply_switch(m, g))
 
     def test_sweep_cap(self):
         with pytest.raises(CapExceededError):
@@ -281,6 +317,111 @@ class TestBipartitePair:
         assert not report.closure.complete
         assert not report.closure.reached_target
 
+    @pytest.mark.parametrize(
+        "budget, expected",
+        [
+            (5, (5, 25, False, False)),
+            (50, (50, 43, False, False)),
+            (2000, (232, 0, False, True)),
+        ],
+    )
+    def test_closure_at_pinned_budgets(self, budget, expected):
+        c = bipartite_counterexample_check(closure_budget=budget).closure
+        assert (c.explored, c.frontier, c.reached_target, c.complete) == expected
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_closure_budget_below_one_is_rejected(self, budget):
+        with pytest.raises(GraphError):
+            bipartite_counterexample_check(closure_budget=budget)
+
+
+class TestExplore:
+    def test_goal_is_start(self):
+        g = Graph(4, [(1, 2), (3, 4)])
+        reach = explore(g, is_forest, goal=g, max_states=1)
+        assert reach.found and not reach.complete
+        assert reach.explored == 0
+        assert reach.route(g) == ()
+
+    def test_budget_exhaustion(self, fig2_graphs):
+        g0, g1 = fig2_graphs
+        reach = explore(g0, is_bipartite, goal=g1, max_states=7)
+        assert not reach.found and not reach.complete
+        assert reach.explored == 7
+        assert reach.frontier == len(reach.parents) - 7
+
+    def test_whole_component_without_goal(self):
+        members = family_members((2, 2, 2, 2, 2))
+        reach = explore(members[0], lambda g: True, max_states=len(members))
+        assert reach.complete and not reach.found
+        assert reach.frontier == 0
+        assert reach.explored == len(members)
+        assert set(reach.parents) == {g.edges for g in members}
+
+    @pytest.mark.parametrize(
+        "seq, keep",
+        [
+            ((3, 2, 2, 1, 1, 1), is_forest),
+            ((3, 2, 2, 2, 2, 1), is_unicyclic),
+            ((2, 2, 2, 2, 1, 1), is_bipartite),
+        ],
+    )
+    def test_every_route_replays_inside_keep(self, seq, keep):
+        members = family_members(seq)
+        start = next(g for g in members if keep(g))
+        reach = explore(start, keep, max_states=len(members))
+        assert reach.complete and len(reach.parents) > 1
+        for key in reach.parents:
+            goal = Graph(start.n, key)
+            walk = replay(SwitchTrace(start, reach.route(goal)))
+            assert walk[-1] == goal
+            assert all(keep(x) for x in walk)
+
+    def test_goal_search_stops_at_the_goal(self):
+        members = family_members((3, 2, 2, 1, 1, 1), "forest")
+        full = explore(members[0], is_forest, max_states=len(members))
+        for goal in members[1:]:
+            reach = explore(members[0], is_forest, goal=goal, max_states=len(members))
+            assert reach.found and not reach.complete
+            # the goal is discovered but never queued or expanded
+            assert reach.frontier == len(reach.parents) - 1 - reach.explored
+            assert reach.route(goal) == full.route(goal)
+
+    def test_keep_is_asked_only_about_unseen_states(self):
+        # a rejected state may be met and asked about again; an accepted
+        # one is seen from then on and never asked about twice
+        members = family_members((2, 2, 2, 2, 1, 1))
+        asked = []
+
+        def keep(g):
+            asked.append(g.edges)
+            return is_bipartite(g)
+
+        start = next(g for g in members if is_bipartite(g))
+        reach = explore(start, keep, max_states=len(members))
+        assert reach.complete
+        accepted = [e for e in asked if e in reach.parents]
+        assert len(accepted) == len(set(accepted)) == len(reach.parents) - 1
+        assert start.edges not in asked
+
+    def test_route_to_an_unreached_graph_raises(self):
+        u = Graph(6, [(1, 5), (1, 6), (2, 3), (2, 4), (3, 4)])
+        v = Graph(6, [(1, 3), (1, 4), (2, 5), (2, 6), (3, 4)])
+        reach = explore(u, is_unicyclic, goal=v, max_states=10)
+        assert reach.complete and reach.explored == 1
+        with pytest.raises(GraphError):
+            reach.route(v)
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_bound_below_one_is_rejected(self, bound):
+        with pytest.raises(GraphError):
+            explore(Graph(2, [(1, 2)]), is_forest, max_states=bound)
+
+    def test_goal_of_another_order_is_rejected(self):
+        # edge sets alone would make the two empty graphs one state
+        with pytest.raises(GraphError):
+            explore(Graph(3), is_forest, goal=Graph(4), max_states=5)
+
 
 class TestConstrainedSearch:
     def test_vector_mismatch_is_definitive(self):
@@ -309,6 +450,11 @@ class TestConstrainedSearch:
         assert res.found and len(res.trace.steps) == 3
         v = validate_trace(res.trace, g, require_forests=True)
         assert v.ok
+
+    def test_budget_below_one_is_rejected(self):
+        g = Graph(4, [(1, 2), (3, 4)])
+        with pytest.raises(GraphError):
+            constrained_transition_search(g, g, budget=0)
 
     def test_budget_exhaustion_is_inconclusive(self):
         f = Graph(8, [(1, 2), (2, 6), (3, 4), (3, 7), (4, 5), (5, 8), (6, 7)])

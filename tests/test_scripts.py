@@ -1,0 +1,47 @@
+"""The experiment scripts, run as separate processes."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import twoswitch
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args):
+    src = str(Path(twoswitch.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+
+
+def test_unicyclic_search_to_order_six():
+    proc = run_script("unicyclic_search.py", "--max-order", "6")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "  kappa=2: 561 families, 15 NOT switch-connected" in lines
+    assert "  kappa=1: 381 families, all switch-connected" in lines
+    assert lines[-1] == "connected unicyclic graphs: switch-connected at every checked order"
+
+
+def test_bipartite_closure_json():
+    proc = run_script("bipartite_closure.py", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert '"explored": 232' in proc.stdout
+    report = json.loads(proc.stdout)
+    assert report["passed"]
+    assert report["closure"] == {
+        "complete": True,
+        "explored": 232,
+        "frontier": 0,
+        "reached_target": False,
+    }
