@@ -6,7 +6,8 @@ forest families, and the no-single-edge-move check, each up to a chosen
 order.  The optional order-8 rank audit walks every forest on eight
 vertices, confirms rank = 2*matching by exact elimination, and checks
 the matching step of every forest-preserving switch; it takes a few
-minutes and is off by default.
+minutes and is off by default.  Each line gives its section's elapsed
+time; the stability lines give each order's census build separately.
 """
 
 import argparse
@@ -14,6 +15,7 @@ import sys
 import time
 
 from twoswitch import parameters
+from twoswitch.census import census
 from twoswitch.explorer import (
     edge_diff_audit,
     enumerate_forests,
@@ -62,32 +64,41 @@ def main() -> int:
     args = ap.parse_args()
 
     failed = False
-    t0 = time.time()
+    t0 = time.perf_counter()
     for n in range(1, args.max_order + 1):
+        t = time.perf_counter()
+        census(n)
+        built = time.perf_counter() - t
+        t = time.perf_counter()
         reports = stability_sweep(n)
         bad = [k for k, r in reports.items() if not r.passed]
         checked = sum(r.checked for r in reports.values())
         verdict = "pass" if not bad else f"FAIL {bad}"
-        print(f"stability  n={n}: {verdict} ({checked} incidences)")
+        print(
+            f"stability  n={n}: {verdict} ({checked} incidences, "
+            f"{time.perf_counter()-t:.1f}s; census built in {built:.1f}s)"
+        )
         failed |= bool(bad)
     for n in range(1, args.max_order + 1):
+        t = time.perf_counter()
         bad = []
         for kind in parameters.STABLE_KINDS:
             for family in ("all", "forest"):
                 if not interval_sweep(n, kind, family).passed:
                     bad.append((kind, family))
         verdict = "pass" if not bad else f"FAIL {bad}"
-        print(f"interval   n={n}: {verdict}")
+        print(f"interval   n={n}: {verdict} ({time.perf_counter()-t:.1f}s)")
         failed |= bool(bad)
     for n in range(2, args.max_order + 1):
+        t = time.perf_counter()
         report = edge_diff_audit(n)
         verdict = "pass" if report.passed else "FAIL"
-        print(f"edge-move  n={n}: {verdict} ({report.checked} moves)")
+        print(f"edge-move  n={n}: {verdict} ({report.checked} moves, {time.perf_counter()-t:.1f}s)")
         failed |= not report.passed
     if args.rank_steps_order_8:
         print("rank audit n=8:")
         failed |= not audit_rank_steps_order_8()
-    print(f"total {time.time()-t0:.1f}s")
+    print(f"total {time.perf_counter()-t0:.1f}s")
     return 1 if failed else 0
 
 

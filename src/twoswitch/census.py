@@ -27,7 +27,9 @@ from .graphs import Graph, GraphError
 
 CENSUS_MAX = 7
 _CHUNK = 1 << 18
-_INF = 99  # unreachable marker; real values never exceed n
+# table value of an undefined parameter (edge cover with an isolated
+# vertex) and the DPs' unreachable marker; real values never exceed n
+UNDEFINED = 99
 
 
 def _subset_plan(n: int):
@@ -45,6 +47,46 @@ def _subset_plan(n: int):
             t = (t - 1) & s
         plan.append((s, subs))
     return plan
+
+
+# -- mask layout --------------------------------------------------------------
+#
+# Graph ``mask`` sits at index ``mask`` of every table, and bit k of the
+# mask is edge slot k.  A C-order reshape of a table to one length-2 axis
+# per slot therefore runs from slot C(n,2)-1 down to slot 0, so fixing a
+# few slots by indexing their axes leaves the other slots in ascending
+# mask order, without copying.
+
+
+def slot_view(table: np.ndarray, bits: int, req: int) -> np.ndarray:
+    """The entries of ``table`` whose slots in ``bits`` are set as in
+    ``req``, as a strided view in ascending mask order.
+
+    The fixed slots get their own length-2 axes and the free runs between
+    them are merged, so the view has at most one axis per free run.
+    """
+    top = table.size.bit_length() - 1
+    shape, index = [], []
+    for k in reversed(range(top)):
+        if bits >> k & 1:
+            shape += [1 << (top - k - 1), 2]
+            index += [slice(None), req >> k & 1]
+            top = k
+    shape.append(1 << top)
+    index.append(slice(None))
+    return table.reshape(shape)[tuple(index)]
+
+
+def slot_mask(element: int, bits: int, req: int) -> int:
+    """The mask of flat ``element`` of ``slot_view(table, bits, req)``: the
+    element's bits fill the free slots from the lowest up."""
+    mask, k = req, 0
+    while element:
+        if not bits >> k & 1:
+            mask |= (element & 1) << k
+            element >>= 1
+        k += 1
+    return mask
 
 
 class Census:
@@ -89,7 +131,7 @@ class Census:
         no_isolated = np.ones(self.n_masks, dtype=bool)
         for v in range(n):
             no_isolated &= self._adjv[v] != 0
-        eps = np.where(no_isolated, np.uint8(n) - mu, np.uint8(_INF))
+        eps = np.where(no_isolated, np.uint8(n) - mu, np.uint8(UNDEFINED))
 
         self.tables = {
             "matching": mu,
@@ -100,7 +142,7 @@ class Census:
             "components": comp,
             "chromatic": chi,
             "path_cover": pi,
-            "edge_cover": eps,  # _INF where an isolated vertex exists
+            "edge_cover": eps,  # UNDEFINED where an isolated vertex exists
         }
         self.degree_key = self._degree_keys()
         self.forest = (
@@ -249,10 +291,10 @@ class Census:
             f = [None] * (1 << n)
             f[0] = np.zeros(hi - lo, dtype=np.uint8)
             for s, subs in plan:
-                best = np.full(hi - lo, _INF, dtype=np.uint8)
+                best = np.full(hi - lo, UNDEFINED, dtype=np.uint8)
                 for t in subs:
                     cand = f[s ^ t] + 1
-                    cand[~indep[t]] = _INF
+                    cand[~indep[t]] = UNDEFINED
                     np.minimum(best, cand, out=best)
                 f[s] = best
             chi[lo:hi] = f[vfull] if n else 0

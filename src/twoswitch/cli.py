@@ -122,8 +122,11 @@ def _cmd_params(args) -> int:
 
 def _cmd_stability(args) -> int:
     kinds = parameters.STABLE_KINDS if args.kind == "all" else (args.kind,)
-    graph = _load_graph(args.graph) if args.graph else None
-    reports = [explorer.stability_audit(k, graph=graph, n=args.n) for k in kinds]
+    if args.graph:
+        graph = _load_graph(args.graph)
+        reports = [explorer.stability_audit(k, graph=graph) for k in kinds]
+    else:
+        reports = list(explorer.stability_sweep(args.n, kinds).values())
     if args.json:
         print(json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True))
     else:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from twoswitch import explorer, parameters
 from twoswitch.cli import run
 from twoswitch.graphs import Graph, format_edge_list, parse_edge_list
 from twoswitch.transition import trace_from_json, replay
@@ -107,6 +108,23 @@ class TestStabilityAudit:
         assert code == 0
         assert len(reports) == 9
         assert all(r["passed"] for r in reports)
+
+    def test_order_sweep_runs_once_for_all_kinds(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(n, kinds):
+            calls.append((n, kinds))
+            return sweep(n, kinds)
+
+        sweep = explorer.stability_sweep
+        monkeypatch.setattr(explorer, "stability_sweep", counted)
+        code, out, _ = invoke(capsys, "stability-audit", "--n", "5")
+        assert code == 0
+        assert calls == [(5, parameters.STABLE_KINDS)]
+        assert out.splitlines() == [
+            f"{kind}=pass checked={sweep(5, (kind,))[kind].checked}"
+            for kind in parameters.STABLE_KINDS
+        ]
 
     def test_requires_exactly_one_target(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,12 +1,17 @@
 """Family enumeration, the two audits, isomorphism and bounded searches."""
 
+import copy
+import random
+
 import numpy as np
 import pytest
 from conftest import forests
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import twoswitch.explorer as ex
 from twoswitch import parameters
-from twoswitch.census import census
+from twoswitch.census import UNDEFINED, census, slot_mask, slot_view
 from twoswitch.explorer import (
     CapExceededError,
     ValueOutOfRangeError,
@@ -32,7 +37,7 @@ from twoswitch.graphs import (
     is_forest,
     is_unicyclic,
 )
-from twoswitch.switch import apply_switch
+from twoswitch.switch import apply_switch, nontrivial_matrices
 from twoswitch.transition import SwitchTrace, replay, validate_trace
 
 
@@ -95,6 +100,24 @@ class TestEnumerateForests:
             assert all(u < v for u, v in edges)
 
 
+class TestSlotView:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_boolean_selection(self, data):
+        n = data.draw(st.integers(4, 6))
+        cen = census(n)
+        bits = data.draw(st.integers(0, cen.full_mask))
+        req = data.draw(st.integers(0, cen.full_mask)) & bits
+        view = slot_view(cen.masks, bits, req)
+        assert np.shares_memory(view, cen.masks)
+        flat = view.ravel()
+        assert np.array_equal(flat, cen.masks[(cen.masks & bits) == req])
+        assert np.all(np.diff(flat) > 0)
+        picks = data.draw(st.lists(st.integers(0, flat.size - 1), max_size=20))
+        for element in {0, flat.size - 1, *picks}:
+            assert slot_mask(element, bits, req) == flat[element]
+
+
 class TestStabilityAudit:
     def test_needs_exactly_one_target(self):
         with pytest.raises(GraphError):
@@ -137,10 +160,6 @@ class TestStabilityAudit:
         # one graph's matching number moved by two, up or down, must be
         # caught across a switch into or out of it, and nothing else
         # flagged; order 5 is the first where switches change the matching
-        import copy
-
-        import twoswitch.explorer as ex
-
         cen = copy.copy(census(5))
         planted = Graph(5, [(1, 2), (3, 4)])
         table = cen.tables["matching"].copy()
@@ -152,6 +171,41 @@ class TestStabilityAudit:
         assert not report.passed
         g, m = report.counterexample
         assert planted in (g, apply_switch(m, g))
+
+    @pytest.mark.parametrize("kind", ["matching", "domination", "edge_cover"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sweep_reports_the_lowest_bad_incidence(self, monkeypatch, kind, seed):
+        # a dozen planted jumps of two; a plain scan of every graph's
+        # switches, in ascending mask order, names the first bad graph
+        cen = copy.copy(census(5))
+        table = cen.tables[kind].copy()
+        rng = random.Random(seed)
+        defined = np.nonzero(table < UNDEFINED)[0].tolist()
+        for k in rng.sample(defined, 12):
+            table[k] = table[k] + 2 if table[k] < 2 or rng.random() < 0.5 else table[k] - 2
+        cen.tables = dict(cen.tables, **{kind: table})
+        monkeypatch.setattr(ex, "census", lambda n: cen)
+
+        def jumps(g, m):
+            before = int(table[cen.mask_of(g)])
+            after = int(table[cen.mask_of(apply_switch(m, g))])
+            return before < UNDEFINED and abs(after - before) > 1
+
+        lowest = next(
+            mask
+            for mask in range(cen.n_masks)
+            if any(jumps(cen.graph(mask), m) for m in nontrivial_matrices(cen.graph(mask)))
+        )
+        report = stability_sweep(5, kinds=(kind,))[kind]
+        assert not report.passed
+        g, m = report.counterexample
+        assert cen.mask_of(g) == lowest
+        assert jumps(g, m)
+
+    @pytest.mark.parametrize("kinds", [("bogus",), ("matching", "girth")])
+    def test_sweep_rejects_unknown_kinds(self, kinds):
+        with pytest.raises(GraphError, match="unknown parameter kind"):
+            stability_sweep(4, kinds=kinds)
 
     def test_sweep_cap(self):
         with pytest.raises(CapExceededError):
@@ -260,6 +314,39 @@ class TestEdgeDiffAudit:
         assert report.passed
         if n >= 3:  # two vertices leave no second slot to move an edge to
             assert report.checked > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reports_a_planted_collision(self, monkeypatch, seed):
+        # give one graph the degree key of a graph one edge move away
+        cen = copy.copy(census(5))
+        key = cen.degree_key.copy()
+        rng = random.Random(seed)
+        mask = rng.randrange(1, cen.full_mask)
+        kdel = rng.choice([k for k in range(cen.n_slots) if mask >> k & 1])
+        kadd = rng.choice([k for k in range(cen.n_slots) if not mask >> k & 1])
+        key[mask ^ (1 << kdel) ^ (1 << kadd)] = key[mask]
+        cen.degree_key = key
+        monkeypatch.setattr(ex, "census", lambda n: cen)
+
+        # reference: the same moves in the same order, by boolean selection
+        moves = [
+            (d, a) for d in range(cen.n_slots) for a in range(cen.n_slots) if a != d
+        ]
+        for position, (d, a) in enumerate(moves):
+            bits = (1 << d) | (1 << a)
+            cur = cen.masks[(cen.masks & bits) == 1 << d]
+            hits = cur[key[cur ^ bits] == key[cur]]
+            if hits.size:
+                break
+        else:
+            pytest.fail("the planted collision was not found by the reference")
+
+        report = edge_diff_audit(5)
+        assert not report.passed
+        g, h = report.counterexample
+        assert len(g.edges - h.edges) == 1 and len(h.edges - g.edges) == 1
+        assert (cen.mask_of(g), cen.mask_of(h)) == (int(hits[0]), int(hits[0]) ^ bits)
+        assert report.checked == (position + 1) * (cen.n_masks >> 2)
 
     def test_cap(self):
         with pytest.raises(CapExceededError):

@@ -24,6 +24,17 @@ def run_script(name, *args):
     )
 
 
+def test_run_audits_to_order_five():
+    proc = run_script("run_audits.py", "--max-order", "5")
+    assert proc.returncode == 0, proc.stderr
+    *sections, total = proc.stdout.splitlines()
+    assert len(sections) == 5 + 5 + 4
+    assert all(": pass (" in line and line.endswith("s)") for line in sections)
+    assert "stability  n=5: pass (17160 incidences, " in proc.stdout
+    assert "edge-move  n=5: pass (23040 moves, " in proc.stdout
+    assert total.startswith("total ")
+
+
 def test_unicyclic_search_to_order_six():
     proc = run_script("unicyclic_search.py", "--max-order", "6")
     assert proc.returncode == 0, proc.stderr
