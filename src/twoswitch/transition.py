@@ -3,9 +3,14 @@
 The forest route grows the set of edges the working forests share, one
 switch at a time, trimming every leaf the two sides agree on so that
 finished parts of the problem drop out; recorded switches always act on
-original labels even though the working copies shrink.  The general
-route rewires both graphs to a shared canonical form and glues the two
-halves, inverting one of them.
+original labels even though the working copies shrink.  A leaf-fixing
+step costs one rooting of the working forest and one scan, O(n) when
+degrees are bounded, so a route costs O(n^2) outside the plateau
+fallback, which is still an unbounded search.
+The finished route is verified by one incremental replay on a plain edge
+set, and its ``kinds`` come from that replay.  The general route rewires
+both graphs to a shared canonical form and glues the two halves,
+inverting one of them.
 """
 
 from __future__ import annotations
@@ -203,78 +208,89 @@ def _only(s: set) -> int:
     return x
 
 
-def _working_path(adj: dict[int, set[int]], a: int, b: int) -> list[int] | None:
-    if a == b:
-        return [a]
-    parent = {a: None}
-    queue = deque([a])
-    while queue:
-        x = queue.popleft()
-        for y in sorted(adj[x]):
-            if y not in parent:
-                parent[y] = x
-                if y == b:
-                    path = [b]
-                    while path[-1] != a:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                queue.append(y)
-    return None
+def _root_forest(adj: dict[int, set[int]]):
+    """Root every component of a working forest on 1..n in one pass.
 
-
-def _leaf_candidates(
-    adj1: dict[int, set[int]], adj2: dict[int, set[int]], active: set[int]
-):
-    """Switches ((l,v),(u,w)) that hand leaf l its target neighbour u.
-
-    Yields (gain, l, v, u, w) where gain is the change in the number of
-    edges the two working forests share.  l runs over leaves of the first
-    forest, u is l's neighbour in the second, v its neighbour in the
-    first, and w a neighbour of u in the first; when l and u live in the
-    same component w must avoid the l-u path or the result has a cycle,
-    and when u is itself a leaf the switch only works across components.
+    Returns per-vertex lists (index 0 unused): the component's root, the
+    parent (0 at a root), the depth-first preorder entry time, and the
+    subtree size.  The subtree of x is exactly the vertices y with
+    tin[x] <= tin[y] < tin[x] + size[x].
     """
-    for leaf in sorted(active):
-        if len(adj1[leaf]) != 1:
+    n = len(adj)
+    comp = [0] * (n + 1)
+    parent = [0] * (n + 1)
+    tin = [0] * (n + 1)
+    size = [1] * (n + 1)
+    order = []
+    for root, nbrs in adj.items():
+        if comp[root] or not nbrs:
+            continue
+        comp[root] = root
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            tin[x] = len(order)
+            order.append(x)
+            for y in adj[x]:
+                if not comp[y]:
+                    comp[y] = root
+                    parent[y] = x
+                    stack.append(y)
+    for x in reversed(order):
+        size[parent[x]] += size[x]
+    return comp, parent, tin, size
+
+
+def _best_leaf_fix(
+    adj1: dict[int, set[int]], adj2: dict[int, set[int]]
+) -> tuple[int, int, int, int, int]:
+    """The leaf-fixing switch ((l,v),(u,w)) of highest gain, as (gain, l, v, u, w).
+
+    Candidates hand leaf l of the first working forest its neighbour u in
+    the second; v is l's neighbour in the first and w a neighbour of u in
+    the first.  The gain is the change in the number of edges the two
+    working forests share.  When l and u live in the same component w
+    must avoid the l-u path or the result has a cycle; so when u is
+    itself a leaf, whose one neighbour is then on that path, the switch
+    only works across components.
+
+    Candidates run by leaf, then partner, in ascending label order, and
+    the first one of the highest gain wins.  One rooting of the first
+    forest answers every path question: the only neighbour of u on the
+    l-u path is the first step from u toward l, which is the child of u
+    whose subtree holds l, or else u's parent.  No gain exceeds 2, so
+    the scan stops at the first candidate that reaches it.  A candidate
+    always exists but a strict gain does not: two working forests can
+    reach a state where every leaf-fixing switch trades one shared edge
+    for another.
+    """
+    comp, parent, tin, size = _root_forest(adj1)
+    best = None
+    for leaf, nbrs in adj1.items():
+        if len(nbrs) != 1:
             continue
         u = _only(adj2[leaf])
-        v = _only(adj1[leaf])
-        if len(adj2[u]) >= 2:
-            path = _working_path(adj1, leaf, u)
-            if path is None:
-                partners = sorted(adj1[u])
+        v = _only(nbrs)
+        partners = adj1[u]
+        if comp[leaf] == comp[u]:
+            t = tin[leaf]
+            if tin[u] < t < tin[u] + size[u]:
+                toward = next(
+                    w
+                    for w in partners
+                    if parent[w] == u and tin[w] <= t < tin[w] + size[w]
+                )
             else:
-                on_path = set(path)
-                partners = sorted(x for x in adj1[u] if x not in on_path)
-            for w in partners:
-                gain = 1 - (w in adj2[u]) + (w in adj2[v])
-                yield gain, leaf, v, u, w
-        else:
-            w = _only(adj1[u])
-            if _working_path(adj1, leaf, u) is None:
-                # u's working edge uw is never a target edge here: that
-                # would make u a shared leaf, trimmed before we got here
-                yield 1 + (w in adj2[v]), leaf, v, u, w
-
-
-def _construct_leaf_fixing(
-    adj1: dict[int, set[int]], adj2: dict[int, set[int]], active: set[int]
-) -> ActionMatrix:
-    """One switch on F making some leaf agree with its target neighbour.
-
-    Among all leaf/partner combinations the one gaining the most shared
-    edges wins, lowest labels breaking ties.  A combination always exists
-    but a strict gain does not: two working forests can reach a state
-    where every leaf-fixing switch trades one shared edge for another.
-    """
-    best = None
-    for gain, leaf, v, u, w in _leaf_candidates(adj1, adj2, active):
-        if best is None or gain > best[0]:
-            best = (gain, leaf, v, u, w)
+                toward = parent[u]
+            partners = partners - {toward}
+        for w in sorted(partners):
+            gain = 1 - (w in adj2[u]) + (w in adj2[v])
+            if best is None or gain > best[0]:
+                best = (gain, leaf, v, u, w)
+                if gain == 2:
+                    return best
     assert best is not None, "some leaf always admits a fixing switch"
-    _, leaf, v, u, w = best
-    return ActionMatrix(leaf, v, u, w)
+    return best
 
 
 def leaf_fixing_switch(f: Graph, f2: Graph) -> ActionMatrix:
@@ -292,8 +308,8 @@ def leaf_fixing_switch(f: Graph, f2: Graph) -> ActionMatrix:
         raise GraphError("trimmable leaves present; trim before switching")
     adj1 = {v: set(f.neighbors(v)) for v in f.vertices()}
     adj2 = {v: set(f2.neighbors(v)) for v in f2.vertices()}
-    active = {v for v in f.vertices() if adj1[v]}
-    m = _construct_leaf_fixing(adj1, adj2, active)
+    _, leaf, v, u, w = _best_leaf_fix(adj1, adj2)
+    m = ActionMatrix(leaf, v, u, w)
     assert is_interchangeable(m, f), "constructed switch must be applicable"
     return m
 
@@ -325,8 +341,8 @@ def _apply_to_working(adj: dict[int, set[int]], m: ActionMatrix):
     adj[d].add(b)
 
 
-def _edge_set(adj: dict[int, set[int]], active: set[int]) -> set[tuple[int, int]]:
-    return {(v, x) for v in active for x in adj[v] if x > v}
+def _edge_set(adj: dict[int, set[int]]) -> set[tuple[int, int]]:
+    return {(v, x) for v in adj for x in adj[v] if x > v}
 
 
 def _finishing_switch(red: set[tuple[int, int]], blue: set[tuple[int, int]]) -> ActionMatrix:
@@ -456,32 +472,51 @@ def transition_forest(f: Graph, f2: Graph) -> SwitchTrace:
     search.  Recorded switches reference original labels throughout, so
     the trace replays on the untrimmed input.
 
+    Cost: a leaf-fixing step roots the working forest once, O(n), and
+    scans at most sum(deg(u)^2) <= 2 * n * maxdeg candidates, O(n) when
+    degrees are bounded.  Every switch outside the plateau search shrinks
+    the gap, so a route whose gains come from leaf fixes costs O(n^2)
+    with bounded degrees.  A step where no leaf fix gains scans every
+    pair of working edges instead, and the plateau search is an unbounded
+    breadth-first search.  The finished route is verified in one pass over
+    a plain edge set: every step rewires, every intermediate is acyclic
+    (union-find over the vertex labels) and the last equals ``f2``, and
+    ``kinds`` comes from that verified replay (T_SWITCH on a tree,
+    F_SWITCH otherwise).
+
     Two forests with the same degree vector never differ in exactly one
     edge, so the final switch always closes a gap of two while the rest
     typically narrow it by at least one: the trace stays within
     max(0, |E(f2) - E(f)| - 1) switches whenever the greedy gains hold
-    up, which is always the case through n = 7 (checked exhaustively)
-    and everywhere else we have looked except for rare plateau pairs
-    where even the shortest possible route exceeds that number.
+    up, which is always the case through n = 7 (all 1,427,121 ordered
+    pairs, reproduced by ``scripts/route_audit.py``) and everywhere else
+    we have looked except for rare plateau pairs where even the shortest
+    possible route exceeds that number.
     """
     _check_transition_inputs(f, f2, forests=True)
-    assert kappa(f) == kappa(f2), "same degree vector forces equal components"
+    k = kappa(f)
+    assert k == kappa(f2), "same degree vector forces equal components"
+    kind = SwitchKind.T_SWITCH if k == 1 else SwitchKind.F_SWITCH
+    return _verified_route(f, f2, _forest_steps(f, f2), kind)
 
+
+def _forest_steps(f: Graph, f2: Graph) -> list[ActionMatrix]:
+    """The switches of the forest route, unverified.
+
+    ``gap`` counts the target edges the first working forest lacks; both
+    working forests always have as many edges, so they agree exactly when
+    it is 0.  Only a vertex a trim or a switch has just touched can turn
+    into a trimmable leaf, so only those are tested.
+    """
     adj1 = {v: set(f.neighbors(v)) for v in f.vertices()}
     adj2 = {v: set(f2.neighbors(v)) for v in f2.vertices()}
-    active = {v for v in f.vertices() if adj1[v]}
+    gap = len(f2.edges - f.edges)
+    touched = set(f.vertices())
     steps: list[ActionMatrix] = []
-
-    def current_trimmable() -> set[int]:
-        return {
-            v
-            for v in active
-            if len(adj1[v]) == 1 and adj1[v] == adj2[v]
-        }
-
-    while any(adj1[v] != adj2[v] for v in active):
-        lam = current_trimmable()
+    while gap:
+        lam = {v for v in touched if len(adj1[v]) == 1 and adj1[v] == adj2[v]}
         if lam:
+            touched = set()
             for v in sorted(lam):
                 if not adj1[v]:
                     continue  # partner leaf of a shared K2 was trimmed first
@@ -490,36 +525,85 @@ def transition_forest(f: Graph, f2: Graph) -> SwitchTrace:
                 adj1[nb].discard(v)
                 adj2[v].clear()
                 adj2[nb].discard(v)
-            active = {v for v in active - lam if adj1[v]}
+                touched.add(nb)
             continue
 
-        e1 = _edge_set(adj1, active)
-        e2 = _edge_set(adj2, active)
-        gap = len(e2 - e1)
         assert gap != 1, "equal degree vectors forbid a one-edge difference"
         if gap == 2:
+            e1 = _edge_set(adj1)
+            e2 = _edge_set(adj2)
             m = _finishing_switch(e1 - e2, e2 - e1)
         else:
-            gain, leaf, v, u, w = max(
-                _leaf_candidates(adj1, adj2, active), key=lambda t: t[0]
-            )
+            gain, leaf, v, u, w = _best_leaf_fix(adj1, adj2)
             if gain >= 1:
                 m = ActionMatrix(leaf, v, u, w)
             else:
+                e1 = _edge_set(adj1)
                 m = _scan_gaining_switch(adj2, e1)
-            if m is None:
-                # plateau: every single switch trades away as much as it
-                # gains, so fall back to an exact shortest completion
-                steps.extend(_search_completion(e1, e2))
-                break
+                if m is None:
+                    # plateau: every single switch trades away as much as
+                    # it gains, so fall back to an exact shortest completion
+                    steps.extend(_search_completion(e1, _edge_set(adj2)))
+                    break
+        a, b, c, d = m.labels()
+        gap += (b in adj2[a]) + (d in adj2[c]) - (c in adj2[a]) - (d in adj2[b])
         _apply_to_working(adj1, m)
         steps.append(m)
+        touched = {a, b, c, d}
+    return steps
 
-    trace = _annotated(f, steps)
-    sequence = replay(trace)
-    assert sequence[-1] == f2, "trace must land on the target forest"
-    assert all(is_forest(g) for g in sequence), "intermediates must stay forests"
-    return trace
+
+def _norm(u: int, v: int) -> tuple[int, int]:
+    return (u, v) if u < v else (v, u)
+
+
+def _acyclic(n: int, edges) -> bool:
+    parent = list(range(n + 1))
+    for u, v in edges:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
+            return False
+        parent[u] = v
+    return True
+
+
+def _verified_route(
+    f: Graph, f2: Graph, steps: list[ActionMatrix], kind: SwitchKind
+) -> SwitchTrace:
+    """Replay ``steps`` on f's edge set, checking every one of them.
+
+    Each step must rewire (the rule of ``is_interchangeable``), each
+    intermediate must be acyclic and the last must equal ``f2``; a
+    trivial step raises ``TrivialStepError`` like ``replay`` does, and
+    the other failures raise ``AssertionError``.  Every step then has
+    ``kind``: a switch between two forests of the same order and size is
+    a T_SWITCH on a tree and an F_SWITCH otherwise, which is the verdict
+    ``classify`` reaches structurally.
+    """
+    edges = set(f.edges)
+    for i, m in enumerate(steps):
+        a, b, c, d = m.labels()
+        ab, cd, ac, bd = _norm(a, b), _norm(c, d), _norm(a, c), _norm(b, d)
+        if (
+            len({a, b, c, d}) != 4
+            or ab not in edges
+            or cd not in edges
+            or ac in edges
+            or bd in edges
+        ):
+            raise TrivialStepError(i, m)
+        edges.remove(ab)
+        edges.remove(cd)
+        edges.add(ac)
+        edges.add(bd)
+        if not _acyclic(f.n, edges):
+            raise AssertionError(f"step {i} {m} closes a cycle")
+    if edges != f2.edges:
+        raise AssertionError("trace must land on the target forest")
+    return SwitchTrace(f, tuple(steps), (kind,) * len(steps))
 
 
 def _annotated(initial: Graph, steps: list[ActionMatrix]) -> SwitchTrace:

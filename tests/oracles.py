@@ -13,6 +13,9 @@ mask layout (bit k of a mask is the k-th vertex pair in lexicographic
 order) and nothing else.  ``oracle_path_cover_partition`` is the
 partition into traceable vertex sets for one graph, fast enough to check
 ``path_cover_number`` beyond the reach of ``oracle_path_cover``.
+``oracle_leaf_fixing_switch`` picks the forest route's leaf-fixing
+switch with one path search per leaf, where the package roots each
+working forest once.
 """
 
 from __future__ import annotations
@@ -211,6 +214,61 @@ def oracle_rank(g: Graph) -> int:
     for u, v in g.edges:
         a[u - 1][v - 1] = a[v - 1][u - 1] = 1.0
     return int(np.linalg.matrix_rank(a))
+
+
+# -- leaf-fixing switch reference ---------------------------------------------
+
+
+def _forest_path(adj: dict[int, set[int]], a: int, b: int) -> list[int] | None:
+    """The a-b path of a forest by breadth-first search, or None."""
+    parent = {a: None}
+    queue = [a]
+    for x in queue:
+        if x == b:
+            path = [b]
+            while path[-1] != a:
+                path.append(parent[path[-1]])
+            return path[::-1]
+        for y in sorted(adj[x]):
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    return None
+
+
+def oracle_leaf_fixing_switch(f: Graph, f2: Graph) -> tuple[int, int, int, int]:
+    """The switch ``transition.leaf_fixing_switch`` should pick, by one
+    path search per leaf.
+
+    For each leaf l of ``f`` in ascending order, with neighbour v in ``f``
+    and u in ``f2``, the candidates ((l,v),(u,w)) run over the neighbours
+    w of u in ``f`` in ascending order.  When u has two or more
+    neighbours in ``f2``, w must avoid the l-u path; when u is a leaf of
+    ``f2``, l and u must lie in different components.  The gain is the
+    change in the number of edges ``f`` and ``f2`` share, and the first
+    candidate of the highest gain wins.
+    """
+    adj1 = {v: set(f.neighbors(v)) for v in f.vertices()}
+    adj2 = {v: set(f2.neighbors(v)) for v in f2.vertices()}
+    best = None
+    for leaf in f.vertices():
+        if len(adj1[leaf]) != 1:
+            continue
+        (u,) = adj2[leaf]
+        (v,) = adj1[leaf]
+        path = _forest_path(adj1, leaf, u)
+        if len(adj2[u]) >= 2:
+            partners = sorted(adj1[u] - set(path or ()))
+        elif path is None:
+            partners = sorted(adj1[u])
+        else:
+            partners = []
+        for w in partners:
+            gain = 1 - (w in adj2[u]) + (w in adj2[v])
+            if best is None or gain > best[0]:
+                best = (gain, (leaf, v, u, w))
+    assert best is not None
+    return best[1]
 
 
 # -- census table references -------------------------------------------------

@@ -56,3 +56,13 @@ def test_bipartite_closure_json():
         "frontier": 0,
         "reached_target": False,
     }
+
+
+def test_route_audit_to_order_five():
+    proc = run_script("route_audit.py", "--max-order", "5")
+    assert proc.returncode == 0, proc.stderr
+    *orders, total = proc.stdout.splitlines()
+    assert len(orders) == 6
+    assert all(": pass, " in line and line.endswith("s)") for line in orders)
+    assert "order 5: pass, 951 pairs, 810 switches, max excess 0 (" in proc.stdout
+    assert total.startswith("total: pass, 1018 pairs, 828 switches, max excess 0 (")

@@ -1,10 +1,15 @@
+import hashlib
+import heapq
 import json
 import random
 
 import pytest
 from conftest import forests
 from hypothesis import given, settings
+from oracles import oracle_leaf_fixing_switch
 
+import twoswitch.transition as transition
+from twoswitch.explorer import enumerate_forests
 from twoswitch.graphs import (
     Graph,
     degree_sequence,
@@ -85,6 +90,33 @@ class TestLeafFixingSwitch:
         with pytest.raises(Exception):
             leaf_fixing_switch(g0, g2)  # trimmable leaves exist
 
+    def test_matches_reference_on_every_small_pair(self):
+        # every ordered same-vector pair to order 6 that meets the
+        # preconditions: different, no isolated vertex, no trimmable leaf
+        compared = 0
+        for members in _forests_by_vector(6).values():
+            if 0 in degree_sequence(members[0]):
+                continue
+            for f in members:
+                for g in members:
+                    if f == g or trimmable_leaves(f, g):
+                        continue
+                    assert leaf_fixing_switch(f, g).labels() == oracle_leaf_fixing_switch(f, g)
+                    compared += 1
+        assert compared == 9528
+
+    def test_matches_reference_on_seeded_pairs(self):
+        rng = random.Random(4242)
+        compared = 0
+        while compared < 30:
+            n = rng.randint(30, 60)
+            a, b = _same_vector_pair(rng, n, rng.randint(1, 4))
+            f, g = Graph(n, a), Graph(n, b)
+            if trimmable_leaves(f, g):
+                continue
+            assert leaf_fixing_switch(f, g).labels() == oracle_leaf_fixing_switch(f, g)
+            compared += 1
+
 
 class TestTransitionForest:
     def test_identity_pair(self, fig1_graphs):
@@ -115,21 +147,17 @@ class TestTransitionForest:
 
     def test_exhaustive_tiny(self):
         # every same-vector ordered forest pair up to order 5
-        from twoswitch.explorer import enumerate_forests
-
-        by_vector = {}
-        for n in range(6):
-            for edges in enumerate_forests(n):
-                f = Graph(n, edges)
-                by_vector.setdefault((n, degree_sequence(f)), []).append(f)
         pairs = 0
-        for members in by_vector.values():
+        for members in _forests_by_vector(5).values():
             for f in members:
                 for g in members:
                     trace = transition_forest(f, g)
                     seq = replay(trace)
                     assert seq[-1] == g
                     assert all(is_forest(x) for x in seq)
+                    assert trace.kinds == tuple(
+                        classify(m, x) for m, x in zip(trace.steps, seq)
+                    )
                     bound = max(0, len(g.edges - f.edges) - 1)
                     assert len(trace.steps) <= bound
                     assert kappa(f) == kappa(g)
@@ -189,6 +217,145 @@ class TestTransitionForest:
                             nxt.add(y)
             frontier = nxt
         assert g not in seen
+
+
+class TestRouteIdentity:
+    def test_seeded_routes_are_pinned(self):
+        # trees and forests of 2-5 components at n = 40..117; the count
+        # and digest were taken from the per-leaf path-search route
+        rng = random.Random(1105)
+        texts, total = [], 0
+        for i in range(12):
+            n = 40 + 7 * i
+            k = 1 if i % 2 == 0 else 2 + (i // 2) % 4
+            a, b = _same_vector_pair(rng, n, k)
+            trace = transition_forest(Graph(n, a), Graph(n, b))
+            texts.append(trace_to_json(trace))
+            total += len(trace)
+        assert total == 765
+        digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+        assert digest[:16] == "e76e85016062ad18"
+
+
+class TestRouteVerification:
+    """Each check of the closing replay catches a fault no other one does."""
+
+    # the eight-vertex path pair of TestTransitionForest: three switches
+    F = Graph(8, [(1, 2), (2, 6), (3, 4), (3, 7), (4, 5), (5, 8), (6, 7)])
+    G = Graph(8, [(1, 3), (2, 5), (2, 6), (3, 4), (4, 5), (6, 7), (7, 8)])
+
+    def _edit_route(self, monkeypatch, edit):
+        steps = edit(transition._forest_steps(self.F, self.G))
+        monkeypatch.setattr(transition, "_forest_steps", lambda f, g: steps)
+        return steps
+
+    def _lands_on_target(self, steps):
+        g = self.F
+        for m in steps:
+            g = apply_switch(m, g)
+        return g == self.G
+
+    def test_unedited_route_passes(self, monkeypatch):
+        steps = self._edit_route(monkeypatch, list)
+        assert transition_forest(self.F, self.G).steps == tuple(steps)
+
+    def test_cycle_closing_step_raises(self, monkeypatch):
+        cyclic = next(
+            m for m in nontrivial_matrices(self.F) if classify(m, self.F) is SwitchKind.PLAIN
+        )
+        steps = self._edit_route(monkeypatch, lambda s: [cyclic, cyclic.transpose(), *s])
+        assert self._lands_on_target(steps)
+        with pytest.raises(AssertionError, match="step 0 .* closes a cycle"):
+            transition_forest(self.F, self.G)
+
+    @pytest.mark.parametrize(
+        "edit, index",
+        [
+            # the first step again: its deleted edges are gone
+            (lambda s: [s[0], *s], 1),
+            # on F's path 1-2-6-7 both deleted edges are there, but an
+            # added one (26) is too, as the first or as the second
+            (lambda s: [ActionMatrix(2, 1, 6, 7), *s], 0),
+            (lambda s: [ActionMatrix(1, 2, 7, 6), *s], 0),
+            # a repeated label: 12 and 26 are both there
+            (lambda s: [ActionMatrix(2, 1, 2, 6), *s], 0),
+        ],
+    )
+    def test_trivial_step_raises(self, monkeypatch, edit, index):
+        steps = self._edit_route(monkeypatch, edit)
+        assert self._lands_on_target(steps)  # a trivial step acts as the identity
+        with pytest.raises(TrivialStepError) as exc:
+            transition_forest(self.F, self.G)
+        assert exc.value.index == index
+
+    def test_dropped_last_step_raises(self, monkeypatch):
+        steps = self._edit_route(monkeypatch, lambda s: s[:-1])
+        replay(SwitchTrace(self.F, tuple(steps)))  # every step rewires
+        with pytest.raises(AssertionError, match="target"):
+            transition_forest(self.F, self.G)
+
+
+def _forests_by_vector(max_order):
+    """Forests of each order up to ``max_order``, grouped by degree vector."""
+    by_vector = {}
+    for n in range(max_order + 1):
+        for edges in enumerate_forests(n):
+            f = Graph(n, edges)
+            by_vector.setdefault((n, degree_sequence(f)), []).append(f)
+    return by_vector
+
+
+def _prufer_tree(block, code):
+    degree = dict.fromkeys(block, 1)
+    for x in code:
+        degree[x] += 1
+    leaves = [v for v in block if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in code:
+        edges.append((heapq.heappop(leaves), x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return edges
+
+
+def _same_vector_pair(rng, n, k):
+    """Two forests on 1..n with k trees of two or more vertices each and
+    one degree vector.
+
+    The first grows a random Pruefer tree on each block of a random
+    partition.  The second permutes labels within each degree class and
+    grows a tree on each image block from a shuffled code in which every
+    vertex appears its degree minus one times.
+    """
+    sizes = [2] * k
+    for _ in range(n - 2 * k):
+        sizes[rng.randrange(k)] += 1
+    order = rng.sample(range(1, n + 1), n)
+    blocks, start = [], 0
+    for size in sizes:
+        blocks.append(order[start : start + size])
+        start += size
+    first = []
+    for block in blocks:
+        first += _prufer_tree(block, [rng.choice(block) for _ in block[2:]])
+    deg = dict.fromkeys(range(1, n + 1), 0)
+    for u, v in first:
+        deg[u] += 1
+        deg[v] += 1
+    image = {}
+    for d in set(deg.values()):
+        members = [v for v in deg if deg[v] == d]
+        image.update(zip(members, rng.sample(members, len(members))))
+    second = []
+    for block in blocks:
+        target = [image[v] for v in block]
+        code = [v for v in target for _ in range(deg[v] - 1)]
+        rng.shuffle(code)
+        second += _prufer_tree(target, code)
+    return first, second
 
 
 def _random_forest(rng, n):
