@@ -11,9 +11,17 @@ cover is a numpy recurrence over the 2^n vertex subsets, O(2^n * n) time
 and about 5 * 2^n bytes whatever the edges; it refuses graphs above
 ``PATH_COVER_MAX`` vertices with ``CapExceededError``.
 
-Forests additionally get linear-time rooted DPs for matching,
-independence, domination and path cover.  Both routes are kept on purpose:
-the tests drive them against each other.
+On a forest ``compute`` answers every kind but clique and components
+from two leaves-up passes over one breadth-first order, O(n) each.  The
+first links a vertex to its parent whenever both have room: with one
+link per vertex that is a maximum matching nu, and with two it is a
+largest set of disjoint paths, so path cover is n minus its edges.
+Forests are bipartite, so König's theorem gives independence n - nu and
+vertex cover nu, and Gallai's identity edge cover n - nu.  The second is
+the domination greedy of Cockayne, Goodman and Hedetniemi (1975), which
+takes the parent of every vertex still undominated.  Chromatic is 2 with
+an edge, and the adjacency rank is 2 * nu.  The tests check both passes
+against rooted dynamic programs.
 """
 
 from __future__ import annotations
@@ -219,15 +227,17 @@ def edge_cover_number(g: Graph) -> int:
     by one edge per unmatched vertex.  Undefined when a vertex has no
     edge, which raises ``IsolatedVertexError``.
     """
-    if g.n == 0:
-        return 0
-    adj = _adj_masks(g)
-    if any(m == 0 for m in adj):
-        isolated = min(i + 1 for i, m in enumerate(adj) if m == 0)
+    return _edge_cover(g, matching_number)
+
+
+def _edge_cover(g: Graph, matching) -> int:
+    adj = g.adjacency()
+    isolated = next((v for v in g.vertices() if not adj[v]), None)
+    if isolated is not None:
         raise IsolatedVertexError(
             f"vertex {isolated} has degree 0; edge cover undefined"
         )
-    return g.n - matching_number(g)
+    return g.n - matching(g)
 
 
 # -- colouring / cliques ----------------------------------------------------
@@ -297,122 +307,101 @@ def components_count(g: Graph) -> int:
     return graphs.kappa(g)
 
 
-# -- forest specializations -------------------------------------------------
+# -- forests -----------------------------------------------------------------
 
 
-def _forest_roots_and_order(g: Graph):
-    """Rooted post-order per component; roots are lowest labels.
+def _leaves_up(g: Graph) -> tuple[list[int], list[int]]:
+    """Parents (0 at a root) and every vertex, each before its parent.
 
-    In a forest every edge is a tree edge of this search, so reaching an
-    already seen vertex other than the parent means ``g`` has a cycle.
+    One breadth-first pass per component from its lowest label, read
+    backwards.  The search keeps one edge per non-root vertex, so ``g``
+    is a forest exactly when it has no other edge.
     """
     adj = g.adjacency()
-    seen = set()
-    order = []  # (vertex, parent) in post-order
+    parent = [0] * (g.n + 1)
+    seen = [False] * (g.n + 1)
+    order: list[int] = []
+    roots = 0
     for root in g.vertices():
-        if root in seen:
+        if seen[root]:
             continue
-        seen.add(root)
-        stack = [(root, 0, iter(adj[root]))]
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w != parent:
-                    if w in seen:
-                        raise NotAForestError(
-                            "forest DP called on a graph with a cycle"
-                        )
-                    seen.add(w)
-                    stack.append((w, v, iter(adj[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append((v, parent))
-                stack.pop()
-    return order
+        roots += 1
+        seen[root] = True
+        i = len(order)
+        order.append(root)
+        while i < len(order):
+            x = order[i]
+            i += 1
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    parent[y] = x
+                    order.append(y)
+    if g.size != g.n - roots:
+        raise NotAForestError("forest routine called on a graph with a cycle")
+    order.reverse()
+    return parent, order
+
+
+def _capped_links(g: Graph, cap: int) -> int:
+    """Edges of a largest subgraph of the forest ``g`` with maximum degree
+    ``cap``.
+
+    Leaves up, a vertex links to its parent whenever both still have
+    fewer than ``cap`` links.  By then the vertex's subtree is settled
+    and the parent edge is its only one left, so some largest subgraph
+    agreeing with the links so far takes it: dropping one of the
+    parent's other links makes room.  At ``cap`` 1 this is a maximum
+    matching.
+    """
+    parent, order = _leaves_up(g)
+    links = [0] * (g.n + 1)
+    links[0] = cap  # a root has no parent edge to take
+    count = 0
+    for v in order:
+        p = parent[v]
+        if links[v] < cap and links[p] < cap:
+            links[v] += 1
+            links[p] += 1
+            count += 1
+    return count
 
 
 def forest_matching_number(g: Graph) -> int:
-    """Tree DP: free[v] / matched-to-a-child[v]."""
-    free = {}
-    matched = {}
-    total = 0
-    for v, parent in _forest_roots_and_order(g):
-        children = [w for w in g.neighbors(v) if w != parent]
-        base = sum(max(free[c], matched[c]) for c in children)
-        free[v] = base
-        best_gain = None
-        for c in children:
-            gain = 1 + free[c] - max(free[c], matched[c])
-            if best_gain is None or gain > best_gain:
-                best_gain = gain
-        matched[v] = base + best_gain if best_gain is not None else -1
-        if parent == 0:
-            total += max(free[v], matched[v])
-    return total
+    """Maximum matching of a forest: the greedy leaves-up matching."""
+    return _capped_links(g, 1)
 
 
 def forest_independence_number(g: Graph) -> int:
-    inc = {}
-    exc = {}
-    total = 0
-    for v, parent in _forest_roots_and_order(g):
-        children = [w for w in g.neighbors(v) if w != parent]
-        inc[v] = 1 + sum(exc[c] for c in children)
-        exc[v] = sum(max(inc[c], exc[c]) for c in children)
-        if parent == 0:
-            total += max(inc[v], exc[v])
-    return total
-
-
-def forest_domination_number(g: Graph) -> int:
-    """Three-state tree DP: in the set / dominated / still needs the parent."""
-    inf = g.n + 1
-    in_set = {}
-    dominated = {}
-    needs = {}
-    total = 0
-    for v, parent in _forest_roots_and_order(g):
-        children = [w for w in g.neighbors(v) if w != parent]
-        in_set[v] = 1 + sum(
-            min(in_set[c], dominated[c], needs[c]) for c in children
-        )
-        settled = sum(min(in_set[c], dominated[c]) for c in children)
-        needs[v] = settled
-        if children:
-            penalty = min(in_set[c] - min(in_set[c], dominated[c]) for c in children)
-            dominated[v] = settled + penalty
-        else:
-            dominated[v] = inf
-        if parent == 0:
-            total += min(in_set[v], dominated[v])
-    return total
+    """n - matching: forests are bipartite, so König's theorem applies."""
+    return g.n - forest_matching_number(g)
 
 
 def forest_path_cover_number(g: Graph) -> int:
-    """Tree DP tracking whether the root can still serve as a path end."""
-    inf = g.n + 1
-    as_end = {}
-    best = {}
-    total = 0
-    for v, parent in _forest_roots_and_order(g):
-        children = [w for w in g.neighbors(v) if w != parent]
-        rest = sum(best[c] for c in children)
-        a = 1 + rest  # v on its own path
-        for c in children:
-            a = min(a, as_end[c] + rest - best[c])  # extend c's path up to v
-        through = inf
-        if len(children) >= 2:
-            # join the two cheapest extendable children through v: their two
-            # paths and v fuse into a single path, saving one
-            costs = sorted(as_end[c] - best[c] for c in children)
-            through = rest + costs[0] + costs[1] - 1
-        as_end[v] = a
-        best[v] = min(a, through)
-        if parent == 0:
-            total += best[v]
-    return total
+    """n - the edges of a largest subgraph of maximum degree 2, which in
+    a forest is a set of disjoint paths."""
+    return g.n - _capped_links(g, 2)
+
+
+def forest_domination_number(g: Graph) -> int:
+    """The leaves-up greedy of Cockayne, Goodman and Hedetniemi (1975).
+
+    A vertex still undominated once its subtree is settled takes its
+    parent into the set, or itself at a root: the parent dominates
+    everything any other choice would that is not already dominated.
+    """
+    parent, order = _leaves_up(g)
+    chosen = [False] * (g.n + 1)
+    covered = [False] * (g.n + 1)  # in the set or next to a chosen child
+    size = 0
+    for v in order:
+        p = parent[v]
+        if covered[v] or chosen[p]:
+            continue
+        p = p or v
+        chosen[p] = covered[p] = covered[parent[p]] = True
+        size += 1
+    return size
 
 
 def forest_rank_nullity(g: Graph) -> tuple[int, int]:
@@ -422,8 +411,6 @@ def forest_rank_nullity(g: Graph) -> tuple[int, int]:
     stays integer arithmetic end to end; ``adjacency_rank`` offers the
     direct elimination for cross-checking.
     """
-    if not graphs.is_forest(g):
-        raise NotAForestError("rank/nullity shortcut only holds for forests")
     rank = 2 * forest_matching_number(g)
     return rank, g.n - rank
 
@@ -473,22 +460,27 @@ _GENERAL = {
     "components": components_count,
 }
 
-_FOREST_FAST = {
+# forests are bipartite: König gives vertex cover = matching, Gallai the rest
+_FOREST = {
     "matching": forest_matching_number,
     "independence": forest_independence_number,
+    "vertex_cover": forest_matching_number,
+    "edge_cover": lambda g: _edge_cover(g, forest_matching_number),
     "domination": forest_domination_number,
     "path_cover": forest_path_cover_number,
+    "chromatic": lambda g: 2 if g.edges else min(g.n, 1),
 }
 
 
 def compute(kind: str, g: Graph) -> int:
     """Evaluate one of the nine stable parameters on ``g``.
 
-    Routes forests through the rooted DPs where one exists; all other
-    cases take the general exact algorithm.
+    Forests take the linear leaves-up passes for every kind the general
+    algorithms would spend super-linear time on; all other cases take
+    the general exact algorithm.
     """
     if kind not in _GENERAL:
         raise GraphError(f"unknown parameter kind {kind!r}")
-    if kind in _FOREST_FAST and graphs.is_forest(g):
-        return _FOREST_FAST[kind](g)
+    if kind in _FOREST and graphs.is_forest(g):
+        return _FOREST[kind](g)
     return _GENERAL[kind](g)

@@ -7,10 +7,11 @@ original labels even though the working copies shrink.  A leaf-fixing
 step costs one rooting of the working forest and one scan, O(n) when
 degrees are bounded, so a route costs O(n^2) outside the plateau
 fallback, which is still an unbounded search.
-The finished route is verified by one incremental replay on a plain edge
-set, and its ``kinds`` come from that replay.  The general route rewires
-both graphs to a shared canonical form and glues the two halves,
-inverting one of them.
+The general route rewires both graphs to a shared canonical form and
+glues the two halves, inverting one of them.  Both finished routes, and
+any trace given to ``validate_trace``, are checked by one replay on a
+plain edge set with a union-find acyclicity test per intermediate, and
+their ``kinds`` come from that replay.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from .graphs import (
     NotAForestError,
     degree_sequence,
     is_forest,
-    kappa,
 )
-from .switch import ActionMatrix, SwitchKind, apply_switch, classify, is_interchangeable
+from .switch import ActionMatrix, SwitchKind, apply_switch, is_interchangeable
 
 
 class DegreeSequenceMismatchError(GraphError):
@@ -108,26 +108,23 @@ def validate_trace(
     """Replay and check: nontrivial steps, final graph, optional forestness.
 
     With no target the final-graph check is vacuous and only structure is
-    validated.
+    validated.  One replay on a plain edge set gives every answer,
+    ``kinds`` included: a step is TRIVIAL where the replay stops, a
+    T_SWITCH or F_SWITCH between two forests and PLAIN otherwise.
     """
-    seq = [trace.initial]
-    first_trivial = None
-    for i, m in enumerate(trace.steps):
-        g = seq[-1]
-        if not is_interchangeable(m, g):
-            first_trivial = i
-            break
-        seq.append(apply_switch(m, g))
+    forests, final, first_trivial = _edge_replay(trace.initial, trace.steps)
     steps_nontrivial = first_trivial is None
-    final_matches = steps_nontrivial and (target is None or seq[-1] == target)
+    final_matches = steps_nontrivial and (
+        target is None or (target.n == trace.initial.n and final == target.edges)
+    )
     forests_ok = None
     first_nonforest = None
     if require_forests:
-        first_nonforest = next(
-            (i for i, g in enumerate(seq) if not is_forest(g)), None
-        )
+        first_nonforest = next((i for i, ok in enumerate(forests) if not ok), None)
         forests_ok = first_nonforest is None
-    kinds = tuple(classify(m, g) for m, g in zip(trace.steps, seq))
+    kinds = _step_kinds(trace.initial, forests)
+    if not steps_nontrivial:
+        kinds += (SwitchKind.TRIVIAL,)
     bound = within = None
     if target is not None:
         bound = max(0, len(target.edges - trace.initial.edges) - 1)
@@ -145,6 +142,74 @@ def validate_trace(
         bound=bound,
         within_bound=within,
     )
+
+
+def _edge_replay(
+    initial: Graph, steps
+) -> tuple[list[bool], set[tuple[int, int]], int | None]:
+    """Replay ``steps`` on a plain edge set, stopping at the first one
+    that does not rewire.
+
+    Returns whether the initial graph and the graph after each replayed
+    step is a forest, the last edge set, and the index of the step the
+    replay stopped at (None when every step rewires).  A step rewires
+    under the rule of ``is_interchangeable``: four distinct labels, ab
+    and cd present, ac and bd absent.
+    """
+    edges = set(initial.edges)
+    forests = [_acyclic(initial.n, edges)]
+    for i, m in enumerate(steps):
+        a, b, c, d = m.labels()
+        ab, cd, ac, bd = _norm(a, b), _norm(c, d), _norm(a, c), _norm(b, d)
+        if (
+            len({a, b, c, d}) != 4
+            or ab not in edges
+            or cd not in edges
+            or ac in edges
+            or bd in edges
+        ):
+            return forests, edges, i
+        edges.remove(ab)
+        edges.remove(cd)
+        edges.add(ac)
+        edges.add(bd)
+        forests.append(_acyclic(initial.n, edges))
+    return forests, edges, None
+
+
+def _step_kinds(initial: Graph, forests: list[bool]) -> tuple[SwitchKind, ...]:
+    """The kind of each replayed step from the forest flags around it.
+
+    A switch keeps the edge count, so between two forests it keeps the
+    component count too: a T_SWITCH on a tree, an F_SWITCH otherwise,
+    which is the verdict ``classify`` reaches structurally.
+    """
+    tree = initial.size == initial.n - 1
+    forest_kind = SwitchKind.T_SWITCH if tree else SwitchKind.F_SWITCH
+    return tuple(
+        forest_kind if before and after else SwitchKind.PLAIN
+        for before, after in zip(forests, forests[1:])
+    )
+
+
+def _norm(u: int, v: int) -> tuple[int, int]:
+    return (u, v) if u < v else (v, u)
+
+
+def _acyclic(n: int, edges) -> bool:
+    """Union-find over the labels 1..n; n or more edges always close a cycle."""
+    if len(edges) >= max(n, 1):
+        return False
+    parent = list(range(n + 1))
+    for u, v in edges:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
+            return False
+        parent[u] = v
+    return True
 
 
 # -- JSON wire format --------------------------------------------------------
@@ -177,7 +242,7 @@ def trace_from_json(text: str) -> SwitchTrace:
     try:
         g = Graph(n, [tuple(e) for e in initial])
         matrices = tuple(ActionMatrix(*step) for step in steps)
-    except (GraphError, TypeError) as exc:
+    except (GraphError, TypeError, ValueError) as exc:
         raise TraceFormatError(str(exc)) from exc
     if len(g.edges) != len(initial):
         raise TraceFormatError("duplicate edge in initial edge list")
@@ -494,10 +559,12 @@ def transition_forest(f: Graph, f2: Graph) -> SwitchTrace:
     possible route exceeds that number.
     """
     _check_transition_inputs(f, f2, forests=True)
-    k = kappa(f)
-    assert k == kappa(f2), "same degree vector forces equal components"
-    kind = SwitchKind.T_SWITCH if k == 1 else SwitchKind.F_SWITCH
-    return _verified_route(f, f2, _forest_steps(f, f2), kind)
+    steps = _forest_steps(f, f2)
+    trace = _verified_route(f, f2, steps)
+    if SwitchKind.PLAIN in trace.kinds:
+        i = trace.kinds.index(SwitchKind.PLAIN)
+        raise AssertionError(f"step {i} {steps[i]} closes a cycle")
+    return trace
 
 
 def _forest_steps(f: Graph, f2: Graph) -> list[ActionMatrix]:
@@ -553,66 +620,20 @@ def _forest_steps(f: Graph, f2: Graph) -> list[ActionMatrix]:
     return steps
 
 
-def _norm(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
-def _acyclic(n: int, edges) -> bool:
-    parent = list(range(n + 1))
-    for u, v in edges:
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u == v:
-            return False
-        parent[u] = v
-    return True
-
-
-def _verified_route(
-    f: Graph, f2: Graph, steps: list[ActionMatrix], kind: SwitchKind
-) -> SwitchTrace:
+def _verified_route(f: Graph, f2: Graph, steps: list[ActionMatrix]) -> SwitchTrace:
     """Replay ``steps`` on f's edge set, checking every one of them.
 
-    Each step must rewire (the rule of ``is_interchangeable``), each
-    intermediate must be acyclic and the last must equal ``f2``; a
-    trivial step raises ``TrivialStepError`` like ``replay`` does, and
-    the other failures raise ``AssertionError``.  Every step then has
-    ``kind``: a switch between two forests of the same order and size is
-    a T_SWITCH on a tree and an F_SWITCH otherwise, which is the verdict
-    ``classify`` reaches structurally.
+    Each step must rewire (``TrivialStepError`` otherwise, like
+    ``replay``) and the last graph must equal ``f2``; the other failure
+    raises ``AssertionError``, explicitly so that ``-O`` keeps it.
+    ``kinds`` come from the same replay.
     """
-    edges = set(f.edges)
-    for i, m in enumerate(steps):
-        a, b, c, d = m.labels()
-        ab, cd, ac, bd = _norm(a, b), _norm(c, d), _norm(a, c), _norm(b, d)
-        if (
-            len({a, b, c, d}) != 4
-            or ab not in edges
-            or cd not in edges
-            or ac in edges
-            or bd in edges
-        ):
-            raise TrivialStepError(i, m)
-        edges.remove(ab)
-        edges.remove(cd)
-        edges.add(ac)
-        edges.add(bd)
-        if not _acyclic(f.n, edges):
-            raise AssertionError(f"step {i} {m} closes a cycle")
-    if edges != f2.edges:
-        raise AssertionError("trace must land on the target forest")
-    return SwitchTrace(f, tuple(steps), (kind,) * len(steps))
-
-
-def _annotated(initial: Graph, steps: list[ActionMatrix]) -> SwitchTrace:
-    kinds = []
-    g = initial
-    for m in steps:
-        kinds.append(classify(m, g))
-        g = apply_switch(m, g)
-    return SwitchTrace(initial, tuple(steps), tuple(kinds))
+    forests, final, first_trivial = _edge_replay(f, steps)
+    if first_trivial is not None:
+        raise TrivialStepError(first_trivial, steps[first_trivial])
+    if final != f2.edges:
+        raise AssertionError("trace must land on the target graph")
+    return SwitchTrace(f, tuple(steps), _step_kinds(f, forests))
 
 
 # -- general transition via a canonical form ----------------------------------
@@ -653,8 +674,9 @@ def _normalize_to_canonical(g: Graph) -> tuple[list[ActionMatrix], Graph]:
                 if y not in adj[x] and y != x and y != v
             )
             assert ys, "priority order guarantees an exchange partner"
-            m = ActionMatrix(v, x, w, ys[0])
-            assert is_interchangeable(m, Graph(g.n, _adj_edges(adj)))
+            y = ys[0]
+            assert x in adj[v] and y in adj[w] and w not in adj[v] and y not in adj[x]
+            m = ActionMatrix(v, x, w, y)
             _apply_to_working(adj, m)
             steps.append(m)
         remaining.discard(v)
@@ -680,7 +702,4 @@ def transition_graph(g: Graph, h: Graph) -> SwitchTrace:
     steps_h, canon_h = _normalize_to_canonical(h)
     assert canon_g == canon_h, "equal degree vectors must share a canonical form"
     steps = list(steps_g) + [m.transpose() for m in reversed(steps_h)]
-    trace = _annotated(g, steps)
-    sequence = replay(trace)
-    assert sequence[-1] == h, "trace must land on the target graph"
-    return trace
+    return _verified_route(g, h, steps)

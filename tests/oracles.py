@@ -16,6 +16,12 @@ partition into traceable vertex sets for one graph, fast enough to check
 ``oracle_leaf_fixing_switch`` picks the forest route's leaf-fixing
 switch with one path search per leaf, where the package roots each
 working forest once.
+
+The four rooted forest dynamic programs (matching, independence,
+domination, path cover) are the only reference above the reach of the
+general algorithms; the package answers forests with leaves-up greedy
+passes instead.  ``FOREST_ORACLES`` adds the two covers from them by
+Gallai's identities, where the package uses König's theorem.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import itertools
 
 import numpy as np
 
-from twoswitch.graphs import Graph
+from twoswitch.graphs import Graph, NotAForestError
 
 
 def _edge_list(g: Graph) -> list[tuple[int, int]]:
@@ -269,6 +275,137 @@ def oracle_leaf_fixing_switch(f: Graph, f2: Graph) -> tuple[int, int, int, int]:
                 best = (gain, (leaf, v, u, w))
     assert best is not None
     return best[1]
+
+
+# -- rooted forest dynamic programs --------------------------------------------
+
+
+def _forest_roots_and_order(g: Graph):
+    """Rooted post-order per component; roots are lowest labels.
+
+    In a forest every edge is a tree edge of this search, so reaching an
+    already seen vertex other than the parent means ``g`` has a cycle.
+    """
+    adj = g.adjacency()
+    seen = set()
+    order = []  # (vertex, parent) in post-order
+    for root in g.vertices():
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, 0, iter(adj[root]))]
+        while stack:
+            v, parent, it = stack[-1]
+            advanced = False
+            for w in it:
+                if w != parent:
+                    if w in seen:
+                        raise NotAForestError("forest DP called on a graph with a cycle")
+                    seen.add(w)
+                    stack.append((w, v, iter(adj[w])))
+                    advanced = True
+                    break
+            if not advanced:
+                order.append((v, parent))
+                stack.pop()
+    return order
+
+
+def oracle_forest_matching(g: Graph) -> int:
+    """Tree DP: free[v] / matched-to-a-child[v]."""
+    free = {}
+    matched = {}
+    total = 0
+    for v, parent in _forest_roots_and_order(g):
+        children = [w for w in g.neighbors(v) if w != parent]
+        base = sum(max(free[c], matched[c]) for c in children)
+        free[v] = base
+        best_gain = None
+        for c in children:
+            gain = 1 + free[c] - max(free[c], matched[c])
+            if best_gain is None or gain > best_gain:
+                best_gain = gain
+        matched[v] = base + best_gain if best_gain is not None else -1
+        if parent == 0:
+            total += max(free[v], matched[v])
+    return total
+
+
+def oracle_forest_independence(g: Graph) -> int:
+    """Tree DP: v in the set / v out of it."""
+    inc = {}
+    exc = {}
+    total = 0
+    for v, parent in _forest_roots_and_order(g):
+        children = [w for w in g.neighbors(v) if w != parent]
+        inc[v] = 1 + sum(exc[c] for c in children)
+        exc[v] = sum(max(inc[c], exc[c]) for c in children)
+        if parent == 0:
+            total += max(inc[v], exc[v])
+    return total
+
+
+def oracle_forest_domination(g: Graph) -> int:
+    """Three-state tree DP: in the set / dominated / still needs the parent."""
+    inf = g.n + 1
+    in_set = {}
+    dominated = {}
+    needs = {}
+    total = 0
+    for v, parent in _forest_roots_and_order(g):
+        children = [w for w in g.neighbors(v) if w != parent]
+        in_set[v] = 1 + sum(min(in_set[c], dominated[c], needs[c]) for c in children)
+        settled = sum(min(in_set[c], dominated[c]) for c in children)
+        needs[v] = settled
+        if children:
+            penalty = min(in_set[c] - min(in_set[c], dominated[c]) for c in children)
+            dominated[v] = settled + penalty
+        else:
+            dominated[v] = inf
+        if parent == 0:
+            total += min(in_set[v], dominated[v])
+    return total
+
+
+def oracle_forest_path_cover(g: Graph) -> int:
+    """Tree DP tracking whether the root can still serve as a path end."""
+    inf = g.n + 1
+    as_end = {}
+    best = {}
+    total = 0
+    for v, parent in _forest_roots_and_order(g):
+        children = [w for w in g.neighbors(v) if w != parent]
+        rest = sum(best[c] for c in children)
+        a = 1 + rest  # v on its own path
+        for c in children:
+            a = min(a, as_end[c] + rest - best[c])  # extend c's path up to v
+        through = inf
+        if len(children) >= 2:
+            # join the two cheapest extendable children through v: their two
+            # paths and v fuse into a single path, saving one
+            costs = sorted(as_end[c] - best[c] for c in children)
+            through = rest + costs[0] + costs[1] - 1
+        as_end[v] = a
+        best[v] = min(a, through)
+        if parent == 0:
+            total += best[v]
+    return total
+
+
+def _forest_edge_cover(g: Graph) -> int:
+    if any(g.degree(v) == 0 for v in g.vertices()):
+        raise ValueError("undefined with isolated vertices")
+    return g.n - oracle_forest_matching(g)
+
+
+FOREST_ORACLES = {
+    "domination": oracle_forest_domination,
+    "edge_cover": _forest_edge_cover,
+    "independence": oracle_forest_independence,
+    "matching": oracle_forest_matching,
+    "path_cover": oracle_forest_path_cover,
+    "vertex_cover": lambda g: g.n - oracle_forest_independence(g),
+}
 
 
 # -- census table references -------------------------------------------------

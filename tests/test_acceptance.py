@@ -266,7 +266,7 @@ def test_08_identities_and_rank():
             if parameters.vertex_cover_number(g) != oracle_vertex_cover(g):
                 bad.append(("vertex_cover_graph", n, mask))
     # exact adjacency rank equals twice the matching number on every
-    # forest to order 8 (fraction-free elimination vs rooted DP)
+    # forest to order 8 (fraction-free elimination vs leaves-up matching)
     rank_checked = 0
     for n in range(9):
         for edges in enumerate_forests(n):

@@ -1,5 +1,6 @@
 """The argparse front end, run in-process."""
 
+import io
 import json
 
 import pytest
@@ -279,6 +280,18 @@ class TestValidateTrace:
         bad.write_text("{", encoding="utf-8")
         code, _, err = invoke(capsys, "validate-trace", str(bad))
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n":3,"initial":[[1,2,3]],"steps":[]}',
+            '{"n":3,"initial":[[1,"a"]],"steps":[]}',
+        ],
+    )
+    def test_bad_edge_on_stdin_is_usage_error(self, capsys, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = invoke(capsys, "validate-trace", "-")
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 class TestFixtures:

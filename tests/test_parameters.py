@@ -2,10 +2,12 @@ import gc
 import itertools
 import random
 
+import numpy as np
 import pytest
 from conftest import forests, graphs
 from hypothesis import given, settings
 from oracles import (
+    FOREST_ORACLES,
     ORACLES,
     oracle_edge_cover,
     oracle_path_cover_partition,
@@ -14,6 +16,7 @@ from oracles import (
 )
 
 from twoswitch import parameters
+from twoswitch.census import UNDEFINED, census
 from twoswitch.graphs import (
     CapExceededError,
     Graph,
@@ -134,34 +137,86 @@ class TestAgainstOracles:
 
 
 class TestForestRoutines:
-    """The rooted dynamic programs must agree with the general branchers."""
+    """The forest route of ``compute`` must agree with the general
+    algorithms, and the public forest functions with ``compute``."""
 
-    FOREST_PAIRS = [
-        ("matching", parameters.forest_matching_number, matching_number),
-        ("independence", parameters.forest_independence_number, independence_number),
-        ("domination", parameters.forest_domination_number, domination_number),
-        ("path_cover", parameters.forest_path_cover_number, path_cover_number),
+    ROUTED = {
+        "matching": matching_number,
+        "independence": independence_number,
+        "domination": domination_number,
+        "path_cover": path_cover_number,
+        "vertex_cover": vertex_cover_number,
+        "edge_cover": edge_cover_number,
+        "chromatic": chromatic_number,
+    }
+    PUBLIC = [
+        ("matching", parameters.forest_matching_number),
+        ("independence", parameters.forest_independence_number),
+        ("domination", parameters.forest_domination_number),
+        ("path_cover", parameters.forest_path_cover_number),
     ]
+
+    def _agrees_with_general(self, f):
+        for kind, general in self.ROUTED.items():
+            if kind == "edge_cover" and any(d == 0 for d in degree_sequence(f)):
+                with pytest.raises(IsolatedVertexError):
+                    compute(kind, f)
+                continue
+            assert compute(kind, f) == general(f), (kind, f)
 
     def test_exhaustive_forests(self):
         from twoswitch.explorer import enumerate_forests
 
         for n in range(7):
             for edges in enumerate_forests(n):
-                f = Graph(n, edges)
-                for _, fast, general in self.FOREST_PAIRS:
-                    assert fast(f) == general(f), (n, edges)
+                self._agrees_with_general(Graph(n, edges))
 
     @given(forests(max_n=12))
     @settings(max_examples=80, deadline=None)
     def test_random_larger_forests(self, f):
-        for _, fast, general in self.FOREST_PAIRS:
-            assert fast(f) == general(f)
+        self._agrees_with_general(f)
 
     @given(forests(max_n=12))
     def test_compute_routes_to_same_value(self, f):
-        for kind, fast, _ in self.FOREST_PAIRS:
+        for kind, fast in self.PUBLIC:
             assert compute(kind, f) == fast(f)
+
+    def test_order_seven_census(self):
+        cen = census(7)
+        checked = 0
+        for mask in map(int, np.flatnonzero(cen.forest)):
+            f = cen.graph(mask)
+            for kind in self.ROUTED:
+                want = int(cen.tables[kind][mask])
+                if want == UNDEFINED:
+                    with pytest.raises(IsolatedVertexError):
+                        compute(kind, f)
+                else:
+                    assert compute(kind, f) == want, (kind, mask)
+                checked += 1
+        assert checked == 36961 * len(self.ROUTED)
+
+    @pytest.mark.parametrize("n", [50, 100, 200, 300])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("join", [0.85, 1.0])
+    def test_seeded_forests_match_the_tree_dps(self, n, seed, join):
+        f = _random_forest(random.Random(1000 * n + seed), n, join)
+        for kind, oracle in FOREST_ORACLES.items():
+            try:
+                want = oracle(f)
+            except ValueError:
+                with pytest.raises(IsolatedVertexError):
+                    compute(kind, f)
+                continue
+            assert compute(kind, f) == want, kind
+        assert compute("chromatic", f) == (2 if f.edges else 1)
+
+    def test_every_kind_on_a_sixty_vertex_tree(self):
+        # the general branchers take over 10 s for both covers here
+        t = _random_forest(random.Random(60), 60, 1.0)
+        values = {kind: compute(kind, t) for kind in STABLE_KINDS}
+        expected = {kind: oracle(t) for kind, oracle in FOREST_ORACLES.items()}
+        assert values == {**expected, "chromatic": 2, "clique": 2, "components": 1}
 
 
 def _path(n):
@@ -172,15 +227,15 @@ def _cycle(n):
     return Graph(n, [(v, v % n + 1) for v in range(1, n + 1)])
 
 
-def _random_forest(rng, n):
+def _random_forest(rng, n, join=0.85):
     """Random recursive forest on shuffled labels: each vertex joins an
-    earlier one with probability 0.85."""
+    earlier one with probability ``join``, so 1.0 gives a tree."""
     labels = list(range(1, n + 1))
     rng.shuffle(labels)
     edges = [
         (labels[i], labels[rng.randrange(i)])
         for i in range(1, n)
-        if rng.random() < 0.85
+        if rng.random() < join
     ]
     return Graph(n, edges)
 
@@ -203,6 +258,7 @@ class TestPathCoverLargeOrders:
     @pytest.mark.parametrize("n,seed", [(16, 0), (16, 1), (16, 2), (20, 0), (20, 1)])
     def test_random_forests_match_the_tree_dp(self, n, seed):
         f = _random_forest(random.Random(seed), n)
+        assert path_cover_number(f) == FOREST_ORACLES["path_cover"](f)
         assert path_cover_number(f) == parameters.forest_path_cover_number(f)
 
     @pytest.mark.parametrize(

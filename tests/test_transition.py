@@ -413,6 +413,9 @@ class TestTransitionGraph:
                     out = replay(trace)
                     assert out[-1] == g
                     assert all(degree_sequence(x) == seq for x in out)
+                    assert trace.kinds == tuple(
+                        classify(m, x) for m, x in zip(trace.steps, out)
+                    )
 
 
 class TestReplayAndTraces:
@@ -468,6 +471,32 @@ class TestValidateTrace:
         v = validate_trace(SwitchTrace(g0, (ActionMatrix(1, 2, 1, 3),)), g0)
         assert not v.steps_nontrivial and v.first_trivial == 0
 
+    def test_kinds_match_classify_to_order_five(self):
+        # kinds come from acyclicity before and after each step; on every
+        # (graph, switch) incidence they must be what classify decides
+        checked = 0
+        for n in range(6):
+            slots = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)]
+            for mask in range(1 << len(slots)):
+                g = Graph(n, [e for k, e in enumerate(slots) if mask >> k & 1])
+                for m in nontrivial_matrices(g):
+                    v = validate_trace(SwitchTrace(g, (m, m)))
+                    assert v.kinds == (classify(m, g), SwitchKind.TRIVIAL)
+                    assert v.first_trivial == 1
+                    checked += 1
+        assert checked == 1944
+
+    def test_kinds_of_a_walk_through_a_cycle(self, fig1_graphs):
+        g0, g1, g2 = fig1_graphs
+        v = validate_trace(SwitchTrace(g0, FIG1_STEPS), g2)
+        assert v.kinds == (classify(FIG1_STEPS[0], g0), classify(FIG1_STEPS[1], g1))
+        assert v.kinds == (SwitchKind.PLAIN, SwitchKind.PLAIN)
+
+    def test_target_of_another_order_does_not_match(self, fig1_graphs):
+        g0, _, _ = fig1_graphs
+        v = validate_trace(SwitchTrace(g0, ()), Graph(g0.n + 1, g0.edges))
+        assert not v.final_matches
+
 
 class TestJsonFormat:
     def test_exact_bytes(self, fig1_graphs):
@@ -502,6 +531,8 @@ class TestJsonFormat:
             '{"n":3,"initial":[[1,4]],"steps":[]}',  # label out of range
             '{"n":"x","initial":[],"steps":[]}',
             '{"n":3,"initial":[[1,2],[1,2]],"steps":[]}',  # duplicate edge
+            '{"n":3,"initial":[[1,2,3]],"steps":[]}',  # edge of three labels
+            '{"n":3,"initial":[[1,"a"]],"steps":[]}',  # non-integer label
         ],
     )
     def test_rejects_malformed(self, text):
