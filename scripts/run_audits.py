@@ -6,9 +6,10 @@ forest families, and the no-single-edge-move check, each up to a chosen
 order.  The optional order-8 rank audit walks every forest on eight
 vertices, confirms rank = 2*matching by exact elimination, and checks
 the matching step of every forest-preserving switch (6,478,920 of
-them); it takes about nine minutes on a 2-core VM, most of it in
-``classify``, and is off by default.  Each line gives its section's elapsed
-time; the stability lines give each order's census build separately.
+them); it takes about six minutes on a 2-core VM, most of it building
+each switched forest and taking its matching number, and is off by
+default.  Each line gives its section's elapsed time; the stability
+lines give each order's census build separately.
 """
 
 import argparse

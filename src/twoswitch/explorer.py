@@ -10,6 +10,7 @@ parameter over a family is a full integer interval.
 from __future__ import annotations
 
 import itertools
+import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -311,7 +312,7 @@ def interval_audit(
     Witnesses map every observed value to the first graph attaining it
     in a fixed scan order (ascending edge bitmask up to the census cap,
     sorted edge lists beyond).  Report content does not depend on
-    ``workers``.
+    ``workers``, which is capped at the member and CPU counts.
     """
     seq = tuple(int(d) for d in seq)
     n = len(seq)
@@ -353,12 +354,13 @@ def interval_audit(
         members = family_members(seq, family, cap)
         checked = len(members)
         pairs = []
-        if workers > 1 and members:
+        pool_size = min(workers, len(members), os.cpu_count() or 1)
+        if pool_size > 1:
             groups = [
-                [list(map(list, g.sorted_edges())) for g in members[i::workers]]
-                for i in range(workers)
+                [list(map(list, g.sorted_edges())) for g in members[i::pool_size]]
+                for i in range(pool_size)
             ]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=pool_size) as pool:
                 for chunk in pool.map(
                     _interval_eval, [(kind, n, grp) for grp in groups]
                 ):

@@ -3,11 +3,12 @@
 Everything downstream (switches, transitions, audits) works with small
 graphs whose vertices are consecutive integers starting at 1.  Graphs are
 immutable so they can be hashed, deduplicated and used as dict keys.
+``depth_first`` is the package's one connectivity traversal and
+``_acyclic`` its one acyclicity rule, for switch verdicts too.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 
@@ -144,26 +145,59 @@ def is_graphical(seq) -> bool:
 # -- connectivity ----------------------------------------------------------
 
 
+def depth_first(adj) -> tuple[list[int], list[int]]:
+    """Parents (0 at a root, indexed by label) and a depth-first preorder.
+
+    ``adj`` maps positive labels, ascending, to their neighbours.  Each
+    component is entered at its lowest label; every subtree of the
+    parent links, which span the graph, is one contiguous run of the
+    preorder.  O(n + m).
+    """
+    top = max(adj, default=0)
+    parent = [0] * (top + 1)
+    seen = [False] * (top + 1)
+    order: list[int] = []
+    for root in adj:
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            order.append(x)
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    parent[y] = x
+                    stack.append(y)
+    return parent, order
+
+
+def _acyclic(n: int, edges) -> bool:
+    """Union-find over the labels 1..n; n or more edges always close a cycle."""
+    if len(edges) >= max(n, 1):
+        return False
+    parent = list(range(n + 1))
+    for u, v in edges:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
+            return False
+        parent[u] = v
+    return True
+
+
 def components(g: Graph) -> list[list[int]]:
     """Vertex sets of connected components, each sorted, listed by minimum."""
-    adj = g.adjacency()
-    seen = set()
-    out = []
-    for start in g.vertices():
-        if start in seen:
-            continue
-        comp = []
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        out.append(sorted(comp))
-    return out
+    parent, order = depth_first(g.adjacency())
+    out: list[list[int]] = []
+    for v in order:
+        if not parent[v]:
+            out.append([])
+        out[-1].append(v)
+    return [sorted(comp) for comp in out]
 
 
 def kappa(g: Graph) -> int:
@@ -172,11 +206,11 @@ def kappa(g: Graph) -> int:
 
 
 def is_forest(g: Graph) -> bool:
-    return g.size == g.n - kappa(g)
+    return _acyclic(g.n, g.edges)
 
 
 def is_tree(g: Graph) -> bool:
-    return g.n >= 1 and kappa(g) == 1 and g.size == g.n - 1
+    return g.n >= 1 and g.size == g.n - 1 and _acyclic(g.n, g.edges)
 
 
 def is_unicyclic(g: Graph) -> bool:
@@ -188,30 +222,23 @@ def path_in_forest(g: Graph, u: int, v: int) -> list[int] | None:
     """The unique u-v path as a vertex list, or None if u, v are disconnected.
 
     Raises NotAForestError when ``g`` has a cycle, since uniqueness is what
-    callers rely on.
+    callers rely on.  v climbs the parent links until it meets u's climb.
     """
     if not is_forest(g):
         raise NotAForestError("path_in_forest needs an acyclic graph")
     if u not in g.vertices() or v not in g.vertices():
         raise GraphError(f"vertex out of range: {u} or {v}")
-    if u == v:
-        return [u]
-    adj = g.adjacency()
-    parent = {u: None}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                if y == v:
-                    path = [v]
-                    while path[-1] != u:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                queue.append(y)
-    return None
+    parent, _ = depth_first(g.adjacency())
+    up = [u]
+    while parent[up[-1]]:
+        up.append(parent[up[-1]])
+    above_u = set(up)
+    down = [v]
+    while down[-1] not in above_u:
+        if not parent[down[-1]]:
+            return None
+        down.append(parent[down[-1]])
+    return up[: up.index(down[-1])] + down[::-1]
 
 
 @dataclass(frozen=True)
@@ -230,24 +257,17 @@ class Bipartition:
 
 
 def bipartition(g: Graph) -> Bipartition | None:
-    """Deterministic 2-colouring, or None when an odd cycle exists."""
-    adj = g.adjacency()
-    colour: dict[int, int] = {}
-    for start in g.vertices():
-        if start in colour:
-            continue
-        colour[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in colour:
-                    colour[w] = 1 - colour[v]
-                    queue.append(w)
-                elif colour[w] == colour[v]:
-                    return None
-    part_a = frozenset(v for v, c in colour.items() if c == 0)
-    part_b = frozenset(v for v, c in colour.items() if c == 1)
+    """Deterministic 2-colouring by depth parity, or None when an edge
+    joins two vertices of one colour, which means an odd cycle exists."""
+    parent, order = depth_first(g.adjacency())
+    colour = [0] * (g.n + 1)
+    for v in order:
+        if parent[v]:
+            colour[v] = 1 - colour[parent[v]]
+    if any(colour[u] == colour[v] for u, v in g.edges):
+        return None
+    part_a = frozenset(v for v in order if colour[v] == 0)
+    part_b = frozenset(v for v in order if colour[v] == 1)
     return Bipartition(part_a, part_b)
 
 
@@ -266,7 +286,7 @@ def parse_edge_list(text: str) -> Graph:
     skipped.
     """
     n = None
-    edges = []
+    edges = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -291,7 +311,7 @@ def parse_edge_list(text: str) -> Graph:
             )
         if (u, v) in edges:
             raise GraphFormatError(f"line {lineno}: duplicate edge {u} {v}")
-        edges.append((u, v))
+        edges.add((u, v))
     if n is None:
         raise GraphFormatError("missing 'n <order>' header")
     return Graph(n, edges)

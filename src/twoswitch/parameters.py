@@ -12,10 +12,11 @@ and about 5 * 2^n bytes whatever the edges; it refuses graphs above
 ``PATH_COVER_MAX`` vertices with ``CapExceededError``.
 
 On a forest ``compute`` answers every kind but clique and components
-from two leaves-up passes over one breadth-first order, O(n) each.  The
-first links a vertex to its parent whenever both have room: with one
-link per vertex that is a maximum matching nu, and with two it is a
-largest set of disjoint paths, so path cover is n minus its edges.
+from two leaves-up passes over the reversed ``graphs.depth_first``
+preorder, O(n) each.  The first links a vertex to its parent whenever
+both have room: with one link per vertex that is a maximum matching nu,
+and with two it is a largest set of disjoint paths, so path cover is n
+minus its edges.
 Forests are bipartite, so König's theorem gives independence n - nu and
 vertex cover nu, and Gallai's identity edge cover n - nu.  The second is
 the domination greedy of Cockayne, Goodman and Hedetniemi (1975), which
@@ -310,37 +311,11 @@ def components_count(g: Graph) -> int:
 # -- forests -----------------------------------------------------------------
 
 
-def _leaves_up(g: Graph) -> tuple[list[int], list[int]]:
-    """Parents (0 at a root) and every vertex, each before its parent.
-
-    One breadth-first pass per component from its lowest label, read
-    backwards.  The search keeps one edge per non-root vertex, so ``g``
-    is a forest exactly when it has no other edge.
-    """
-    adj = g.adjacency()
-    parent = [0] * (g.n + 1)
-    seen = [False] * (g.n + 1)
-    order: list[int] = []
-    roots = 0
-    for root in g.vertices():
-        if seen[root]:
-            continue
-        roots += 1
-        seen[root] = True
-        i = len(order)
-        order.append(root)
-        while i < len(order):
-            x = order[i]
-            i += 1
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    parent[y] = x
-                    order.append(y)
-    if g.size != g.n - roots:
+def _forest(g: Graph) -> Graph:
+    """``g``, checked for cycles, which ``compute`` has already done."""
+    if not graphs.is_forest(g):
         raise NotAForestError("forest routine called on a graph with a cycle")
-    order.reverse()
-    return parent, order
+    return g
 
 
 def _capped_links(g: Graph, cap: int) -> int:
@@ -354,11 +329,11 @@ def _capped_links(g: Graph, cap: int) -> int:
     parent's other links makes room.  At ``cap`` 1 this is a maximum
     matching.
     """
-    parent, order = _leaves_up(g)
+    parent, order = graphs.depth_first(g.adjacency())
     links = [0] * (g.n + 1)
     links[0] = cap  # a root has no parent edge to take
     count = 0
-    for v in order:
+    for v in reversed(order):
         p = parent[v]
         if links[v] < cap and links[p] < cap:
             links[v] += 1
@@ -367,9 +342,35 @@ def _capped_links(g: Graph, cap: int) -> int:
     return count
 
 
+def _forest_matching(g: Graph) -> int:
+    return _capped_links(g, 1)
+
+
+def _dominating(g: Graph) -> int:
+    """The leaves-up greedy of Cockayne, Goodman and Hedetniemi (1975) on
+    the forest ``g``.
+
+    A vertex still undominated once its subtree is settled takes its
+    parent into the set, or itself at a root: the parent dominates
+    everything any other choice would that is not already dominated.
+    """
+    parent, order = graphs.depth_first(g.adjacency())
+    chosen = [False] * (g.n + 1)
+    covered = [False] * (g.n + 1)  # in the set or next to a chosen child
+    size = 0
+    for v in reversed(order):
+        p = parent[v]
+        if covered[v] or chosen[p]:
+            continue
+        p = p or v
+        chosen[p] = covered[p] = covered[parent[p]] = True
+        size += 1
+    return size
+
+
 def forest_matching_number(g: Graph) -> int:
     """Maximum matching of a forest: the greedy leaves-up matching."""
-    return _capped_links(g, 1)
+    return _forest_matching(_forest(g))
 
 
 def forest_independence_number(g: Graph) -> int:
@@ -380,28 +381,12 @@ def forest_independence_number(g: Graph) -> int:
 def forest_path_cover_number(g: Graph) -> int:
     """n - the edges of a largest subgraph of maximum degree 2, which in
     a forest is a set of disjoint paths."""
-    return g.n - _capped_links(g, 2)
+    return g.n - _capped_links(_forest(g), 2)
 
 
 def forest_domination_number(g: Graph) -> int:
-    """The leaves-up greedy of Cockayne, Goodman and Hedetniemi (1975).
-
-    A vertex still undominated once its subtree is settled takes its
-    parent into the set, or itself at a root: the parent dominates
-    everything any other choice would that is not already dominated.
-    """
-    parent, order = _leaves_up(g)
-    chosen = [False] * (g.n + 1)
-    covered = [False] * (g.n + 1)  # in the set or next to a chosen child
-    size = 0
-    for v in order:
-        p = parent[v]
-        if covered[v] or chosen[p]:
-            continue
-        p = p or v
-        chosen[p] = covered[p] = covered[parent[p]] = True
-        size += 1
-    return size
+    """Smallest dominating set of a forest, by the leaves-up greedy."""
+    return _dominating(_forest(g))
 
 
 def forest_rank_nullity(g: Graph) -> tuple[int, int]:
@@ -460,14 +445,15 @@ _GENERAL = {
     "components": components_count,
 }
 
-# forests are bipartite: König gives vertex cover = matching, Gallai the rest
+# forests are bipartite: König gives vertex cover = matching, Gallai the rest;
+# ``compute`` has ruled out a cycle, so these take the unchecked passes
 _FOREST = {
-    "matching": forest_matching_number,
-    "independence": forest_independence_number,
-    "vertex_cover": forest_matching_number,
-    "edge_cover": lambda g: _edge_cover(g, forest_matching_number),
-    "domination": forest_domination_number,
-    "path_cover": forest_path_cover_number,
+    "matching": _forest_matching,
+    "independence": lambda g: g.n - _forest_matching(g),
+    "vertex_cover": _forest_matching,
+    "edge_cover": lambda g: _edge_cover(g, _forest_matching),
+    "domination": _dominating,
+    "path_cover": lambda g: g.n - _capped_links(g, 2),
     "chromatic": lambda g: 2 if g.edges else min(g.n, 1),
 }
 

@@ -4,6 +4,8 @@ A switch is described by an ``ActionMatrix`` ((a, b), (c, d)).  Rows name
 the edges to delete (ab and cd), columns the edges to add (ac and bd).
 When the matrix is not *interchangeable* in a graph the switch acts as the
 identity, so applying one is total: it never fails, it just may do nothing.
+``rewired_kind`` names a rewiring switch's kind from acyclicity before
+and after it, for ``classify`` and for trace replay alike.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, is_forest, is_tree, kappa, path_in_forest
+from .graphs import Graph, GraphError, _acyclic, _normalize_edge
 
 
 class SwitchKind(enum.Enum):
@@ -99,43 +101,28 @@ def apply_switch(m: ActionMatrix, g: Graph) -> Graph:
     return g.with_edges(added=m.added_edges(), removed=m.deleted_edges())
 
 
-def _path_has_form(g: Graph, first: int, second: int, second_last: int, last: int) -> bool:
-    path = path_in_forest(g, first, last)
-    if path is None or len(path) < 4:
-        return False
-    return path[1] == second and path[-2] == second_last
-
-
-def _tree_condition(m: ActionMatrix, g: Graph) -> bool:
-    """Path a..d looks like (a b ... c d), or path b..c like (b a ... d c)."""
-    a, b, c, d = m.labels()
-    return _path_has_form(g, a, b, c, d) or _path_has_form(g, b, a, d, c)
-
-
-def _same_component(g: Graph, u: int, v: int) -> bool:
-    return path_in_forest(g, u, v) is not None
+def rewired_kind(g: Graph, before: bool, after: bool) -> SwitchKind:
+    """The kind of a switch that rewires ``g``, given whether ``g`` and the
+    result are acyclic: between two forests a T_SWITCH on a tree (n - 1
+    edges, which a switch keeps) and an F_SWITCH otherwise; else PLAIN."""
+    if not (before and after):
+        return SwitchKind.PLAIN
+    return SwitchKind.T_SWITCH if g.size == g.n - 1 else SwitchKind.F_SWITCH
 
 
 def classify(m: ActionMatrix, g: Graph) -> SwitchKind:
-    """Structural classification of how ``m`` acts on ``g``.
+    """How ``m`` acts on ``g``: TRIVIAL when not interchangeable, else
+    ``rewired_kind`` from union-finds on the edge sets before and after.
 
-    trivial: not interchangeable.  On a tree, t_switch when the result is
-    again a tree, which happens exactly when one deleted edge's endpoints
-    flank the path to the other.  On a forest, f_switch when the result is
-    again a forest: same component plus the tree condition, or the two
-    deleted edges in different components.  Everything else is plain.
-    The test is structural; no switch is applied here.
+    The paper characterises the same verdicts by path shapes; the tests
+    keep that form as the reference.
     """
     if not is_interchangeable(m, g):
         return SwitchKind.TRIVIAL
-    if is_tree(g):
-        return SwitchKind.T_SWITCH if _tree_condition(m, g) else SwitchKind.PLAIN
-    if is_forest(g):
-        a, b, c, d = m.labels()
-        if not _same_component(g, a, c):
-            return SwitchKind.F_SWITCH
-        return SwitchKind.F_SWITCH if _tree_condition(m, g) else SwitchKind.PLAIN
-    return SwitchKind.PLAIN
+    before = _acyclic(g.n, g.edges)
+    deleted = {_normalize_edge(*e) for e in m.deleted_edges()}
+    after = before and _acyclic(g.n, (g.edges - deleted).union(m.added_edges()))
+    return rewired_kind(g, before, after)
 
 
 def nontrivial_matrices(g: Graph):

@@ -4,14 +4,14 @@ The forest route grows the set of edges the working forests share, one
 switch at a time, trimming every leaf the two sides agree on so that
 finished parts of the problem drop out; recorded switches always act on
 original labels even though the working copies shrink.  A leaf-fixing
-step costs one rooting of the working forest and one scan, O(n) when
-degrees are bounded, so a route costs O(n^2) outside the plateau
-fallback, which is still an unbounded search.
+step costs one ``graphs.depth_first`` rooting of the working forest and
+one scan, O(n) when degrees are bounded, so a route costs O(n^2) outside
+the plateau fallback, which is still an unbounded search.
 The general route rewires both graphs to a shared canonical form and
 glues the two halves, inverting one of them.  Both finished routes, and
 any trace given to ``validate_trace``, are checked by one replay on a
 plain edge set with a union-find acyclicity test per intermediate, and
-their ``kinds`` come from that replay.
+their ``kinds`` come from that replay by the rule ``classify`` uses.
 """
 
 from __future__ import annotations
@@ -24,10 +24,18 @@ from .graphs import (
     Graph,
     GraphError,
     NotAForestError,
+    _acyclic,
     degree_sequence,
+    depth_first,
     is_forest,
 )
-from .switch import ActionMatrix, SwitchKind, apply_switch, is_interchangeable
+from .switch import (
+    ActionMatrix,
+    SwitchKind,
+    apply_switch,
+    is_interchangeable,
+    rewired_kind,
+)
 
 
 class DegreeSequenceMismatchError(GraphError):
@@ -178,38 +186,15 @@ def _edge_replay(
 
 
 def _step_kinds(initial: Graph, forests: list[bool]) -> tuple[SwitchKind, ...]:
-    """The kind of each replayed step from the forest flags around it.
-
-    A switch keeps the edge count, so between two forests it keeps the
-    component count too: a T_SWITCH on a tree, an F_SWITCH otherwise,
-    which is the verdict ``classify`` reaches structurally.
-    """
-    tree = initial.size == initial.n - 1
-    forest_kind = SwitchKind.T_SWITCH if tree else SwitchKind.F_SWITCH
+    """The kind of each replayed step from the forest flags around it."""
     return tuple(
-        forest_kind if before and after else SwitchKind.PLAIN
+        rewired_kind(initial, before, after)
         for before, after in zip(forests, forests[1:])
     )
 
 
 def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
-
-
-def _acyclic(n: int, edges) -> bool:
-    """Union-find over the labels 1..n; n or more edges always close a cycle."""
-    if len(edges) >= max(n, 1):
-        return False
-    parent = list(range(n + 1))
-    for u, v in edges:
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u == v:
-            return False
-        parent[u] = v
-    return True
 
 
 # -- JSON wire format --------------------------------------------------------
@@ -237,11 +222,16 @@ def trace_from_json(text: str) -> SwitchTrace:
         steps = payload["steps"]
     except KeyError as exc:
         raise TraceFormatError(f"missing key {exc}") from exc
-    if not isinstance(n, int):
+    # bool is a subclass of int and int() truncates floats: accept neither
+    if type(n) is not int:
         raise TraceFormatError("'n' must be an integer")
     try:
-        g = Graph(n, [tuple(e) for e in initial])
-        matrices = tuple(ActionMatrix(*step) for step in steps)
+        edges = [tuple(e) for e in initial]
+        labels = [tuple(step) for step in steps]
+        if any(type(x) is not int for t in edges + labels for x in t):
+            raise TypeError("edge endpoints and step labels must be integers")
+        g = Graph(n, edges)
+        matrices = tuple(ActionMatrix(*step) for step in labels)
     except (GraphError, TypeError, ValueError) as exc:
         raise TraceFormatError(str(exc)) from exc
     if len(g.edges) != len(initial):
@@ -273,39 +263,6 @@ def _only(s: set) -> int:
     return x
 
 
-def _root_forest(adj: dict[int, set[int]]):
-    """Root every component of a working forest on 1..n in one pass.
-
-    Returns per-vertex lists (index 0 unused): the component's root, the
-    parent (0 at a root), the depth-first preorder entry time, and the
-    subtree size.  The subtree of x is exactly the vertices y with
-    tin[x] <= tin[y] < tin[x] + size[x].
-    """
-    n = len(adj)
-    comp = [0] * (n + 1)
-    parent = [0] * (n + 1)
-    tin = [0] * (n + 1)
-    size = [1] * (n + 1)
-    order = []
-    for root, nbrs in adj.items():
-        if comp[root] or not nbrs:
-            continue
-        comp[root] = root
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            tin[x] = len(order)
-            order.append(x)
-            for y in adj[x]:
-                if not comp[y]:
-                    comp[y] = root
-                    parent[y] = x
-                    stack.append(y)
-    for x in reversed(order):
-        size[parent[x]] += size[x]
-    return comp, parent, tin, size
-
-
 def _best_leaf_fix(
     adj1: dict[int, set[int]], adj2: dict[int, set[int]]
 ) -> tuple[int, int, int, int, int]:
@@ -320,16 +277,24 @@ def _best_leaf_fix(
     only works across components.
 
     Candidates run by leaf, then partner, in ascending label order, and
-    the first one of the highest gain wins.  One rooting of the first
-    forest answers every path question: the only neighbour of u on the
-    l-u path is the first step from u toward l, which is the child of u
-    whose subtree holds l, or else u's parent.  No gain exceeds 2, so
-    the scan stops at the first candidate that reaches it.  A candidate
-    always exists but a strict gain does not: two working forests can
-    reach a state where every leaf-fixing switch trades one shared edge
-    for another.
+    the first one of the highest gain wins.  One ``depth_first`` rooting
+    of the first forest answers every path question: the only neighbour
+    of u on the l-u path is the first step from u toward l, which is the
+    child of u whose subtree holds l, or else u's parent.  No gain
+    exceeds 2, so the scan stops at the first candidate that reaches it.
+    A candidate always exists but a strict gain does not: two working
+    forests can reach a state where every leaf-fixing switch trades one
+    shared edge for another.
     """
-    comp, parent, tin, size = _root_forest(adj1)
+    parent, order = depth_first(adj1)
+    comp = [0] * len(parent)  # the root of each vertex's component
+    tin = [0] * len(parent)  # the subtree of x is order[tin[x]:tin[x] + size[x]]
+    size = [1] * len(parent)
+    for i, x in enumerate(order):
+        comp[x] = comp[parent[x]] or x
+        tin[x] = i
+    for x in reversed(order):
+        size[parent[x]] += size[x]
     best = None
     for leaf, nbrs in adj1.items():
         if len(nbrs) != 1:
@@ -573,26 +538,30 @@ def _forest_steps(f: Graph, f2: Graph) -> list[ActionMatrix]:
     ``gap`` counts the target edges the first working forest lacks; both
     working forests always have as many edges, so they agree exactly when
     it is 0.  Only a vertex a trim or a switch has just touched can turn
-    into a trimmable leaf, so only those are tested.
+    into a trimmable leaf, so only those are tested.  A vertex that loses
+    its last edge leaves both working copies.
     """
-    adj1 = {v: set(f.neighbors(v)) for v in f.vertices()}
-    adj2 = {v: set(f2.neighbors(v)) for v in f2.vertices()}
+    adj1 = {v: set(ns) for v, ns in f.adjacency().items() if ns}
+    adj2 = {v: set(ns) for v, ns in f2.adjacency().items() if ns}
     gap = len(f2.edges - f.edges)
-    touched = set(f.vertices())
+    touched = set(adj1)
     steps: list[ActionMatrix] = []
     while gap:
         lam = {v for v in touched if len(adj1[v]) == 1 and adj1[v] == adj2[v]}
         if lam:
             touched = set()
             for v in sorted(lam):
-                if not adj1[v]:
+                if v not in adj1:
                     continue  # partner leaf of a shared K2 was trimmed first
-                nb = _only(adj1[v])
-                adj1[v].clear()
+                nb = _only(adj1.pop(v))
+                del adj2[v]
                 adj1[nb].discard(v)
-                adj2[v].clear()
                 adj2[nb].discard(v)
-                touched.add(nb)
+                if adj1[nb]:
+                    touched.add(nb)
+                else:  # nb lost its last edge, so it leaves play too
+                    del adj1[nb], adj2[nb]
+                    touched.discard(nb)
             continue
 
         assert gap != 1, "equal degree vectors forbid a one-edge difference"

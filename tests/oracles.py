@@ -15,7 +15,9 @@ partition into traceable vertex sets for one graph, fast enough to check
 ``path_cover_number`` beyond the reach of ``oracle_path_cover``.
 ``oracle_leaf_fixing_switch`` picks the forest route's leaf-fixing
 switch with one path search per leaf, where the package roots each
-working forest once.
+working forest once.  ``oracle_classify`` is the paper's path-shape
+characterisation of t- and f-switches, where the package decides by
+acyclicity before and after the switch.
 
 The four rooted forest dynamic programs (matching, independence,
 domination, path cover) are the only reference above the reach of the
@@ -31,6 +33,7 @@ import itertools
 import numpy as np
 
 from twoswitch.graphs import Graph, NotAForestError
+from twoswitch.switch import ActionMatrix, SwitchKind
 
 
 def _edge_list(g: Graph) -> list[tuple[int, int]]:
@@ -275,6 +278,60 @@ def oracle_leaf_fixing_switch(f: Graph, f2: Graph) -> tuple[int, int, int, int]:
                 best = (gain, (leaf, v, u, w))
     assert best is not None
     return best[1]
+
+
+# -- switch classification reference ------------------------------------------
+
+
+def _path_has_form(
+    adj: dict[int, set[int]], first: int, second: int, second_last: int, last: int
+) -> bool:
+    path = _forest_path(adj, first, last)
+    if path is None or len(path) < 4:
+        return False
+    return path[1] == second and path[-2] == second_last
+
+
+def _tree_condition(adj: dict[int, set[int]], a: int, b: int, c: int, d: int) -> bool:
+    """Path a..d looks like (a b ... c d), or path b..c like (b a ... d c)."""
+    return _path_has_form(adj, a, b, c, d) or _path_has_form(adj, b, a, d, c)
+
+
+def _same_component(adj: dict[int, set[int]], u: int, v: int) -> bool:
+    return _forest_path(adj, u, v) is not None
+
+
+def oracle_classify(m: ActionMatrix, g: Graph) -> SwitchKind:
+    """The paper's structural characterisation of t- and f-switches.
+
+    Trivial unless ab, cd are edges and ac, bd are not, on four distinct
+    labels of ``g``.  On a tree, a t-switch exactly when one deleted
+    edge's endpoints flank the path to the other.  On a forest, an
+    f-switch when the deleted edges lie in different components or, in
+    one component, under the same path condition.  Everything else is
+    plain; no switch is applied.
+    """
+    a, b, c, d = m.labels()
+    if (
+        len({a, b, c, d}) < 4
+        or max(a, b, c, d) > g.n
+        or (a, b) not in g
+        or (c, d) not in g
+        or (a, c) in g
+        or (b, d) in g
+    ):
+        return SwitchKind.TRIVIAL
+    kappa = oracle_components(g)
+    if g.size != g.n - kappa:
+        return SwitchKind.PLAIN
+    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+    if kappa == 1:
+        if _tree_condition(adj, a, b, c, d):
+            return SwitchKind.T_SWITCH
+        return SwitchKind.PLAIN
+    if not _same_component(adj, a, c) or _tree_condition(adj, a, b, c, d):
+        return SwitchKind.F_SWITCH
+    return SwitchKind.PLAIN
 
 
 # -- rooted forest dynamic programs --------------------------------------------

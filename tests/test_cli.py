@@ -286,6 +286,7 @@ class TestValidateTrace:
         [
             '{"n":3,"initial":[[1,2,3]],"steps":[]}',
             '{"n":3,"initial":[[1,"a"]],"steps":[]}',
+            '{"n":3,"initial":[[1.5,2]],"steps":[]}',
         ],
     )
     def test_bad_edge_on_stdin_is_usage_error(self, capsys, monkeypatch, text):

@@ -247,6 +247,36 @@ class TestIntervalAudit:
         two = interval_audit((2,) * 8, "matching", "all", workers=2)
         assert one == two
 
+    def test_pool_never_exceeds_members_or_cpus(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            """Records the requested size and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)
+                assert all(grp for _, _, grp in items), "empty group submitted"
+                return map(fn, items)
+
+        monkeypatch.setattr(ex, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(ex.os, "cpu_count", lambda: 3)
+        # K8 is the only member of its family: no pool at all
+        one = interval_audit((7,) * 8, "matching", "all", workers=5000)
+        assert sizes == []
+        assert one == interval_audit((7,) * 8, "matching", "all")
+        many = interval_audit((2,) * 8, "matching", "all", workers=5000)
+        assert sizes == [3]
+        assert many == interval_audit((2,) * 8, "matching", "all")
+
     def test_census_path_agrees_with_direct_scan(self):
         seq, kind = (2, 2, 2, 2, 2, 2), "independence"
         report = interval_audit(seq, kind, "all")

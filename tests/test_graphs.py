@@ -10,6 +10,7 @@ from twoswitch.graphs import (
     bipartition,
     components,
     degree_sequence,
+    depth_first,
     format_edge_list,
     is_bipartite,
     is_forest,
@@ -112,6 +113,88 @@ class TestComponents:
     @given(graphs(max_n=8))
     def test_matches_union_find(self, g):
         assert kappa(g) == oracle_components(g)
+
+
+class TestDepthFirst:
+    """``depth_first`` is the one traversal behind every connectivity
+    answer, so its invariants and every answer built on it are checked
+    against the union-find oracle and, when installed, networkx."""
+
+    @staticmethod
+    def _check_traversal(g):
+        parent, order = depth_first(g.adjacency())
+        assert sorted(order) == list(g.vertices())
+        tin = {v: i for i, v in enumerate(order)}
+        below = {v: {v} for v in g.vertices()}
+        for v in order:
+            p = parent[v]
+            if p:
+                assert (min(p, v), max(p, v)) in g.edges
+                assert tin[p] < tin[v]
+            x = p
+            while x:
+                below[x].add(v)
+                x = parent[x]
+        # every subtree is one contiguous run of the preorder, and the
+        # root of every component is its lowest label
+        for v in g.vertices():
+            assert set(order[tin[v] : tin[v] + len(below[v])]) == below[v]
+        roots = [v for v in order if not parent[v]]
+        assert [min(c) for c in components(g)] == roots
+        for r in roots:
+            assert min(below[r]) == r
+        # without its isolated vertices, as the forest route's working
+        # copies hold it, the mapping gives the same links and order
+        sub = {v: ns for v, ns in g.adjacency().items() if ns}
+        sub_parent, sub_order = depth_first(sub)
+        assert sub_order == [v for v in order if v in sub]
+        assert sub_parent == parent[: len(sub_parent)]
+        return parent, roots
+
+    @given(graphs(max_n=9))
+    @settings(max_examples=200)
+    def test_invariants_on_graphs(self, g):
+        parent, roots = self._check_traversal(g)
+        assert kappa(g) == len(roots) == oracle_components(g)
+        assert sorted(v for c in components(g) for v in c) == list(g.vertices())
+
+    @given(forests(max_n=12))
+    @settings(max_examples=200)
+    def test_invariants_on_forests(self, f):
+        parent, roots = self._check_traversal(f)
+        # on a forest the parent links are exactly the edges
+        links = {(min(v, parent[v]), max(v, parent[v])) for v in f.vertices() if parent[v]}
+        assert links == f.edges
+        assert kappa(f) == len(roots) == oracle_components(f)
+
+    @given(graphs(max_n=9))
+    @settings(max_examples=200)
+    def test_matches_networkx_on_graphs(self, g):
+        nx = pytest.importorskip("networkx")
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices())
+        h.add_edges_from(g.edges)
+        want = sorted(sorted(c) for c in nx.connected_components(h))
+        assert components(g) == want
+        assert kappa(g) == nx.number_connected_components(h)
+        if g.n:  # networkx calls the empty graph's forestness pointless
+            assert is_forest(g) == nx.is_forest(h)
+        b = bipartition(g)
+        assert (b is not None) == nx.is_bipartite(h)
+        if b is not None:
+            assert all(min(c) in b.part_a for c in want)
+
+    @given(forests(max_n=10))
+    @settings(max_examples=100)
+    def test_paths_match_networkx(self, f):
+        nx = pytest.importorskip("networkx")
+        h = nx.Graph()
+        h.add_nodes_from(f.vertices())
+        h.add_edges_from(f.edges)
+        for u in f.vertices():
+            for v in f.vertices():
+                want = nx.shortest_path(h, u, v) if nx.has_path(h, u, v) else None
+                assert path_in_forest(f, u, v) == want
 
 
 class TestShapePredicates:
@@ -219,6 +302,13 @@ class TestEdgeListFormat:
     def test_rejects_malformed(self, text):
         with pytest.raises(GraphFormatError):
             parse_edge_list(text)
+
+    def test_duplicate_on_the_last_line_of_a_long_file(self):
+        # 20,000 path edges, then the first one again on line 20,002
+        n = 20001
+        lines = [f"n {n}"] + [f"{v} {v + 1}" for v in range(1, n)] + ["1 2"]
+        with pytest.raises(GraphFormatError, match="^line 20002: duplicate edge 1 2$"):
+            parse_edge_list("\n".join(lines) + "\n")
 
 
 def test_dot_output():

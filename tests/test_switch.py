@@ -4,6 +4,7 @@ import pytest
 from conftest import forests, graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import oracle_classify
 
 from twoswitch.graphs import Graph, degree_sequence, is_forest, is_tree
 from twoswitch.switch import (
@@ -15,6 +16,7 @@ from twoswitch.switch import (
     is_interchangeable,
     nontrivial_matrices,
 )
+from twoswitch.transition import SwitchTrace, validate_trace
 
 P4 = Graph(4, [(1, 2), (2, 3), (3, 4)])
 
@@ -134,8 +136,9 @@ class TestClassify:
     @given(forests(max_n=9), matrices(max_n=9))
     @settings(max_examples=300)
     def test_structural_rule_matches_replay(self, f, m):
-        """The forest/tree verdicts are computed from paths, never by
-        applying the switch; replaying is the independent check."""
+        """The forest/tree verdicts come from union-finds on the edge set
+        before and after the switch, without building the switched graph;
+        replaying through ``apply_switch`` is the independent check."""
         kind = classify(m, f)
         result = apply_switch(m, f)
         if not is_interchangeable(m, f):
@@ -148,6 +151,22 @@ class TestClassify:
         assert (kind in (SwitchKind.T_SWITCH, SwitchKind.F_SWITCH)) == (
             is_forest(f) and is_forest(result)
         )
+
+    def test_path_rule_to_order_six(self):
+        # every (graph, switch) incidence to order 6: the acyclicity rule
+        # of classify and of the replay's kinds against the paper's path
+        # shapes
+        checked = 0
+        for n in range(7):
+            slots = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)]
+            for mask in range(1 << len(slots)):
+                g = Graph(n, [e for k, e in enumerate(slots) if mask >> k & 1])
+                for m in nontrivial_matrices(g):
+                    kind = oracle_classify(m, g)
+                    assert classify(m, g) is kind
+                    assert validate_trace(SwitchTrace(g, (m,))).kinds == (kind,)
+                    checked += 1
+        assert checked == 186264
 
 
 class TestNontrivialMatrices:

@@ -533,6 +533,9 @@ class TestJsonFormat:
             '{"n":3,"initial":[[1,2],[1,2]],"steps":[]}',  # duplicate edge
             '{"n":3,"initial":[[1,2,3]],"steps":[]}',  # edge of three labels
             '{"n":3,"initial":[[1,"a"]],"steps":[]}',  # non-integer label
+            '{"n":true,"initial":[],"steps":[]}',  # boolean order
+            '{"n":3,"initial":[[1.5,2]],"steps":[]}',  # float endpoint
+            '{"n":4,"initial":[[1,2],[3,4]],"steps":[[true,2,3,4]]}',  # boolean label
         ],
     )
     def test_rejects_malformed(self, text):
