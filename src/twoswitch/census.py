@@ -1,17 +1,26 @@
 """Parameter tables over every graph of one small order, vectorized.
 
-The exhaustive audits need all nine parameters on all 2^C(n,2) labelled
-graphs for n up to 7 (about two million at n = 7), which is far outside
-per-graph Python speed.  Here a graph is a bitmask over the C(n,2) edge
-slots in lexicographic order, and each parameter becomes either a
-popcount-level dynamic program with numpy gathers (matching,
-independence), a sweep over the 2^n vertex subsets (domination), label
-propagation (components), a chunked subset-partition DP (chromatic), or
-a chunked recurrence over the vertex subsets in popcount order that
-tracks the fewest covering paths and their possible ends (path cover,
-n * 2^(n-1) vectorized steps per chunk).  The two cover numbers come
-from Gallai's identities: vertex cover is n - independence, and edge
-cover is n - matching on graphs with no isolated vertex.
+The exhaustive audits need all nine parameters on all M = 2^C(n,2)
+labelled graphs for n up to 7 (M = 2,097,152 at n = 7), which is far
+outside per-graph Python speed.  Here a graph is a bitmask over the
+C(n,2) edge slots in lexicographic order.  Every recurrence reads only
+numerically smaller masks or vertex subsets, so each table is filled in
+plain ascending order.  Cost per table:
+
+- matching and independence: doubling over the top edge slot k, which
+  fills masks [2^k, 2^(k+1)) from [0, 2^k); M gathered elements each;
+- clique: one gather at the complement mask;
+- vertex cover and edge cover, by Gallai's identities: n - independence,
+  and n - matching on graphs with no isolated vertex;
+- components: 2^(n-1) cut tests over the M masks;
+- domination: vertex subsets by size, at most n tests over the M masks
+  each, until every graph has met its first dominating subset;
+- chromatic: (3^n - 1) / 2 subset-partition steps per chunk of masks;
+- path cover: n * 2^(n-1) steps per chunk, tracking the fewest covering
+  paths and their possible ends.
+
+At n = 7 the build takes about 7 s on a 2-core VM, 5.5 s of it in the
+chromatic and path cover chunks.
 
 Tables are cross-checked against the per-graph algorithms in the test
 suite; this module is the audit engine, not an independent authority.
@@ -33,11 +42,10 @@ UNDEFINED = 99
 
 
 def _subset_plan(n: int):
-    """Nonempty vertex subsets by size, each with its submasks keeping the
-    lowest vertex (the canonical block of any partition)."""
-    order = sorted(range(1, 1 << n), key=lambda s: (bin(s).count("1"), s))
+    """Nonempty vertex subsets in numeric order, each with its submasks
+    keeping the lowest vertex (the canonical block of any partition)."""
     plan = []
-    for s in order:
+    for s in range(1, 1 << n):
         low = s & -s
         subs = []
         t = s
@@ -116,13 +124,9 @@ class Census:
 
         self.masks = np.arange(self.n_masks, dtype=np.int64)
         self.popcount = np.bitwise_count(self.masks).astype(np.uint8)
-        self._levels = [
-            np.nonzero(self.popcount == lv)[0] for lv in range(s + 1)
-        ]
         self._adjv = self._adjacency_arrays()
 
-        mu = self._matching_table()
-        alpha = self._independence_table()
+        mu, alpha = self._slot_doubling()
         omega = alpha[self.full_mask ^ self.masks]
         nu = np.uint8(n) - alpha
         gamma = self._domination_table()
@@ -188,62 +192,34 @@ class Census:
             key |= int(d) << (3 * v)
         return key
 
-    # -- level DPs ------------------------------------------------------------
+    # -- edge-slot doubling ---------------------------------------------------
 
-    def _slot_lut(self):
-        lut = np.zeros(self.n_masks if self.n_slots else 1, dtype=np.uint8)
-        for k in range(self.n_slots):
-            lut[1 << k] = k
-        return lut
-
-    def _matching_table(self) -> np.ndarray:
-        """mu via: lowest edge e is either skipped or taken (then only edges
-        vertex-disjoint from e remain)."""
+    def _slot_doubling(self) -> tuple[np.ndarray, np.ndarray]:
+        """mu and alpha on [2^k, 2^(k+1)) from [0, 2^k), where the top edge
+        is slot k = uv.  A matching skips uv or takes it with the lower
+        edges apart from u and v.  A maximum independent set omits u or
+        omits v; deleting a vertex's edges isolates it, hence the -1."""
         mu = np.zeros(self.n_masks, dtype=np.uint8)
-        if self.n_slots == 0:
-            return mu
-        lut = self._slot_lut()
-        compat = np.array(
-            [
-                self.full_mask & ~(self.star[u] | self.star[v])
-                for (u, v) in self.slots
-            ],
-            dtype=np.int64,
-        )
-        for lv in range(1, self.n_slots + 1):
-            m = self._levels[lv]
-            k = lut[m & -m]
-            skip = mu[m & (m - 1)]
-            take = mu[m & compat[k]] + 1
-            mu[m] = np.maximum(skip, take)
-        return mu
-
-    def _independence_table(self) -> np.ndarray:
-        """alpha via: for the lowest edge uv, every maximum independent set
-        omits u or omits v; deleting a vertex isolates it, hence the -1."""
         alpha = np.zeros(self.n_masks, dtype=np.uint8)
         alpha[0] = self.n
-        if self.n_slots == 0:
-            return alpha
-        lut = self._slot_lut()
-        star_u = np.array([self.star[u] for (u, v) in self.slots], dtype=np.int64)
-        star_v = np.array([self.star[v] for (u, v) in self.slots], dtype=np.int64)
-        for lv in range(1, self.n_slots + 1):
-            m = self._levels[lv]
-            k = lut[m & -m]
-            drop_u = alpha[m & ~star_u[k]]
-            drop_v = alpha[m & ~star_v[k]]
-            alpha[m] = np.maximum(drop_u, drop_v) - 1
-        return alpha
+        for k, (u, v) in enumerate(self.slots):
+            lo = self.masks[: 1 << k]
+            top = slice(1 << k, 2 << k)
+            apart = ~(self.star[u] | self.star[v])
+            np.maximum(mu[: 1 << k], mu[lo & apart] + 1, out=mu[top])
+            np.maximum(
+                alpha[lo & ~self.star[u]], alpha[lo & ~self.star[v]], out=alpha[top]
+            )
+            alpha[top] -= 1
+        return mu, alpha
 
     # -- vertex-subset sweeps --------------------------------------------------
 
-    def _vertex_subsets_by_size(self):
-        return sorted(range(1 << self.n), key=lambda t: (bin(t).count("1"), t))
-
     def _domination_table(self) -> np.ndarray:
+        """gamma is the size of the first vertex subset, in size order, that
+        dominates the graph: the census's one size-ordered sweep."""
         gamma = np.full(self.n_masks, 255, dtype=np.uint8)
-        for t in self._vertex_subsets_by_size():
+        for t in sorted(range(1 << self.n), key=lambda t: (bin(t).count("1"), t)):
             ok = gamma == 255
             if not ok.any():
                 break
@@ -255,25 +231,25 @@ class Census:
         return gamma
 
     def _components_table(self) -> np.ndarray:
-        """Minimum-label propagation along present edges; n-1 sweeps settle
-        every path."""
-        labels = [np.full(self.n_masks, v, dtype=np.uint8) for v in range(self.n)]
-        present = [
-            ((self.masks >> k) & 1).astype(bool) for k in range(self.n_slots)
-        ]
-        for _ in range(max(0, self.n - 1)):
-            for k, (u, v) in enumerate(self.slots):
-                mn = np.minimum(labels[u], labels[v])
-                labels[u] = np.where(present[k], mn, labels[u])
-                labels[v] = np.where(present[k], mn, labels[v])
+        """A vertex set holding vertex 1 that no edge leaves is a union of
+        components, and there are 2^(kappa-1) of them: count the cut tests
+        over the 2^(n-1) such sets."""
         comp = np.zeros(self.n_masks, dtype=np.uint8)
-        for v in range(self.n):
-            comp += (labels[v] == v).astype(np.uint8)
-        return comp
+        if self.n == 0:
+            return comp
+        for t in range(1, 1 << self.n, 2):
+            cut = 0  # XOR of the stars: edges inside t cancel, cut edges stay
+            for v in range(self.n):
+                if t >> v & 1:
+                    cut ^= self.star[v]
+            comp += (self.masks & cut) == 0
+        return np.bitwise_count(comp - np.uint8(1)) + np.uint8(1)
 
     # -- chunked vertex-subset DPs -----------------------------------------------
 
     def _chunked_tables(self):
+        """Both recurrences read only smaller vertex subsets, so they run
+        over s = 1 .. 2^n - 1 in numeric order."""
         n = self.n
         vfull = (1 << n) - 1
         plan = _subset_plan(n)

@@ -10,6 +10,7 @@ immutable so they can be hashed, deduplicated and used as dict keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 
 class GraphError(Exception):
@@ -28,6 +29,17 @@ class CapExceededError(GraphError):
     """The requested order is above a documented cap of the operation."""
 
 
+def _integer(x, what: str) -> int:
+    """``x`` as an int: Python and numpy integers pass; booleans, floats
+    and strings do not."""
+    if x is not True and x is not False:
+        try:
+            return index(x)
+        except TypeError:
+            pass
+    raise GraphFormatError(f"{what} must be an integer, got {x!r}")
+
+
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     if u == v:
         raise GraphFormatError(f"loop edge {u}-{v} not allowed")
@@ -40,11 +52,14 @@ class Graph:
     __slots__ = ("n", "edges", "_adj", "_hash")
 
     def __init__(self, n: int, edges=()):
+        n = _integer(n, "order")
         if n < 0:
             raise GraphFormatError(f"order must be non-negative, got {n}")
         norm = set()
         for u, v in edges:
-            u, v = _normalize_edge(int(u), int(v))
+            u, v = _normalize_edge(
+                _integer(u, "edge endpoint"), _integer(v, "edge endpoint")
+            )
             if not (1 <= u and v <= n):
                 raise GraphFormatError(f"edge {u}-{v} out of range for order {n}")
             norm.add((u, v))

@@ -36,7 +36,7 @@ class ActionMatrix:
 
     def __post_init__(self):
         for x in (self.a, self.b, self.c, self.d):
-            if not isinstance(x, int) or x < 1:
+            if type(x) is not int or x < 1:
                 raise GraphError(f"matrix labels must be positive integers, got {x}")
 
     def labels(self) -> tuple[int, int, int, int]:

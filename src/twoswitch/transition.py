@@ -649,11 +649,7 @@ def _normalize_to_canonical(g: Graph) -> tuple[list[ActionMatrix], Graph]:
             _apply_to_working(adj, m)
             steps.append(m)
         remaining.discard(v)
-    return steps, Graph(g.n, _adj_edges(adj))
-
-
-def _adj_edges(adj: dict[int, set[int]]) -> list[tuple[int, int]]:
-    return [(u, v) for u in adj for v in adj[u] if u < v]
+    return steps, Graph(g.n, _edge_set(adj))
 
 
 def transition_graph(g: Graph, h: Graph) -> SwitchTrace:

@@ -1,5 +1,7 @@
 """The vectorized mask tables against the per-graph implementations."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from oracles import census_path_cover_table
@@ -109,6 +111,25 @@ class TestTablesAgainstPerGraph:
         cen = census(7)
         for mask in range(0, cen.n_masks, 4001):
             _check_mask(cen, mask)
+
+
+class TestTableDigest:
+    """Orders 6 and 7 are only sampled above, so every byte of every table
+    is pinned: each table with its dtype, then ``degree_key`` and
+    ``forest``, for n = 0..7."""
+
+    DIGEST = "9dc68498fef6d9137d5af3432ab02a0a5622d61fc7ea6d2511d1a35e410d0de9"
+
+    def test_every_table_to_the_cap(self):
+        h = hashlib.sha256()
+        for n in range(CENSUS_MAX + 1):
+            cen = census(n)
+            named = [(kind, cen.tables[kind]) for kind in KINDS]
+            named += [("degree_key", cen.degree_key), ("forest", cen.forest)]
+            for name, table in named:
+                h.update(f"{n}:{name}:{table.dtype.str}:".encode())
+                h.update(table.tobytes())
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestPathCoverReference:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from conftest import forests, graphs
 from hypothesis import given, settings
@@ -40,6 +41,32 @@ class TestGraphBasics:
             Graph(3, [(1, 4)])
         with pytest.raises(GraphFormatError):
             Graph(2, [(0, 1)])
+
+    @pytest.mark.parametrize(
+        "n,edges",
+        [
+            (True, []),
+            (False, []),
+            (3.0, []),
+            ("3", []),
+            (np.True_, []),
+            (3, [(1.5, 3)]),
+            (3, [(1, 3.0)]),
+            (3, [(True, 3)]),
+            (3, [(2, np.True_)]),
+            (3, [(np.float64(1), 2)]),
+            (3, [("1", 2)]),
+        ],
+    )
+    def test_rejects_non_integer_order_and_endpoints(self, n, edges):
+        with pytest.raises(GraphFormatError, match="must be an integer"):
+            Graph(n, edges)
+
+    def test_numpy_integers_are_labels(self):
+        g = Graph(np.int64(3), [(np.int64(1), np.uint8(3)), (np.int32(2), 1)])
+        assert g == Graph(3, [(1, 3), (1, 2)])
+        assert type(g.n) is int
+        assert all(type(x) is int for e in g.edges for x in e)
 
     def test_with_edges(self):
         g = Graph(4, [(1, 2), (3, 4)])

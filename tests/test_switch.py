@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import oracle_classify
 
-from twoswitch.graphs import Graph, degree_sequence, is_forest, is_tree
+from twoswitch.graphs import Graph, GraphError, degree_sequence, is_forest, is_tree
 from twoswitch.switch import (
     ActionMatrix,
     SwitchKind,
@@ -39,6 +39,14 @@ class TestActionMatrix:
         m = ActionMatrix(2, 5, 3, 6)
         assert m.transpose() == ActionMatrix(2, 3, 5, 6)
         assert ActionMatrix(1, 2, 6, 3).transpose() == ActionMatrix(1, 6, 2, 3)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [(True, 2, 3, 4), (1, 2, 3, False), (1, 2.0, 3, 4), (0, 2, 3, 4), (1, "2", 3, 4)],
+    )
+    def test_rejects_non_positive_integer_labels(self, labels):
+        with pytest.raises(GraphError, match="positive integers"):
+            ActionMatrix(*labels)
 
     @given(matrices())
     def test_transpose_involution(self, m):
