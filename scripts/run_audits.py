@@ -9,7 +9,8 @@ the matching step of every forest-preserving switch (6,478,920 of
 them); it takes about six minutes on a 2-core VM, most of it building
 each switched forest and taking its matching number, and is off by
 default.  Each line gives its section's elapsed time; the stability
-lines give each order's census build separately.
+lines give each order's census build separately, with the seconds of
+each of its phases.
 """
 
 import argparse
@@ -69,7 +70,7 @@ def main() -> int:
     t0 = time.perf_counter()
     for n in range(1, args.max_order + 1):
         t = time.perf_counter()
-        census(n)
+        phases = ", ".join(f"{k} {v:.1f}s" for k, v in census(n).build_s.items())
         built = time.perf_counter() - t
         t = time.perf_counter()
         reports = stability_sweep(n)
@@ -78,7 +79,7 @@ def main() -> int:
         verdict = "pass" if not bad else f"FAIL {bad}"
         print(
             f"stability  n={n}: {verdict} ({checked} incidences, "
-            f"{time.perf_counter()-t:.1f}s; census built in {built:.1f}s)"
+            f"{time.perf_counter()-t:.1f}s; census built in {built:.1f}s: {phases})"
         )
         failed |= bool(bad)
     for n in range(1, args.max_order + 1):

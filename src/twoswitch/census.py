@@ -13,14 +13,15 @@ plain ascending order.  Cost per table:
 - vertex cover and edge cover, by Gallai's identities: n - independence,
   and n - matching on graphs with no isolated vertex;
 - components: 2^(n-1) cut tests over the M masks;
-- domination: vertex subsets by size, at most n tests over the M masks
-  each, until every graph has met its first dominating subset;
-- chromatic: (3^n - 1) / 2 subset-partition steps per chunk of masks;
+- domination: vertex subsets by size, each an OR of at most n closed
+  neighbourhoods over only the masks that no smaller subset dominates;
+- chromatic: the same doubling, with 2^(n-2) candidate colour classes
+  per edge slot k, one gather over [0, 2^k) each;
 - path cover: n * 2^(n-1) steps per chunk, tracking the fewest covering
   paths and their possible ends.
 
-At n = 7 the build takes about 7 s on a 2-core VM, 5.5 s of it in the
-chromatic and path cover chunks.
+At n = 7 the build takes 2.2-2.6 s on a 2-core VM, 1.2-1.5 s of it in
+the path cover chunks; ``Census.build_s`` has the seconds of each phase.
 
 Tables are cross-checked against the per-graph algorithms in the test
 suite; this module is the audit engine, not an independent authority.
@@ -28,6 +29,7 @@ suite; this module is the audit engine, not an independent authority.
 
 from __future__ import annotations
 
+import time
 from functools import lru_cache
 
 import numpy as np
@@ -39,22 +41,6 @@ _CHUNK = 1 << 18
 # table value of an undefined parameter (edge cover with an isolated
 # vertex) and the DPs' unreachable marker; real values never exceed n
 UNDEFINED = 99
-
-
-def _subset_plan(n: int):
-    """Nonempty vertex subsets in numeric order, each with its submasks
-    keeping the lowest vertex (the canonical block of any partition)."""
-    plan = []
-    for s in range(1, 1 << n):
-        low = s & -s
-        subs = []
-        t = s
-        while t:
-            if t & low:
-                subs.append(t)
-            t = (t - 1) & s
-        plan.append((s, subs))
-    return plan
 
 
 # -- mask layout --------------------------------------------------------------
@@ -126,12 +112,14 @@ class Census:
         self.popcount = np.bitwise_count(self.masks).astype(np.uint8)
         self._adjv = self._adjacency_arrays()
 
-        mu, alpha = self._slot_doubling()
+        # advisory seconds per build phase; not part of the tables
+        self.build_s: dict[str, float] = {}
+        mu, alpha, chi = self._timed("doubling", self._slot_doubling)
         omega = alpha[self.full_mask ^ self.masks]
         nu = np.uint8(n) - alpha
-        gamma = self._domination_table()
-        comp = self._components_table()
-        chi, pi = self._chunked_tables()
+        gamma = self._timed("domination", self._domination_table)
+        comp = self._timed("components", self._components_table)
+        pi = self._timed("path_cover", self._path_cover_table)
         no_isolated = np.ones(self.n_masks, dtype=bool)
         for v in range(n):
             no_isolated &= self._adjv[v] != 0
@@ -148,10 +136,16 @@ class Census:
             "path_cover": pi,
             "edge_cover": eps,  # UNDEFINED where an isolated vertex exists
         }
-        self.degree_key = self._degree_keys()
+        self.degree_key = self._timed("degree_keys", self._degree_keys)
         self.forest = (
             self.popcount.astype(np.int16) + comp.astype(np.int16) == n
         )
+
+    def _timed(self, phase: str, build):
+        start = time.perf_counter()
+        result = build()
+        self.build_s[phase] = time.perf_counter() - start
+        return result
 
     # -- geometry -----------------------------------------------------------
 
@@ -194,14 +188,20 @@ class Census:
 
     # -- edge-slot doubling ---------------------------------------------------
 
-    def _slot_doubling(self) -> tuple[np.ndarray, np.ndarray]:
-        """mu and alpha on [2^k, 2^(k+1)) from [0, 2^k), where the top edge
-        is slot k = uv.  A matching skips uv or takes it with the lower
+    def _slot_doubling(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """mu, alpha and chi on [2^k, 2^(k+1)) from [0, 2^k), where the top
+        edge is slot k = uv.  A matching skips uv or takes it with the lower
         edges apart from u and v.  A maximum independent set omits u or
-        omits v; deleting a vertex's edges isolates it, hence the -1."""
+        omits v; deleting a vertex's edges isolates it, hence the -1.  In an
+        optimal colouring u's class is an independent set I holding u and
+        not v; deleting I's edges clears slot k and leaves the other classes
+        colouring the rest, so chi is 1 + the least chi over those I."""
+        n = self.n
         mu = np.zeros(self.n_masks, dtype=np.uint8)
         alpha = np.zeros(self.n_masks, dtype=np.uint8)
-        alpha[0] = self.n
+        chi = np.zeros(self.n_masks, dtype=np.uint8)
+        alpha[0] = n
+        chi[0] = n > 0
         for k, (u, v) in enumerate(self.slots):
             lo = self.masks[: 1 << k]
             top = slice(1 << k, 2 << k)
@@ -211,23 +211,51 @@ class Census:
                 alpha[lo & ~self.star[u]], alpha[lo & ~self.star[v]], out=alpha[top]
             )
             alpha[top] -= 1
-        return mu, alpha
+            best = chi[top]
+            best[:] = UNDEFINED
+            for rest in range(1 << n):
+                if rest & (1 << u | 1 << v):
+                    continue
+                cls = rest | 1 << u
+                cleared = 0  # the edges at I, slot k among them
+                for w in range(n):
+                    if cls >> w & 1:
+                        cleared |= self.star[w]
+                np.minimum(
+                    best,
+                    chi[lo & ~cleared],
+                    out=best,
+                    where=(lo & self.edges_within[cls]) == 0,
+                )
+            best += 1
+        return mu, alpha, chi
 
     # -- vertex-subset sweeps --------------------------------------------------
 
     def _domination_table(self) -> np.ndarray:
-        """gamma is the size of the first vertex subset, in size order, that
-        dominates the graph: the census's one size-ordered sweep."""
+        """gamma is the size of the smallest vertex subset whose closed
+        neighbourhoods cover every vertex.  Subsets go by size, each size
+        testing only the masks no smaller subset dominates: the census's one
+        size-ordered sweep."""
+        n = self.n
+        vfull = (1 << n) - 1
         gamma = np.full(self.n_masks, 255, dtype=np.uint8)
-        for t in sorted(range(1 << self.n), key=lambda t: (bin(t).count("1"), t)):
-            ok = gamma == 255
-            if not ok.any():
+        by_size = [[] for _ in range(n + 1)]
+        for t in range(1 << n):
+            by_size[t.bit_count()].append(t)
+        for size, subsets in enumerate(by_size):
+            open_ = np.flatnonzero(gamma == 255)
+            if not open_.size:
                 break
-            for v in range(self.n):
-                if t >> v & 1:
-                    continue
-                ok &= (self._adjv[v] & t) != 0
-            gamma[ok] = bin(t).count("1")
+            closed = [a[open_] | np.uint8(1 << w) for w, a in enumerate(self._adjv)]
+            hit = np.zeros(open_.size, dtype=bool)
+            for t in subsets:
+                reach = np.zeros(open_.size, dtype=np.uint8)
+                for w in range(n):
+                    if t >> w & 1:
+                        reach |= closed[w]
+                hit |= reach == vfull
+            gamma[open_[hit]] = size
         return gamma
 
     def _components_table(self) -> np.ndarray:
@@ -245,45 +273,24 @@ class Census:
             comp += (self.masks & cut) == 0
         return np.bitwise_count(comp - np.uint8(1)) + np.uint8(1)
 
-    # -- chunked vertex-subset DPs -----------------------------------------------
+    # -- chunked vertex-subset DP ------------------------------------------------
 
-    def _chunked_tables(self):
-        """Both recurrences read only smaller vertex subsets, so they run
-        over s = 1 .. 2^n - 1 in numeric order."""
+    def _path_cover_table(self) -> np.ndarray:
+        """fewest[s] paths cover G[s], and last[s] holds the vertices that end
+        a path in some such cover; u in s either extends a path ending at a
+        neighbour in last[s - u] or opens one.  Each step reads only smaller
+        vertex subsets, so s runs over 1 .. 2^n - 1 in numeric order."""
         n = self.n
         vfull = (1 << n) - 1
-        plan = _subset_plan(n)
-        chi = np.zeros(self.n_masks, dtype=np.uint8)
         pi = np.zeros(self.n_masks, dtype=np.uint8)
         for lo in range(0, self.n_masks, _CHUNK):
             hi = min(lo + _CHUNK, self.n_masks)
-            mc = self.masks[lo:hi]
             adjc = [self._adjv[v][lo:hi] for v in range(n)]
-
-            # chromatic: partition into independent sets
-            indep = [None] * (1 << n)
-            for t in range(1, 1 << n):
-                indep[t] = (mc & self.edges_within[t]) == 0
-            f = [None] * (1 << n)
-            f[0] = np.zeros(hi - lo, dtype=np.uint8)
-            for s, subs in plan:
-                best = np.full(hi - lo, UNDEFINED, dtype=np.uint8)
-                for t in subs:
-                    cand = f[s ^ t] + 1
-                    cand[~indep[t]] = UNDEFINED
-                    np.minimum(best, cand, out=best)
-                f[s] = best
-            chi[lo:hi] = f[vfull] if n else 0
-            del indep, f
-
-            # path cover: fewest[s] paths cover G[s], and last[s] holds the
-            # vertices that end a path in some such cover; u in s either
-            # extends a path ending at a neighbour in last[s - u] or opens one
             fewest = [None] * (1 << n)
             last = [None] * (1 << n)
             fewest[0] = np.zeros(hi - lo, dtype=np.uint8)
             last[0] = np.zeros(hi - lo, dtype=np.uint8)
-            for s, _subs in plan:
+            for s in range(1, 1 << n):
                 members = [u for u in range(n) if s >> u & 1]
                 costs = [
                     fewest[s ^ 1 << u] + ((adjc[u] & last[s ^ 1 << u]) == 0)
@@ -297,7 +304,7 @@ class Census:
                 last[s] = tails
             pi[lo:hi] = fewest[vfull]
             del fewest, last
-        return chi, pi
+        return pi
 
 
 @lru_cache(maxsize=None)

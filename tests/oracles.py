@@ -577,6 +577,43 @@ def census_path_cover_table(n: int) -> np.ndarray:
     return pi
 
 
+def census_chromatic_table(n: int) -> np.ndarray:
+    """Chromatic number of every mask: the fewest independent blocks
+    partitioning the vertex set.
+
+    A submask DP over vertex subsets whose block always holds the lowest
+    remaining vertex, (3^n - 1) / 2 steps per chunk of masks.  Runs over
+    chunks of masks to bound memory at order 7.
+    """
+    inf = 99
+    masks, slot = _mask_geometry(n)
+    chi = np.zeros(len(masks), dtype=np.uint8)
+    if n == 0:
+        return chi
+    within = [0] * (1 << n)  # the slots of the edges inside each subset
+    for t in range(1 << n):
+        for (u, v), k in slot.items():
+            if t >> u & 1 and t >> v & 1:
+                within[t] |= 1 << k
+    for lo in range(0, len(masks), _CHUNK):
+        mc = masks[lo : lo + _CHUNK]
+        independent = [(mc & w) == 0 for w in within]
+        f = [np.zeros(len(mc), dtype=np.uint8)]
+        for s in range(1, 1 << n):  # each remainder s ^ t is smaller than s
+            low = s & -s
+            best = np.full(len(mc), inf, dtype=np.uint8)
+            t = s
+            while t:
+                if t & low:
+                    cand = f[s ^ t] + 1
+                    cand[~independent[t]] = inf
+                    np.minimum(best, cand, out=best)
+                t = (t - 1) & s
+            f.append(best)
+        chi[lo : lo + _CHUNK] = f[-1]
+    return chi
+
+
 ORACLES = {
     "chromatic": oracle_chromatic,
     "clique": oracle_clique,

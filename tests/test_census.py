@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from oracles import census_path_cover_table
+from oracles import census_chromatic_table, census_path_cover_table
 
 from twoswitch.census import CENSUS_MAX, Census, census
 from twoswitch.graphs import Graph, GraphError, degree_sequence, is_forest
@@ -142,3 +142,15 @@ class TestPathCoverReference:
         table = census(n).tables["path_cover"]
         assert table.dtype == np.uint8
         assert np.array_equal(table, census_path_cover_table(n))
+
+
+class TestChromaticReference:
+    """The census fills chromatic by edge-slot doubling and the per-graph
+    rows above are sampled at orders 6 and 7; the subset-partition DP in
+    the oracles is the independent route, compared on every mask."""
+
+    @pytest.mark.parametrize("n", range(CENSUS_MAX))
+    def test_every_mask(self, n):
+        table = census(n).tables["chromatic"]
+        assert table.dtype == np.uint8
+        assert np.array_equal(table, census_chromatic_table(n))
