@@ -142,9 +142,7 @@ def _cmd_interval(args) -> int:
     seq = _parse_sequence(args.sequence)
     kinds = parameters.STABLE_KINDS if args.kind == "all" else (args.kind,)
     reports = [
-        explorer.interval_audit(
-            seq, k, family=args.family, cap=args.cap, workers=args.workers
-        )
+        explorer.interval_audit(seq, k, family=args.family, workers=args.workers)
         for k in kinds
     ]
     if args.json:
@@ -162,7 +160,7 @@ def _cmd_interval(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     seq = _parse_sequence(args.sequence)
-    members = explorer.family_members(seq, family=args.family, cap=args.cap)
+    members = explorer.family_members(seq, family=args.family)
     if args.json:
         payload = {
             "count": len(members),
@@ -273,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequence", required=True, help="degree vector, e.g. 3,1,1,1")
     p.add_argument("--kind", choices=("all",) + parameters.STABLE_KINDS, default="all")
     p.add_argument("--family", choices=sorted(explorer.FAMILY_PREDICATES), default="all")
-    p.add_argument("--cap", type=int, default=explorer.ENUMERATION_CAP)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_interval)
@@ -281,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="all graphs with one degree vector")
     p.add_argument("--sequence", required=True)
     p.add_argument("--family", choices=sorted(explorer.FAMILY_PREDICATES), default="all")
-    p.add_argument("--cap", type=int, default=explorer.ENUMERATION_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 

@@ -55,7 +55,7 @@ ENUMERATION_CAP = 9
 # -- enumeration ---------------------------------------------------------------
 
 
-def enumerate_family(seq, family: str = "all", cap: int = ENUMERATION_CAP):
+def enumerate_family(seq, family: str = "all"):
     """Yield every graph with degree vector ``seq`` in the family.
 
     Output order is lexicographic on sorted edge lists: vertex 1's
@@ -67,8 +67,8 @@ def enumerate_family(seq, family: str = "all", cap: int = ENUMERATION_CAP):
         raise GraphError(f"unknown family {family!r}")
     seq = tuple(int(d) for d in seq)
     n = len(seq)
-    if n > cap:
-        raise CapExceededError(f"order {n} above enumeration cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise CapExceededError(f"order {n} above enumeration cap {ENUMERATION_CAP}")
     if not is_graphical(seq):
         return
     keep = FAMILY_PREDICATES[family]
@@ -100,8 +100,8 @@ def enumerate_family(seq, family: str = "all", cap: int = ENUMERATION_CAP):
     yield from rec([])
 
 
-def family_members(seq, family: str = "all", cap: int = ENUMERATION_CAP) -> list[Graph]:
-    return list(enumerate_family(seq, family, cap))
+def family_members(seq, family: str = "all") -> list[Graph]:
+    return list(enumerate_family(seq, family))
 
 
 # -- reports --------------------------------------------------------------------
@@ -304,7 +304,6 @@ def interval_audit(
     seq,
     kind: str,
     family: str = "all",
-    cap: int = ENUMERATION_CAP,
     workers: int = 1,
 ) -> AuditReport:
     """Do the family's values of ``kind`` form a full integer interval?
@@ -351,7 +350,7 @@ def interval_audit(
                 value_of[v] = cen.graph(int(mask))
         checked = int(masks.size)
     else:
-        members = family_members(seq, family, cap)
+        members = family_members(seq, family)
         checked = len(members)
         pairs = []
         pool_size = min(workers, len(members), os.cpu_count() or 1)
@@ -580,12 +579,12 @@ def edge_diff_audit(n: int) -> AuditReport:
 ISOMORPHISM_CAP = 12
 
 
-def are_isomorphic(g: Graph, h: Graph, cap: int = ISOMORPHISM_CAP) -> bool:
+def are_isomorphic(g: Graph, h: Graph) -> bool:
     """Exact isomorphism test by colour refinement plus backtracking."""
     if g.n != h.n or g.size != h.size:
         return False
-    if g.n > cap:
-        raise CapExceededError(f"isomorphism test capped at order {cap}")
+    if g.n > ISOMORPHISM_CAP:
+        raise CapExceededError(f"isomorphism test capped at order {ISOMORPHISM_CAP}")
     if sorted(degree_sequence(g)) != sorted(degree_sequence(h)):
         return False
 

@@ -102,15 +102,18 @@ class Graph:
         return sorted(self.edges)
 
     def adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Neighbour lists, each sorted ascending."""
+        """Neighbour lists, each sorted ascending.
+
+        The edges go in sorted order, so every vertex receives its
+        smaller neighbours (as the second end) before its larger ones
+        (as the first end), each group ascending.
+        """
         if self._adj is None:
             adj: dict[int, list[int]] = {v: [] for v in self.vertices()}
             for u, v in sorted(self.edges):
                 adj[u].append(v)
                 adj[v].append(u)
-            object.__setattr__(
-                self, "_adj", {v: tuple(sorted(ns)) for v, ns in adj.items()}
-            )
+            object.__setattr__(self, "_adj", {v: tuple(ns) for v, ns in adj.items()})
         return self._adj
 
     def neighbors(self, v: int) -> tuple[int, ...]:

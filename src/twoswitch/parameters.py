@@ -3,26 +3,35 @@
 Nine integer invariants that a single 2-switch can move by at most one:
 matching, independence, domination, path cover, edge cover, vertex cover,
 chromatic, clique and component count.  All algorithms here are exact and
-deterministic (ties always break toward the lowest label), sized for the
-package's working range of up to roughly twenty vertices.  The two cover
-numbers come from Gallai's identities: vertex cover is n - independence,
-and edge cover is n - matching on graphs with no isolated vertex.  Path
-cover is a numpy recurrence over the 2^n vertex subsets, O(2^n * n) time
-and about 5 * 2^n bytes whatever the edges; it refuses graphs above
-``PATH_COVER_MAX`` vertices with ``CapExceededError``.
+deterministic (ties always break toward the lowest label).
 
-On a forest ``compute`` answers every kind but clique and components
-from two leaves-up passes over the reversed ``graphs.depth_first``
-preorder, O(n) each.  The first links a vertex to its parent whenever
+On a general graph every kind but components is exponential, and each
+refuses graphs above ``SUBSET_MAX`` = 20 vertices with
+``CapExceededError``.  Matching, independence and domination are
+memoized searches over vertex subsets, so a memo holds at most 2^20
+states; it is freed on return.  Clique is independence on the
+complement.  The two cover numbers come from Gallai's identities: vertex
+cover is n - independence, and edge cover is n - matching on graphs with
+no isolated vertex.  Path cover is a numpy recurrence over the 2^n vertex
+subsets, O(2^n * n) time and about 5 * 2^n bytes whatever the edges, and
+chromatic a backtracking search for the fewest colours.  At n = 20, on
+G(n, m) graphs of every density, K20 and K10,10 (2-core VM, Python
+3.11), one call took at most about 70 ms for matching and edge cover,
+7 ms for chromatic, 2 ms for domination, 1 ms for independence, vertex
+cover and clique, and 0.3 s for path cover.
+
+On a forest ``compute`` answers every kind but components from two
+leaves-up passes over the reversed ``graphs.depth_first`` preorder, O(n)
+each and without a cap.  The first links a vertex to its parent whenever
 both have room: with one link per vertex that is a maximum matching nu,
 and with two it is a largest set of disjoint paths, so path cover is n
 minus its edges.
 Forests are bipartite, so König's theorem gives independence n - nu and
 vertex cover nu, and Gallai's identity edge cover n - nu.  The second is
 the domination greedy of Cockayne, Goodman and Hedetniemi (1975), which
-takes the parent of every vertex still undominated.  Chromatic is 2 with
-an edge, and the adjacency rank is 2 * nu.  The tests check both passes
-against rooted dynamic programs.
+takes the parent of every vertex still undominated.  Chromatic and clique
+are 2 with an edge, and the adjacency rank is 2 * nu.  The tests check
+both passes against rooted dynamic programs.
 """
 
 from __future__ import annotations
@@ -50,17 +59,25 @@ STABLE_KINDS = (
 )
 
 
+SUBSET_MAX = 20  # every exponential kind: at most 2^20 vertex subsets
+
+
 def _adj_masks(g: Graph) -> list[int]:
-    """Neighbour bitmasks, 0-based: bit j of masks[i] means edge (i+1, j+1)."""
+    """Neighbour bitmasks, 0-based: bit j of masks[i] means edge (i+1, j+1).
+
+    Every exponential kind starts here, so this is where the order of
+    ``g`` is held to ``SUBSET_MAX``.
+    """
+    if g.n > SUBSET_MAX:
+        raise CapExceededError(
+            f"exact parameter of a {g.n}-vertex graph: subset search capped "
+            f"at {SUBSET_MAX} vertices"
+        )
     masks = [0] * g.n
     for u, v in g.edges:
         masks[u - 1] |= 1 << (v - 1)
         masks[v - 1] |= 1 << (u - 1)
     return masks
-
-
-def _lowest_bit_index(x: int) -> int:
-    return (x & -x).bit_length() - 1
 
 
 def _bits(x: int):
@@ -70,72 +87,71 @@ def _bits(x: int):
         x ^= low
 
 
+class _Memo(dict):
+    """Values over vertex subsets, each computed on first lookup:
+    ``memo[s]`` runs ``step(s, memo)``, which reads smaller subsets back
+    through ``memo``.  No step holds the memo, so it is freed as soon as
+    the caller drops it."""
+
+    def __init__(self, step):
+        self.step = step
+
+    def __missing__(self, subset: int) -> int:
+        value = self[subset] = self.step(subset, self)
+        return value
+
+
+def _lowest_with_neighbour(adj: list[int], avail: int) -> int:
+    """Lowest vertex of ``avail`` with a neighbour in ``avail``, or -1."""
+    live = avail
+    while live:
+        low = live & -live
+        v = low.bit_length() - 1
+        if adj[v] & avail:
+            return v
+        live ^= low
+    return -1
+
+
 # -- matching --------------------------------------------------------------
 
 
 def matching_number(g: Graph) -> int:
-    """Maximum number of pairwise disjoint edges."""
-    adj = _adj_masks(g)
-    memo: dict[int, int] = {}
+    """Maximum number of pairwise disjoint edges.
 
-    def rec(avail: int) -> int:
-        live = avail
-        v = -1
-        while live:
-            i = _lowest_bit_index(live)
-            if adj[i] & avail:
-                v = i
-                break
-            live ^= 1 << i
+    A vertex v with a neighbour is matched in some maximum matching: if
+    not, v's neighbour u is matched to some w, and swapping uw for uv
+    keeps the size.  So each step matches v to one of its neighbours.
+    """
+    adj = _adj_masks(g)
+
+    def step(avail: int, memo) -> int:
+        v = _lowest_with_neighbour(adj, avail)
         if v < 0:
             return 0
-        cached = memo.get(avail)
-        if cached is not None:
-            return cached
-        best = rec(avail & ~(1 << v))
-        for u in _bits(adj[v] & avail):
-            best = max(best, 1 + rec(avail & ~((1 << v) | (1 << u))))
-        memo[avail] = best
-        return best
+        rest = avail & ~(1 << v)
+        return 1 + max(memo[rest & ~(1 << u)] for u in _bits(adj[v] & rest))
 
-    try:
-        return rec((1 << g.n) - 1)
-    finally:
-        del rec  # rec refers to itself; unbinding it frees the memo now
+    return _Memo(step)[(1 << g.n) - 1]
 
 
-# -- independence / vertex cover -------------------------------------------
+# -- independence / vertex cover / clique -----------------------------------
+
+
+def _independence(adj: list[int]) -> int:
+    def step(avail: int, memo) -> int:
+        v = _lowest_with_neighbour(adj, avail)
+        if v < 0:
+            return avail.bit_count()
+        rest = avail & ~(1 << v)
+        return max(memo[rest], 1 + memo[rest & ~adj[v]])
+
+    return _Memo(step)[(1 << len(adj)) - 1]
 
 
 def independence_number(g: Graph) -> int:
     """Largest set of pairwise non-adjacent vertices."""
-    adj = _adj_masks(g)
-    memo: dict[int, int] = {}
-
-    def rec(avail: int) -> int:
-        live = avail
-        v = -1
-        while live:
-            i = _lowest_bit_index(live)
-            if adj[i] & avail:
-                v = i
-                break
-            live ^= 1 << i
-        if v < 0:
-            return bin(avail).count("1")
-        cached = memo.get(avail)
-        if cached is not None:
-            return cached
-        without = rec(avail & ~(1 << v))
-        with_v = 1 + rec(avail & ~((1 << v) | adj[v]))
-        best = max(without, with_v)
-        memo[avail] = best
-        return best
-
-    try:
-        return rec((1 << g.n) - 1)
-    finally:
-        del rec  # rec refers to itself; unbinding it frees the memo now
+    return _independence(_adj_masks(g))
 
 
 def vertex_cover_number(g: Graph) -> int:
@@ -144,39 +160,34 @@ def vertex_cover_number(g: Graph) -> int:
     return g.n - independence_number(g)
 
 
+def clique_number(g: Graph) -> int:
+    """Largest complete subgraph: a largest independent set of the
+    complement."""
+    adj = _adj_masks(g)
+    full = (1 << g.n) - 1
+    return _independence([full & ~(a | 1 << v) for v, a in enumerate(adj)])
+
+
 # -- domination ------------------------------------------------------------
 
 
 def domination_number(g: Graph) -> int:
     """Smallest set whose closed neighbourhoods cover every vertex."""
-    adj = _adj_masks(g)
-    closed = [adj[i] | (1 << i) for i in range(g.n)]
-    memo: dict[int, int] = {}
+    closed = [a | 1 << v for v, a in enumerate(_adj_masks(g))]
 
-    def rec(undominated: int) -> int:
+    def step(undominated: int, memo) -> int:
         if not undominated:
             return 0
-        cached = memo.get(undominated)
-        if cached is not None:
-            return cached
-        v = _lowest_bit_index(undominated)
+        v = (undominated & -undominated).bit_length() - 1
         # some member of N[v] must go into the dominating set
-        best = g.n + 1
-        for w in _bits(closed[v]):
-            best = min(best, 1 + rec(undominated & ~closed[w]))
-        memo[undominated] = best
-        return best
+        return 1 + min(memo[undominated & ~closed[w]] for w in _bits(closed[v]))
 
-    try:
-        return rec((1 << g.n) - 1)
-    finally:
-        del rec  # rec refers to itself; unbinding it frees the memo now
+    return _Memo(step)[(1 << g.n) - 1]
 
 
 # -- path cover ------------------------------------------------------------
 
 
-PATH_COVER_MAX = 20  # the documented range: 2^20 subsets, about 5 MB of tables
 _PATH_COVER_ROWS = 1 << 14  # subsets per step: bounds each temporary to n * 2^14 entries
 
 
@@ -191,15 +202,9 @@ def path_cover_number(g: Graph) -> int:
     cheapest u give best[S], and exactly those u form last[S].  Subsets
     are processed one popcount layer at a time, vectorized over the layer
     and over u: O(2^n * n) time and about 5 * 2^n bytes of tables
-    whatever the edges.  Above ``PATH_COVER_MAX`` vertices it raises
-    ``CapExceededError``.
+    whatever the edges.
     """
     n = g.n
-    if n > PATH_COVER_MAX:
-        raise CapExceededError(
-            f"path cover of a {n}-vertex graph: general DP capped at "
-            f"{PATH_COVER_MAX} vertices"
-        )
     adj = np.array(_adj_masks(g), dtype=np.uint32)[:, None]
     bit = (np.int64(1) << np.arange(n, dtype=np.int64))[:, None]
     size = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
@@ -232,13 +237,14 @@ def edge_cover_number(g: Graph) -> int:
 
 
 def _edge_cover(g: Graph, matching) -> int:
+    nu = matching(g)  # first, so that the cap goes before the isolation rule
     adj = g.adjacency()
     isolated = next((v for v in g.vertices() if not adj[v]), None)
     if isolated is not None:
         raise IsolatedVertexError(
             f"vertex {isolated} has degree 0; edge cover undefined"
         )
-    return g.n - matching(g)
+    return g.n - nu
 
 
 # -- colouring / cliques ----------------------------------------------------
@@ -246,11 +252,9 @@ def _edge_cover(g: Graph, matching) -> int:
 
 def chromatic_number(g: Graph) -> int:
     """Fewest colours in a proper colouring; 0 for the empty-order graph."""
-    if g.n == 0:
-        return 0
-    if not g.edges:
-        return 1
     adj = _adj_masks(g)
+    if not g.edges:
+        return min(g.n, 1)
     # highest degree first makes the backtracking cut early; label breaks ties
     order = sorted(range(g.n), key=lambda i: (-bin(adj[i]).count("1"), i))
 
@@ -280,28 +284,6 @@ def chromatic_number(g: Graph) -> int:
     while not colourable(k):
         k += 1
     return k
-
-
-def clique_number(g: Graph) -> int:
-    """Largest complete subgraph, by branching over candidate sets."""
-    if g.n == 0:
-        return 0
-    adj = _adj_masks(g)
-    best = 0
-
-    def rec(candidates: int, size: int):
-        nonlocal best
-        if size > best:
-            best = size
-        while candidates:
-            if size + bin(candidates).count("1") <= best:
-                return
-            v = _lowest_bit_index(candidates)
-            candidates ^= 1 << v
-            rec(candidates & adj[v], size + 1)
-
-    rec((1 << g.n) - 1, 0)
-    return best
 
 
 def components_count(g: Graph) -> int:
@@ -445,8 +427,14 @@ _GENERAL = {
     "components": components_count,
 }
 
-# forests are bipartite: König gives vertex cover = matching, Gallai the rest;
-# ``compute`` has ruled out a cycle, so these take the unchecked passes
+
+def _two_with_an_edge(g: Graph) -> int:
+    return 2 if g.edges else min(g.n, 1)
+
+
+# forests are bipartite: König gives vertex cover = matching, Gallai the rest,
+# and chromatic and clique are 2 with an edge; ``compute`` has ruled out a
+# cycle, so these take the unchecked passes
 _FOREST = {
     "matching": _forest_matching,
     "independence": lambda g: g.n - _forest_matching(g),
@@ -454,7 +442,8 @@ _FOREST = {
     "edge_cover": lambda g: _edge_cover(g, _forest_matching),
     "domination": _dominating,
     "path_cover": lambda g: g.n - _capped_links(g, 2),
-    "chromatic": lambda g: 2 if g.edges else min(g.n, 1),
+    "chromatic": _two_with_an_edge,
+    "clique": _two_with_an_edge,
 }
 
 
@@ -462,8 +451,10 @@ def compute(kind: str, g: Graph) -> int:
     """Evaluate one of the nine stable parameters on ``g``.
 
     Forests take the linear leaves-up passes for every kind the general
-    algorithms would spend super-linear time on; all other cases take
-    the general exact algorithm.
+    algorithms would spend super-linear time on, so no forest meets the
+    cap; all other cases take the general exact algorithm, which raises
+    ``CapExceededError`` above ``SUBSET_MAX`` vertices for every kind but
+    components.
     """
     if kind not in _GENERAL:
         raise GraphError(f"unknown parameter kind {kind!r}")

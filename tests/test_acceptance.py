@@ -369,3 +369,28 @@ def test_10_search_never_beats_the_constructor(forest_atlas):
     )
     assert pairs == 29990
     assert bad == []
+
+
+def test_11_interval_property_beyond_switch_connectivity():
+    # the paper derives the interval property from switch-connectivity
+    # inside the family; unicyclic and bipartite families are not always
+    # switch-connected (scripts/unicyclic_search.py, the fig2 pair), so the
+    # property is checked here directly, with trees alongside
+    sweeps = 0
+    families = 0
+    bad = []
+    for n in range(1, 8):
+        for kind in parameters.STABLE_KINDS:
+            for family in ("tree", "unicyclic", "bipartite"):
+                report = interval_sweep(n, kind, family)
+                sweeps += 1
+                families += report.families
+                if not report.passed:
+                    bad.append((n, kind, family, report.bad_sequence))
+    ok = not bad
+    record_acceptance(
+        "tree, unicyclic and bipartite value sets are integer intervals to order 7",
+        ok,
+        f"{sweeps} sweeps over {families} degree-vector families",
+    )
+    assert bad == []

@@ -148,6 +148,7 @@ class TestForestRoutines:
         "vertex_cover": vertex_cover_number,
         "edge_cover": edge_cover_number,
         "chromatic": chromatic_number,
+        "clique": clique_number,
     }
     PUBLIC = [
         ("matching", parameters.forest_matching_number),
@@ -212,7 +213,7 @@ class TestForestRoutines:
         assert compute("chromatic", f) == (2 if f.edges else 1)
 
     def test_every_kind_on_a_sixty_vertex_tree(self):
-        # the general branchers take over 10 s for both covers here
+        # the general kinds refuse this order: each is capped at 20 vertices
         t = _random_forest(random.Random(60), 60, 1.0)
         values = {kind: compute(kind, t) for kind in STABLE_KINDS}
         expected = {kind: oracle(t) for kind, oracle in FOREST_ORACLES.items()}
@@ -281,17 +282,46 @@ class TestPathCoverLargeOrders:
         assert path_cover_number(g) == oracle_path_cover_partition(g)
 
 
-class TestPathCoverCap:
-    def test_refuses_order_above_cap(self):
-        with pytest.raises(CapExceededError):
-            path_cover_number(Graph(parameters.PATH_COVER_MAX + 1))
+class TestSubsetCap:
+    """Every exponential kind refuses a non-forest above ``SUBSET_MAX``
+    vertices; forests of any order take the linear route."""
 
-    def test_compute_refuses_large_non_forest(self):
-        with pytest.raises(CapExceededError):
-            compute("path_cover", _cycle(21))
+    CAPPED = {
+        "matching": matching_number,
+        "independence": independence_number,
+        "domination": domination_number,
+        "path_cover": path_cover_number,
+        "edge_cover": edge_cover_number,
+        "vertex_cover": vertex_cover_number,
+        "chromatic": chromatic_number,
+        "clique": clique_number,
+    }
+    CAPPED_KINDS = [k for k in STABLE_KINDS if k != "components"]
+    ON_P30 = {
+        "matching": 15,
+        "independence": 15,
+        "domination": 10,
+        "path_cover": 1,
+        "edge_cover": 15,
+        "vertex_cover": 15,
+        "chromatic": 2,
+        "clique": 2,
+        "components": 1,
+    }
 
-    def test_forest_route_is_not_capped(self):
-        assert compute("path_cover", _path(30)) == 1
+    @pytest.mark.parametrize("kind", CAPPED_KINDS)
+    def test_refuses_order_above_cap(self, kind):
+        with pytest.raises(CapExceededError, match=f"capped at {parameters.SUBSET_MAX} "):
+            self.CAPPED[kind](Graph(parameters.SUBSET_MAX + 1))
+
+    @pytest.mark.parametrize("kind", CAPPED_KINDS)
+    def test_compute_refuses_large_non_forest(self, kind):
+        with pytest.raises(CapExceededError):
+            compute(kind, _cycle(21))
+
+    @pytest.mark.parametrize("kind", STABLE_KINDS)
+    def test_forest_route_is_not_capped(self, kind):
+        assert compute(kind, _path(30)) == self.ON_P30[kind]
 
 
 class TestForestChecks:
@@ -328,12 +358,12 @@ class TestForestChecks:
 
 
 class TestMemoRelease:
-    """The memoized branchers recurse through a closure that refers to
-    itself; none may leave that cycle, and with it the memo, to the
-    cycle collector."""
+    """The subset searches read their memo through an argument, never a
+    closure; none may leave a reference cycle, and with it the memo, to
+    the cycle collector."""
 
     @pytest.mark.parametrize(
-        "fn", [matching_number, independence_number, domination_number]
+        "fn", [matching_number, independence_number, domination_number, clique_number]
     )
     def test_no_cycle_left(self, fn):
         g = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 4)])
