@@ -12,7 +12,9 @@ end of this file are their independent route.  They follow the census's
 mask layout (bit k of a mask is the k-th vertex pair in lexicographic
 order) and nothing else.  ``oracle_path_cover_partition`` is the
 partition into traceable vertex sets for one graph, fast enough to check
-``path_cover_number`` beyond the reach of ``oracle_path_cover``.
+``path_cover_number`` beyond the reach of ``oracle_path_cover``, and
+``oracle_matching_memo`` the memoized subset search that checks the
+blossom algorithm of ``matching_number`` up to 20 vertices.
 ``oracle_leaf_fixing_switch`` picks the forest route's leaf-fixing
 switch with one path search per leaf, where the package roots each
 working forest once.  ``oracle_classify`` is the paper's path-shape
@@ -56,6 +58,40 @@ def oracle_matching(g: Graph) -> int:
         if any(_is_matching(c) for c in itertools.combinations(edges, k)):
             return k
     return 0
+
+
+def oracle_matching_memo(g: Graph) -> int:
+    """Maximum matching by a memoized search over vertex subsets, the
+    package's matching algorithm before Edmonds' blossoms replaced it.
+
+    A vertex v with a neighbour is matched in some maximum matching: if
+    not, v's neighbour u is matched to some w, and swapping uw for uv
+    keeps the size.  So each step matches the lowest vertex with a
+    neighbour left to one of those neighbours.  Exponential; used at
+    n <= 20, where ``oracle_matching`` cannot reach.
+    """
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u - 1] |= 1 << (v - 1)
+        adj[v - 1] |= 1 << (u - 1)
+    memo: dict[int, int] = {}
+
+    def best(avail: int) -> int:
+        if avail in memo:
+            return memo[avail]
+        v = next((v for v in range(g.n) if avail >> v & 1 and adj[v] & avail), -1)
+        if v < 0:
+            value = 0
+        else:
+            rest = avail & ~(1 << v)
+            partners = adj[v] & rest
+            value = 1 + max(
+                best(rest & ~(1 << u)) for u in range(g.n) if partners >> u & 1
+            )
+        memo[avail] = value
+        return value
+
+    return best((1 << g.n) - 1)
 
 
 def oracle_independence(g: Graph) -> int:

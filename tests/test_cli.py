@@ -90,6 +90,15 @@ class TestParams:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "capped at 20" in err
 
+    def test_matching_answers_above_the_cap(self, capsys, edges_file):
+        cycle = Graph(21, [(v, v % 21 + 1) for v in range(1, 22)])
+        path = edges_file("c21.edges", cycle)
+        code, out, _ = invoke(capsys, "params", path, "--kind", "matching")
+        assert code == 0 and out.strip() == "matching=10"
+        code, out, err = invoke(capsys, "params", path, "--kind", "independence")
+        assert code == 2 and out == ""
+        assert "capped at 20" in err
+
 
 class TestStabilityAudit:
     def test_single_graph(self, capsys):

@@ -10,6 +10,7 @@ from oracles import (
     FOREST_ORACLES,
     ORACLES,
     oracle_edge_cover,
+    oracle_matching_memo,
     oracle_path_cover_partition,
     oracle_rank,
     oracle_vertex_cover,
@@ -213,7 +214,7 @@ class TestForestRoutines:
         assert compute("chromatic", f) == (2 if f.edges else 1)
 
     def test_every_kind_on_a_sixty_vertex_tree(self):
-        # the general kinds refuse this order: each is capped at 20 vertices
+        # the subset-search kinds refuse this order: each is capped at 20 vertices
         t = _random_forest(random.Random(60), 60, 1.0)
         values = {kind: compute(kind, t) for kind in STABLE_KINDS}
         expected = {kind: oracle(t) for kind, oracle in FOREST_ORACLES.items()}
@@ -283,20 +284,19 @@ class TestPathCoverLargeOrders:
 
 
 class TestSubsetCap:
-    """Every exponential kind refuses a non-forest above ``SUBSET_MAX``
-    vertices; forests of any order take the linear route."""
+    """Every subset-search kind refuses a non-forest above ``SUBSET_MAX``
+    vertices; matching and edge cover, from Edmonds' blossom algorithm,
+    answer any order, and forests of any order take the linear route."""
 
     CAPPED = {
-        "matching": matching_number,
         "independence": independence_number,
         "domination": domination_number,
         "path_cover": path_cover_number,
-        "edge_cover": edge_cover_number,
         "vertex_cover": vertex_cover_number,
         "chromatic": chromatic_number,
         "clique": clique_number,
     }
-    CAPPED_KINDS = [k for k in STABLE_KINDS if k != "components"]
+    ON_C21 = {"matching": 10, "edge_cover": 11}
     ON_P30 = {
         "matching": 15,
         "independence": 15,
@@ -309,19 +309,80 @@ class TestSubsetCap:
         "components": 1,
     }
 
-    @pytest.mark.parametrize("kind", CAPPED_KINDS)
+    @pytest.mark.parametrize("kind", CAPPED)
     def test_refuses_order_above_cap(self, kind):
         with pytest.raises(CapExceededError, match=f"capped at {parameters.SUBSET_MAX} "):
             self.CAPPED[kind](Graph(parameters.SUBSET_MAX + 1))
 
-    @pytest.mark.parametrize("kind", CAPPED_KINDS)
+    @pytest.mark.parametrize("kind", CAPPED)
     def test_compute_refuses_large_non_forest(self, kind):
         with pytest.raises(CapExceededError):
             compute(kind, _cycle(21))
 
+    def test_matching_of_empty_graph_above_cap(self):
+        assert matching_number(Graph(parameters.SUBSET_MAX + 1)) == 0
+
+    def test_edge_cover_of_empty_graph_above_cap(self):
+        with pytest.raises(IsolatedVertexError):
+            edge_cover_number(Graph(parameters.SUBSET_MAX + 1))
+
+    @pytest.mark.parametrize("kind", ON_C21)
+    def test_compute_answers_large_non_forest(self, kind):
+        assert compute(kind, _cycle(21)) == self.ON_C21[kind]
+
     @pytest.mark.parametrize("kind", STABLE_KINDS)
     def test_forest_route_is_not_capped(self, kind):
         assert compute(kind, _path(30)) == self.ON_P30[kind]
+
+
+def _gnm(rng, n, m):
+    slots = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)]
+    return Graph(n, rng.sample(slots, m))
+
+
+class TestBlossomMatching:
+    """``matching_number`` against references computed apart from it:
+    the census's slot-doubling tables, the memoized subset search it
+    replaced, and networkx."""
+
+    # Greedy takes 1-2, 3-4, 5-6 and 7-8 and leaves 9 and 10 free.  The
+    # one augmenting path, 9-2=1-4=3-7=8-5=6-10, crosses the triangles
+    # {1, 3, 4} and {5, 7, 8}; from either free end the search reaches
+    # the exit vertex (3 or 7) as an inner vertex, so only a contracted
+    # blossom lets the path leave the triangle.
+    TWO_TRIANGLES = Graph(
+        10,
+        [(9, 2), (2, 1), (1, 3), (1, 4), (3, 4), (3, 7),
+         (7, 8), (5, 7), (5, 8), (5, 6), (6, 10)],
+    )
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_census_table(self, n):
+        cen = census(n)
+        table = cen.tables["matching"]
+        for mask in range(len(table)):
+            assert matching_number(cen.graph(mask)) == table[mask], mask
+
+    @pytest.mark.parametrize("n", [12, 16, 20])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("density", ["half", "sparse"])
+    def test_memo_oracle(self, n, seed, density):
+        m = n * (n - 1) // 4 if density == "half" else n
+        g = _gnm(random.Random(f"{n} {seed} {density}"), n, m)
+        assert matching_number(g) == oracle_matching_memo(g)
+
+    @pytest.mark.parametrize("n", [30, 60, 100, 200])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_networkx(self, n, seed):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(1000 * n + seed)
+        g = _gnm(rng, n, rng.choice([n // 2, n, 2 * n, n * (n - 1) // 8]))
+        h = nx.Graph(sorted(g.edges))
+        h.add_nodes_from(g.vertices())
+        assert matching_number(g) == len(nx.max_weight_matching(h, maxcardinality=True))
+
+    def test_augmenting_path_through_odd_cycles(self):
+        assert matching_number(self.TWO_TRIANGLES) == 5
 
 
 class TestForestChecks:
@@ -359,11 +420,19 @@ class TestForestChecks:
 
 class TestMemoRelease:
     """The subset searches read their memo through an argument, never a
-    closure; none may leave a reference cycle, and with it the memo, to
+    closure, and the recursive searches reach themselves through the
+    module; none may leave a reference cycle, and with it the memo, to
     the cycle collector."""
 
     @pytest.mark.parametrize(
-        "fn", [matching_number, independence_number, domination_number, clique_number]
+        "fn",
+        [
+            matching_number,
+            independence_number,
+            domination_number,
+            clique_number,
+            chromatic_number,
+        ],
     )
     def test_no_cycle_left(self, fn):
         g = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 4)])
