@@ -20,6 +20,11 @@ plain ascending order.  Cost per table:
 - path cover: n * 2^(n-1) steps per chunk, tracking the fewest covering
   paths and their possible ends.
 
+Beside the tables, ``degree_key`` packs each mask's degree vector into
+3 bits per vertex, and ``degree_id`` ranks those keys densely (0 ..
+111,849 at n = 7) through a presence array over all 2^(3n) keys and its
+running count, with no sort: about 0.03 s at n = 7.
+
 At n = 7 the build takes 2.2-2.6 s on a 2-core VM, 1.2-1.5 s of it in
 the path cover chunks; ``Census.build_s`` has the seconds of each phase.
 
@@ -137,6 +142,9 @@ class Census:
             "edge_cover": eps,  # UNDEFINED where an isolated vertex exists
         }
         self.degree_key = self._timed("degree_keys", self._degree_keys)
+        self.degree_id, self.degree_vectors = self._timed(
+            "degree_ids", self._degree_ids
+        )
         self.forest = (
             self.popcount.astype(np.int16) + comp.astype(np.int16) == n
         )
@@ -163,6 +171,17 @@ class Census:
             dv = np.bitwise_count(self.masks & self.star[v]).astype(np.int64)
             key |= dv << (3 * v)
         return key
+
+    def _degree_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense ids for the degree vectors: ``degree_vectors`` holds the
+        order's distinct keys in ascending order, and ``degree_id`` the rank
+        of each mask's key among them, so ``degree_vectors[degree_id]`` is
+        ``degree_key``.  A presence array over all 2^(3n) keys and its
+        running count give the ranks without a sort."""
+        present = np.zeros(1 << (3 * self.n), dtype=bool)
+        present[self.degree_key] = True
+        rank = np.cumsum(present, dtype=np.int32) - 1
+        return rank[self.degree_key], np.flatnonzero(present)
 
     def graph(self, mask: int) -> Graph:
         edges = [

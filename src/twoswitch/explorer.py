@@ -449,49 +449,40 @@ def interval_sweep(n: int, kind: str, family: str = "all") -> SweepReport:
     """Check the interval property for every degree vector of order ``n``.
 
     Equivalent to running interval_audit on each graphical vector, but
-    grouped: one sorted pass over the full order-``n`` table.  A family's
-    value set is an interval exactly when its count of distinct values
-    equals max - min + 1.  ``singletons`` records the stronger fact that
-    every family had a single value.
+    grouped: one marking pass over the order-``n`` table, with no sort.
+    Every (degree id, value) pair that occurs is marked, which gives each
+    ``Census.degree_id`` a byte whose bit v says that some member of its
+    family has value v (values are at most n <= 7).  A family's value set
+    is an interval exactly when its bits form one run, that is when adding
+    the lowest set bit clears them all.  ``singletons`` records the
+    stronger fact that every family had a single value.  The 'all' family
+    reads the table and the ids whole; the others gather their members.
     """
     if n > CENSUS_MAX:
         raise CapExceededError(f"interval sweep capped at {CENSUS_MAX}")
     if kind not in parameters.STABLE_KINDS:
         raise GraphError(f"unknown parameter kind {kind!r}")
     cen = census(n)
-    select = _family_selector(cen, family)
-    if kind == "edge_cover":
-        select = select & (cen.tables[kind] < UNDEFINED)
-    masks = np.nonzero(select)[0]
-    if masks.size == 0:
-        return SweepReport(n, family, kind, 0, True, True)
-    # 3 bits per degree leave the low 5 bits free for the value
-    combined = (cen.degree_key[masks].astype(np.int64) << 5) | cen.tables[kind][
-        masks
-    ].astype(np.int64)
-    uniq = np.unique(combined)
-    keys = uniq >> 5
-    vals = uniq & 31
-    group_keys, start = np.unique(keys, return_index=True)
-    end = np.append(start[1:], uniq.size)
-    distinct = end - start
-    vmin = vals[start]
-    vmax = vals[end - 1]
-    ok = distinct == vmax - vmin + 1
-    if not ok.all():
-        key = int(group_keys[np.nonzero(~ok)[0][0]])
+    ids, values = cen.degree_id, cen.tables[kind]
+    if family != "all" or kind == "edge_cover":
+        select = _family_selector(cen, family)
+        if kind == "edge_cover":
+            select &= values < UNDEFINED
+        masks = np.flatnonzero(select)
+        ids, values = ids[masks], values[masks]
+    n_ids = cen.degree_vectors.size
+    marked = np.zeros(n_ids << 3, dtype=bool)
+    marked[(ids << 3) | values] = True
+    bits = np.packbits(marked, bitorder="little")  # one byte per id
+    families = int(np.count_nonzero(bits))
+    # uint8 arithmetic: the carry out of bit 7 wraps away, as it should
+    gaps = np.flatnonzero((bits + (bits & -bits)) & bits)
+    if gaps.size:
+        key = int(cen.degree_vectors[gaps[0]])
         seq = tuple((key >> (3 * i)) & 7 for i in range(n))
-        return SweepReport(
-            n, family, kind, int(group_keys.size), False, False, bad_sequence=seq
-        )
-    return SweepReport(
-        n,
-        family,
-        kind,
-        int(group_keys.size),
-        True,
-        bool((distinct == 1).all()),
-    )
+        return SweepReport(n, family, kind, families, False, False, bad_sequence=seq)
+    singletons = not np.any(bits & (bits - np.uint8(1)))
+    return SweepReport(n, family, kind, families, True, singletons)
 
 
 def enumerate_forests(n: int):

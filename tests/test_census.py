@@ -132,6 +132,19 @@ class TestTableDigest:
         assert h.hexdigest() == self.DIGEST
 
 
+class TestDegreeIds:
+    @pytest.mark.parametrize("n", range(CENSUS_MAX + 1))
+    def test_ids_index_the_sorted_vectors(self, n):
+        cen = census(n)
+        assert cen.degree_id.dtype == np.int32
+        assert np.all(np.diff(cen.degree_vectors) > 0)
+        assert np.array_equal(cen.degree_vectors[cen.degree_id], cen.degree_key)
+        assert np.array_equal(cen.degree_vectors, np.unique(cen.degree_key))
+
+    def test_build_phase_is_timed(self):
+        assert "degree_ids" in census(3).build_s
+
+
 class TestPathCoverReference:
     """The census table and ``path_cover_number`` run the same subset
     recurrence, so the per-graph rows above compare it with itself; the

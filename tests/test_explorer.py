@@ -1,6 +1,7 @@
 """Family enumeration, the two audits, isomorphism and bounded searches."""
 
 import copy
+import functools
 import random
 
 import numpy as np
@@ -39,6 +40,40 @@ from twoswitch.graphs import (
 )
 from twoswitch.switch import apply_switch, nontrivial_matrices
 from twoswitch.transition import SwitchTrace, replay, validate_trace
+
+FAMILIES = ("all", "forest", "tree", "unicyclic", "bipartite")
+
+
+@functools.lru_cache(maxsize=None)
+def _members(n: int, family: str) -> tuple[int, ...]:
+    """The order-``n`` masks in ``family``, by the per-graph predicate."""
+    cen, member = census(n), ex.FAMILY_PREDICATES[family]
+    return tuple(m for m in range(cen.n_masks) if member(cen.graph(m)))
+
+
+def _reference_sweep(cen, kind: str, family: str) -> dict:
+    """``interval_sweep(...).as_dict()`` by grouping the family's masks on
+    their degree vectors in plain Python."""
+    groups: dict[tuple[int, ...], set[int]] = {}
+    table = cen.tables[kind]
+    for mask in _members(cen.n, family):
+        if table[mask] != UNDEFINED:
+            seq = degree_sequence(cen.graph(mask))
+            groups.setdefault(seq, set()).add(int(table[mask]))
+    gaps = sorted(
+        (cen.key_of_sequence(seq), seq)
+        for seq, values in groups.items()
+        if len(values) != max(values) - min(values) + 1
+    )
+    return {
+        "n": cen.n,
+        "family": family,
+        "kind": kind,
+        "families": len(groups),
+        "passed": not gaps,
+        "singletons": not gaps and all(len(v) == 1 for v in groups.values()),
+        "bad_sequence": list(gaps[0][1]) if gaps else None,
+    }
 
 
 class TestEnumerateFamily:
@@ -314,6 +349,51 @@ class TestIntervalSweep:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             interval_sweep(8, "matching")
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_the_reference(self, n, family):
+        for kind in parameters.STABLE_KINDS:
+            expected = _reference_sweep(census(n), kind, family)
+            assert interval_sweep(n, kind, family).as_dict() == expected, kind
+
+    @pytest.mark.parametrize(
+        "kind,family,families",
+        [
+            ("matching", "all", 111850),
+            ("edge_cover", "all", 72789),
+            ("matching", "forest", 2941),
+            ("edge_cover", "forest", 553),
+        ],
+    )
+    def test_order_seven_family_counts(self, kind, family, families):
+        report = interval_sweep(7, kind, family)
+        assert report.passed and report.families == families
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reports_a_planted_gap(self, monkeypatch, seed):
+        # lift one graph's value two above the rest of its family, so the
+        # value in between is missing
+        rng = random.Random(seed)
+        kind = rng.choice(parameters.STABLE_KINDS)
+        family = rng.choice(FAMILIES)
+        cen = copy.copy(census(5))
+        table = cen.tables[kind].copy()
+        groups: dict[int, list[int]] = {}
+        for m in _members(5, family):
+            if table[m] != UNDEFINED:
+                groups.setdefault(int(cen.degree_key[m]), []).append(m)
+        mask, *rest = rng.choice([g for g in groups.values() if len(g) > 1])
+        table[mask] = max(table[rest]) + 2
+        cen.tables = {**cen.tables, kind: table}
+        monkeypatch.setattr(ex, "census", lambda n: cen)
+
+        expected = _reference_sweep(cen, kind, family)
+        report = interval_sweep(5, kind, family)
+        assert report.passed is False
+        assert expected["passed"] is False
+        assert report.as_dict() == expected
+        assert report.bad_sequence == degree_sequence(cen.graph(mask))
 
 
 class TestRealizeParameterValue:

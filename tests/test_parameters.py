@@ -384,6 +384,16 @@ class TestBlossomMatching:
     def test_augmenting_path_through_odd_cycles(self):
         assert matching_number(self.TWO_TRIANGLES) == 5
 
+    # Greedy matches the centre to leaf 2, so every other leaf roots a
+    # search of its own: 1998 that fail on K1,1999, and with the edge 2-3
+    # one that first augments along 3-2=1-4.
+    @pytest.mark.parametrize(
+        "extra,expected", [([], 1), ([(2, 3)], 2)], ids=["K1,1999", "star+edge"]
+    )
+    def test_large_star(self, extra, expected):
+        g = Graph(2000, [(1, v) for v in range(2, 2001)] + extra)
+        assert matching_number(g) == expected
+
 
 class TestForestChecks:
     TRIANGLE = Graph(3, [(1, 2), (1, 3), (2, 3)])
