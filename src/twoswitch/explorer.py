@@ -227,18 +227,46 @@ def _stability_single(kind: str, g: Graph) -> AuditReport:
     return AuditReport(audit="stability", passed=True, kind=kind, checked=checked)
 
 
+def _switch_pairs(cen):
+    """Each switch shape with its inverse, once per unordered pair.
+
+    A shape flips its four slots, so its inverse is the shape with the
+    same slots and the complementary edge pattern: the transpose.  Yields
+    ``(bits, sides)`` for the 3 C(n,4) pairs, where each of the two sides
+    is ``(req, position, matrix)``: the slots the shape needs set, its
+    position in ``_switch_patterns`` order and its matrix.
+    """
+    sides = {}
+    for position, (k1, k2, a1, a2, m) in enumerate(_switch_patterns(cen)):
+        bits = (1 << k1) | (1 << k2) | (1 << a1) | (1 << a2)
+        sides[bits, (1 << k1) | (1 << k2)] = (position, m)
+    for (bits, req), (position, m) in sides.items():
+        inverse = sides[bits, bits ^ req]
+        if position < inverse[0]:
+            yield bits, ((req, position, m), (bits ^ req, *inverse))
+
+
+def _first_true(flags: np.ndarray) -> int | None:
+    first = int(np.argmax(flags))
+    return first if flags.flat[first] else None
+
+
 def stability_sweep(n: int, kinds=parameters.STABLE_KINDS) -> dict[str, AuditReport]:
     """Order-wide stability check for several parameters at once.
 
     Every graph admitting a switch shape has the shape's two edge slots
     set and its two non-edge slots clear, and the switch flips all four.
-    So for each of the 6 C(n,4) shapes the sweep compares two strided
-    views of each stored table (``census.slot_view``), the graphs before
-    and after the switch, in ascending mask order: no index array and no
-    gather.  That is 2^(C(n,2)-4) comparisons per shape and kind, about
-    250 million at n = 7 for all nine kinds, with temporaries of one view
-    at a time.  Every (graph, switch) incidence is compared, and a
-    failing kind reports its lowest-mask bad incidence.
+    The inverse of a switch is the switch flipping the same four slots
+    back, so the 6 C(n,4) shapes form 3 C(n,4) unordered pairs, one per
+    pair of perfect matchings on a 4-set.  For each pair the sweep
+    compares two strided views of each stored table (``census.slot_view``),
+    the graphs on either side, in ascending mask order: no index array and
+    no gather.  That is 2^(C(n,2)-4) comparisons per pair and kind, about
+    124 million at n = 7 for all nine kinds, with temporaries of one view
+    at a time.  ``checked`` counts every (graph, switch) incidence, both
+    directions of each pair.  A failing kind reports its lowest-mask bad
+    incidence; when one graph has several bad switches, the shape first
+    in ``_switch_patterns`` order is named.
     """
     if n > CENSUS_MAX:
         raise CapExceededError(f"order-wide stability audit capped at {CENSUS_MAX}")
@@ -247,32 +275,36 @@ def stability_sweep(n: int, kinds=parameters.STABLE_KINDS) -> dict[str, AuditRep
             raise GraphError(f"unknown parameter kind {kind!r}")
     cen = census(n)
     checked = dict.fromkeys(kinds, 0)
-    worst: dict[str, tuple[int, ActionMatrix]] = {}
-    for k1, k2, a1, a2, m in _switch_patterns(cen):
-        bits = (1 << k1) | (1 << k2) | (1 << a1) | (1 << a2)
-        req = (1 << k1) | (1 << k2)
+    worst: dict[str, tuple[int, int, ActionMatrix]] = {}
+    for bits, sides in _switch_pairs(cen):
+        (req, _, _), (inv_req, _, _) = sides
         for kind in kinds:
             table = cen.tables[kind]
             cur = slot_view(table, bits, req)
-            bad = np.abs(slot_view(table, bits, bits ^ req).astype(np.int16) - cur) > 1
+            after = slot_view(table, bits, inv_req)
+            bad = np.abs(after.astype(np.int16) - cur) > 1
             if kind == "edge_cover":
-                # isolated vertices leave the table undefined; the switch
-                # preserves degrees, so either both sides are defined or
-                # neither is, and only defined incidences count and judge
-                defined = cur < UNDEFINED
+                # isolated vertices leave the table undefined; only an
+                # incidence whose starting graph is defined counts and judges
+                defined, defined_after = cur < UNDEFINED, after < UNDEFINED
                 checked[kind] += int(np.count_nonzero(defined))
-                bad &= defined
+                checked[kind] += int(np.count_nonzero(defined_after))
+                firsts = (_first_true(bad & defined), _first_true(bad & defined_after))
             else:
-                checked[kind] += cur.size
-            first = int(np.argmax(bad))
-            if bad.flat[first]:
-                mask = slot_mask(first, bits, req)
-                if kind not in worst or mask < worst[kind][0]:
-                    worst[kind] = (mask, m)
+                checked[kind] += 2 * cur.size
+                firsts = (_first_true(bad),) * 2
+            # the two views order the free slots alike, so the first bad
+            # element is the lowest bad graph on each side
+            for first, (side_req, position, m) in zip(firsts, sides):
+                if first is None:
+                    continue
+                found = (slot_mask(first, bits, side_req), position, m)
+                if kind not in worst or found[:2] < worst[kind][:2]:
+                    worst[kind] = found
     out = {}
     for kind in kinds:
         if kind in worst:
-            mask, m = worst[kind]
+            mask, _, m = worst[kind]
             out[kind] = AuditReport(
                 audit="stability",
                 passed=False,
@@ -457,6 +489,8 @@ def interval_sweep(n: int, kind: str, family: str = "all") -> SweepReport:
     the lowest set bit clears them all.  ``singletons`` records the
     stronger fact that every family had a single value.  The 'all' family
     reads the table and the ids whole; the others gather their members.
+    A defined edge cover is at most n - 1 <= 6, so undefined entries are
+    marked in bit 7 and that bit is cleared before anything is counted.
     """
     if n > CENSUS_MAX:
         raise CapExceededError(f"interval sweep capped at {CENSUS_MAX}")
@@ -464,16 +498,17 @@ def interval_sweep(n: int, kind: str, family: str = "all") -> SweepReport:
         raise GraphError(f"unknown parameter kind {kind!r}")
     cen = census(n)
     ids, values = cen.degree_id, cen.tables[kind]
-    if family != "all" or kind == "edge_cover":
-        select = _family_selector(cen, family)
-        if kind == "edge_cover":
-            select &= values < UNDEFINED
-        masks = np.flatnonzero(select)
+    if family != "all":
+        masks = np.flatnonzero(_family_selector(cen, family))
         ids, values = ids[masks], values[masks]
+    if kind == "edge_cover":
+        values = np.minimum(values, np.uint8(7))
     n_ids = cen.degree_vectors.size
     marked = np.zeros(n_ids << 3, dtype=bool)
     marked[(ids << 3) | values] = True
     bits = np.packbits(marked, bitorder="little")  # one byte per id
+    if kind == "edge_cover":
+        bits &= np.uint8(0x7F)
     families = int(np.count_nonzero(bits))
     # uint8 arithmetic: the carry out of bit 7 wraps away, as it should
     gaps = np.flatnonzero((bits + (bits & -bits)) & bits)
@@ -535,10 +570,14 @@ def edge_diff_audit(n: int) -> AuditReport:
     For each ordered pair of slots (deleted, added), the graphs with the
     first slot set and the second clear are compared with the graphs after
     the move as two strided views of ``degree_key`` (``census.slot_view``),
-    2^(C(n,2)-2) int64 comparisons per pair and C(n,2)(C(n,2)-1) pairs,
-    about 220 million at n = 7.  Every (graph, move) incidence is compared.
-    A failure reports the lowest-mask graph of the first failing move and
-    ``checked`` counts the incidences up to and including that move.
+    2^(C(n,2)-2) int64 comparisons per move.  The inverse of a move is the
+    move back, which compares the same pairs of graphs; it comes later in
+    the loop, after its twin has passed, so only the C(n,2)(C(n,2)-1)/2
+    moves whose deleted slot is the lower one are compared, about 110
+    million comparisons at n = 7.  ``checked`` counts every (graph, move)
+    incidence.  A failure reports the lowest-mask graph of the first
+    failing move and ``checked`` counts the incidences up to and including
+    that move.
     """
     if n > CENSUS_MAX:
         raise CapExceededError(f"edge-move audit capped at {CENSUS_MAX}")
@@ -547,6 +586,9 @@ def edge_diff_audit(n: int) -> AuditReport:
     for kdel in range(cen.n_slots):
         for kadd in range(cen.n_slots):
             if kadd == kdel:
+                continue
+            if kadd < kdel:  # the move (kadd, kdel) compared these and passed
+                checked += cen.n_masks >> 2
                 continue
             bits = (1 << kdel) | (1 << kadd)
             cur = slot_view(cen.degree_key, bits, 1 << kdel)

@@ -21,6 +21,13 @@ working forest once.  ``oracle_classify`` is the paper's path-shape
 characterisation of t- and f-switches, where the package decides by
 acyclicity before and after the switch.
 
+``oracle_stability_sweep`` and ``oracle_edge_diff_audit`` are the
+order-wide sweeps that compare every ordered switch shape and every
+ordered edge move, where the package compares each shape or move with
+its inverse once.  They share the census, the shape list and the report
+type with the package, and check only that halving the work leaves every
+report unchanged.
+
 The four rooted forest dynamic programs (matching, independence,
 domination, path cover) are the only reference above the reach of the
 general algorithms; the package answers forests with leaves-up greedy
@@ -34,6 +41,8 @@ import itertools
 
 import numpy as np
 
+from twoswitch.census import UNDEFINED, slot_mask, slot_view
+from twoswitch.explorer import AuditReport, _switch_patterns
 from twoswitch.graphs import Graph, NotAForestError
 from twoswitch.switch import ActionMatrix, SwitchKind
 
@@ -661,3 +670,73 @@ ORACLES = {
     "path_cover": oracle_path_cover,
     "vertex_cover": oracle_vertex_cover,
 }
+
+
+# -- order-wide sweeps, every direction --------------------------------------
+
+
+def oracle_stability_sweep(cen, kinds) -> dict[str, AuditReport]:
+    """``stability_sweep`` on ``cen``, comparing each of the 6 C(n,4)
+    ordered switch shapes on its own and keeping the first-listed shape
+    at the lowest bad mask."""
+    checked = dict.fromkeys(kinds, 0)
+    worst: dict[str, tuple[int, ActionMatrix]] = {}
+    for k1, k2, a1, a2, m in _switch_patterns(cen):
+        bits = (1 << k1) | (1 << k2) | (1 << a1) | (1 << a2)
+        req = (1 << k1) | (1 << k2)
+        for kind in kinds:
+            table = cen.tables[kind]
+            cur = slot_view(table, bits, req)
+            bad = np.abs(slot_view(table, bits, bits ^ req).astype(np.int16) - cur) > 1
+            if kind == "edge_cover":
+                defined = cur < UNDEFINED
+                checked[kind] += int(np.count_nonzero(defined))
+                bad &= defined
+            else:
+                checked[kind] += cur.size
+            first = int(np.argmax(bad))
+            if bad.flat[first]:
+                mask = slot_mask(first, bits, req)
+                if kind not in worst or mask < worst[kind][0]:
+                    worst[kind] = (mask, m)
+    out = {}
+    for kind in kinds:
+        if kind in worst:
+            mask, m = worst[kind]
+            out[kind] = AuditReport(
+                audit="stability",
+                passed=False,
+                kind=kind,
+                counterexample=(cen.graph(mask), m),
+                checked=checked[kind],
+                notes="order-wide sweep found a jump of 2 or more",
+            )
+        else:
+            out[kind] = AuditReport(
+                audit="stability", passed=True, kind=kind, checked=checked[kind]
+            )
+    return out
+
+
+def oracle_edge_diff_audit(cen) -> AuditReport:
+    """``edge_diff_audit`` on ``cen``, comparing all C(n,2)(C(n,2)-1)
+    ordered edge moves in turn."""
+    checked = 0
+    for kdel in range(cen.n_slots):
+        for kadd in range(cen.n_slots):
+            if kadd == kdel:
+                continue
+            bits = (1 << kdel) | (1 << kadd)
+            cur = slot_view(cen.degree_key, bits, 1 << kdel)
+            same = cur == slot_view(cen.degree_key, bits, 1 << kadd)
+            checked += cur.size
+            first = int(np.argmax(same))
+            if same.flat[first]:
+                mask = slot_mask(first, bits, 1 << kdel)
+                return AuditReport(
+                    audit="edge_diff",
+                    passed=False,
+                    counterexample=(cen.graph(mask), cen.graph(mask ^ bits)),
+                    checked=checked,
+                )
+    return AuditReport(audit="edge_diff", passed=True, checked=checked)

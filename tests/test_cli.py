@@ -1,5 +1,6 @@
 """The argparse front end, run in-process."""
 
+import hashlib
 import io
 import json
 
@@ -203,6 +204,31 @@ class TestEdgeDiffAudit:
         code, out, _ = invoke(capsys, "edge-diff-audit", "--n", "3", "--json")
         report = json.loads(out)
         assert code == 0 and report["passed"]
+
+
+class TestOrderSevenWireFormat:
+    """The order-7 audit output, byte for byte, as the sweeps that compared
+    every ordered switch shape and edge move printed it."""
+
+    def test_stability_audit(self, capsys):
+        code, out, _ = invoke(capsys, "stability-audit", "--n", "7", "--json")
+        assert code == 0
+        checked = {r["kind"]: r["checked"] for r in json.loads(out)}
+        assert checked == {
+            kind: 26_274_360 if kind == "edge_cover" else 27_525_120
+            for kind in parameters.STABLE_KINDS
+        }
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "86f6e42dbf4f1145845423ec82c606765c8ce2b124c08b58b52bc825511dd1f9"
+        )
+
+    def test_edge_diff_audit(self, capsys):
+        code, out, _ = invoke(capsys, "edge-diff-audit", "--n", "7", "--json")
+        assert code == 0
+        assert json.loads(out)["checked"] == 220_200_960
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "85f710449fd734fa7c21a02a46fd47bb04b7e914c317bbc3cd1a828e52af0003"
+        )
 
 
 class TestBipartiteCheck:

@@ -9,6 +9,7 @@ import pytest
 from conftest import forests
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import oracle_edge_diff_audit, oracle_stability_sweep
 
 import twoswitch.explorer as ex
 from twoswitch import parameters
@@ -245,6 +246,50 @@ class TestStabilityAudit:
     def test_sweep_cap(self):
         with pytest.raises(CapExceededError):
             stability_sweep(8)
+
+
+class TestSweepsMatchTheOrderedOracles:
+    """The sweeps compare each switch shape or edge move with its inverse
+    once; the oracles compare every ordered shape and move on its own."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_unplanted_orders(self, n):
+        cen = census(n)
+        kinds = parameters.STABLE_KINDS
+        assert stability_sweep(n) == oracle_stability_sweep(cen, kinds)
+        assert edge_diff_audit(n) == oracle_edge_diff_audit(cen)
+
+    @pytest.mark.parametrize("seed", range(64))
+    def test_planted_tables(self, monkeypatch, seed):
+        # jumps of two at up to 40 masks per kind, so that some graphs have
+        # several bad switches and the tie-break names one of them; edge
+        # cover plants land on undefined masks too, where 99 - 2 reads as
+        # defined on one side of a switch only
+        rng = random.Random(seed)
+        cen = copy.copy(census(5))
+        tables = dict(cen.tables)
+        for kind in ("matching", "domination", "edge_cover", "chromatic"):
+            table = tables[kind].copy()
+            for k in rng.sample(range(cen.n_masks), rng.randint(1, 40)):
+                up = table[k] < 2 or rng.random() < 0.5
+                table[k] = table[k] + 2 if up else table[k] - 2
+            tables[kind] = table
+        cen.tables = tables
+        key = cen.degree_key.copy()
+        for _ in range(rng.randint(1, 5)):
+            mask = rng.randrange(1, cen.full_mask)
+            kdel = rng.choice([k for k in range(cen.n_slots) if mask >> k & 1])
+            kadd = rng.choice([k for k in range(cen.n_slots) if not mask >> k & 1])
+            key[mask ^ (1 << kdel) ^ (1 << kadd)] = key[mask]
+        cen.degree_key = key
+        monkeypatch.setattr(ex, "census", lambda n: cen)
+
+        reports = stability_sweep(5)
+        assert not all(r.passed for r in reports.values())
+        assert reports == oracle_stability_sweep(cen, parameters.STABLE_KINDS)
+        report = edge_diff_audit(5)
+        assert not report.passed
+        assert report == oracle_edge_diff_audit(cen)
 
 
 class TestIntervalAudit:
