@@ -26,7 +26,7 @@ from twoswitch.explorer import (
     stability_sweep,
 )
 from twoswitch.graphs import Graph
-from twoswitch.parameters import adjacency_rank, forest_matching_number
+from twoswitch.parameters import adjacency_rank, compute
 from twoswitch.switch import SwitchKind, apply_switch, classify, nontrivial_matrices
 
 INTERVAL_FAMILIES = ("all", "forest", "tree", "unicyclic", "bipartite")
@@ -39,7 +39,7 @@ def audit_rank_steps_order_8() -> bool:
     t0 = time.time()
     for edges in enumerate_forests(8):
         g = Graph(8, edges)
-        mu = forest_matching_number(g)
+        mu = compute("matching", g)
         if adjacency_rank(g) != 2 * mu:
             print(f"  rank identity FAILS on {edges}")
             return False
@@ -48,7 +48,7 @@ def audit_rank_steps_order_8() -> bool:
             if classify(m, g) not in kinds:
                 continue
             steps += 1
-            if abs(forest_matching_number(apply_switch(m, g)) - mu) > 1:
+            if abs(compute("matching", apply_switch(m, g)) - mu) > 1:
                 print(f"  matching step FAILS on {edges} under {m}")
                 return False
         if forests % 100000 == 0:

@@ -160,7 +160,7 @@ def _cmd_interval(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     seq = _parse_sequence(args.sequence)
-    members = explorer.family_members(seq, family=args.family)
+    members = list(explorer.enumerate_family(seq, family=args.family))
     if args.json:
         payload = {
             "count": len(members),

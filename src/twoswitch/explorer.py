@@ -100,10 +100,6 @@ def enumerate_family(seq, family: str = "all"):
     yield from rec([])
 
 
-def family_members(seq, family: str = "all") -> list[Graph]:
-    return list(enumerate_family(seq, family))
-
-
 # -- reports --------------------------------------------------------------------
 
 
@@ -185,42 +181,29 @@ def _family_selector(cen, family: str) -> np.ndarray:
 # -- stability audit --------------------------------------------------------------
 
 
-def stability_audit(
-    kind: str, graph: Graph | None = None, n: int | None = None
-) -> AuditReport:
-    """Check |kind(tau(G)) - kind(G)| <= 1 for every non-trivial switch.
-
-    Pass a single ``graph`` to audit just its switches, or an order ``n``
-    (at most the census cap) to sweep every graph of that order.
-    """
+def stability_audit(kind: str, graph: Graph) -> AuditReport:
+    """Check |kind(tau(G)) - kind(G)| <= 1 for every non-trivial switch
+    tau of one ``graph``.  ``stability_sweep`` checks a whole order."""
     if kind not in parameters.STABLE_KINDS:
         raise GraphError(f"unknown parameter kind {kind!r}")
-    if (graph is None) == (n is None):
-        raise GraphError("give exactly one of graph or n")
-    if graph is not None:
-        return _stability_single(kind, graph)
-    return stability_sweep(n, kinds=(kind,))[kind]
-
-
-def _stability_single(kind: str, g: Graph) -> AuditReport:
-    if kind == "edge_cover" and any(d == 0 for d in degree_sequence(g)):
+    if kind == "edge_cover" and any(d == 0 for d in degree_sequence(graph)):
         return AuditReport(
             audit="stability",
             passed=True,
             kind=kind,
             notes="edge_cover undefined: graph has isolated vertices",
         )
-    base = parameters.compute(kind, g)
+    base = parameters.compute(kind, graph)
     checked = 0
-    for m in nontrivial_matrices(g):
+    for m in nontrivial_matrices(graph):
         checked += 1
-        value = parameters.compute(kind, apply_switch(m, g))
+        value = parameters.compute(kind, apply_switch(m, graph))
         if abs(value - base) > 1:
             return AuditReport(
                 audit="stability",
                 passed=False,
                 kind=kind,
-                counterexample=(g, m),
+                counterexample=(graph, m),
                 checked=checked,
                 notes=f"{kind} jumped from {base} to {value}",
             )
@@ -325,11 +308,7 @@ def stability_sweep(n: int, kinds=parameters.STABLE_KINDS) -> dict[str, AuditRep
 
 def _interval_eval(args):
     kind, n, edge_lists = args
-    out = []
-    for edges in edge_lists:
-        g = Graph(n, edges)
-        out.append((parameters.compute(kind, g), tuple(sorted(g.edges))))
-    return out
+    return [parameters.compute(kind, Graph(n, edges)) for edges in edge_lists]
 
 
 def interval_audit(
@@ -340,15 +319,21 @@ def interval_audit(
 ) -> AuditReport:
     """Do the family's values of ``kind`` form a full integer interval?
 
-    Witnesses map every observed value to the first graph attaining it
-    in a fixed scan order (ascending edge bitmask up to the census cap,
-    sorted edge lists beyond).  Report content does not depend on
-    ``workers``, which is capped at the member and CPU counts.
+    Each observed value's witness is the first family member attaining
+    it in a fixed scan order: ascending edge bitmask up to the census
+    cap, ``enumerate_family`` order (ascending sorted edge lists) beyond.
+    Above the cap ``workers`` (at least 1, and capped at the member and
+    CPU counts) processes evaluate contiguous runs of members; the report
+    does not depend on it.
     """
     seq = tuple(int(d) for d in seq)
     n = len(seq)
     if kind not in parameters.STABLE_KINDS:
         raise GraphError(f"unknown parameter kind {kind!r}")
+    if family not in FAMILY_PREDICATES:
+        raise GraphError(f"unknown family {family!r}")
+    if workers < 1:
+        raise GraphError(f"worker count must be at least 1, got {workers}")
     if not is_graphical(seq):
         return AuditReport(
             audit="interval",
@@ -369,8 +354,8 @@ def interval_audit(
             interval_ok=None,
             notes="edge_cover undefined: sequence has isolated vertices",
         )
+    value_of = {}
     if n <= CENSUS_MAX:
-        value_of = {}
         cen = census(n)
         key = cen.key_of_sequence(seq)
         select = (cen.degree_key == key) & _family_selector(cen, family)
@@ -382,27 +367,21 @@ def interval_audit(
                 value_of[v] = cen.graph(int(mask))
         checked = int(masks.size)
     else:
-        members = family_members(seq, family)
+        members = list(enumerate_family(seq, family))
         checked = len(members)
-        pairs = []
         pool_size = min(workers, len(members), os.cpu_count() or 1)
         if pool_size > 1:
-            groups = [
-                [list(map(list, g.sorted_edges())) for g in members[i::pool_size]]
-                for i in range(pool_size)
+            step = -(-len(members) // pool_size)
+            runs = [
+                (kind, n, [g.sorted_edges() for g in members[i : i + step]])
+                for i in range(0, len(members), step)
             ]
             with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                for chunk in pool.map(
-                    _interval_eval, [(kind, n, grp) for grp in groups]
-                ):
-                    pairs.extend(chunk)
+                computed = [v for run in pool.map(_interval_eval, runs) for v in run]
         else:
-            for g in members:
-                pairs.append((parameters.compute(kind, g), tuple(sorted(g.edges))))
-        value_of = {}
-        for v, edges in sorted(pairs, key=lambda p: (p[0], p[1])):
-            if v not in value_of:
-                value_of[v] = Graph(n, edges)
+            computed = [parameters.compute(kind, g) for g in members]
+        for v, g in zip(computed, members):
+            value_of.setdefault(v, g)
     values = tuple(sorted(value_of))
     if not values:
         return AuditReport(

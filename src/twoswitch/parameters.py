@@ -41,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import graphs
-from .graphs import CapExceededError, Graph, GraphError, NotAForestError
+from .graphs import CapExceededError, Graph, GraphError
 
 
 class IsolatedVertexError(GraphError):
@@ -394,13 +394,6 @@ def components_count(g: Graph) -> int:
 # -- forests -----------------------------------------------------------------
 
 
-def _forest(g: Graph) -> Graph:
-    """``g``, checked for cycles, which ``compute`` has already done."""
-    if not graphs.is_forest(g):
-        raise NotAForestError("forest routine called on a graph with a cycle")
-    return g
-
-
 def _capped_links(g: Graph, cap: int) -> int:
     """Edges of a largest subgraph of the forest ``g`` with maximum degree
     ``cap``.
@@ -449,38 +442,6 @@ def _dominating(g: Graph) -> int:
         chosen[p] = covered[p] = covered[parent[p]] = True
         size += 1
     return size
-
-
-def forest_matching_number(g: Graph) -> int:
-    """Maximum matching of a forest: the greedy leaves-up matching."""
-    return _forest_matching(_forest(g))
-
-
-def forest_independence_number(g: Graph) -> int:
-    """n - matching: forests are bipartite, so König's theorem applies."""
-    return g.n - forest_matching_number(g)
-
-
-def forest_path_cover_number(g: Graph) -> int:
-    """n - the edges of a largest subgraph of maximum degree 2, which in
-    a forest is a set of disjoint paths."""
-    return g.n - _capped_links(_forest(g), 2)
-
-
-def forest_domination_number(g: Graph) -> int:
-    """Smallest dominating set of a forest, by the leaves-up greedy."""
-    return _dominating(_forest(g))
-
-
-def forest_rank_nullity(g: Graph) -> tuple[int, int]:
-    """(rank, nullity) of the adjacency matrix of a forest.
-
-    For forests the rank is exactly twice the matching number, so this
-    stays integer arithmetic end to end; ``adjacency_rank`` offers the
-    direct elimination for cross-checking.
-    """
-    rank = 2 * forest_matching_number(g)
-    return rank, g.n - rank
 
 
 def adjacency_rank(g: Graph) -> int:
@@ -534,8 +495,8 @@ def _two_with_an_edge(g: Graph) -> int:
 
 
 # forests are bipartite: König gives vertex cover = matching, Gallai the rest,
-# and chromatic and clique are 2 with an edge; ``compute`` has ruled out a
-# cycle, so these take the unchecked passes
+# and chromatic and clique are 2 with an edge; only ``compute`` calls these,
+# after it has ruled out a cycle
 _FOREST = {
     "matching": _forest_matching,
     "independence": lambda g: g.n - _forest_matching(g),

@@ -26,7 +26,10 @@ order-wide sweeps that compare every ordered switch shape and every
 ordered edge move, where the package compares each shape or move with
 its inverse once.  They share the census, the shape list and the report
 type with the package, and check only that halving the work leaves every
-report unchanged.
+report unchanged.  ``oracle_interval_witnesses`` picks the interval
+witnesses above the census cap by sorting (value, sorted edge list)
+pairs, where the package takes the first member with each value in
+enumeration order.
 
 The four rooted forest dynamic programs (matching, independence,
 domination, path cover) are the only reference above the reach of the
@@ -42,8 +45,9 @@ import itertools
 import numpy as np
 
 from twoswitch.census import UNDEFINED, slot_mask, slot_view
-from twoswitch.explorer import AuditReport, _switch_patterns
+from twoswitch.explorer import AuditReport, _switch_patterns, enumerate_family
 from twoswitch.graphs import Graph, NotAForestError
+from twoswitch.parameters import compute
 from twoswitch.switch import ActionMatrix, SwitchKind
 
 
@@ -740,3 +744,19 @@ def oracle_edge_diff_audit(cen) -> AuditReport:
                     checked=checked,
                 )
     return AuditReport(audit="edge_diff", passed=True, checked=checked)
+
+
+# -- interval witnesses, by sorting ------------------------------------------
+
+
+def oracle_interval_witnesses(seq, kind: str, family: str) -> dict[int, Graph]:
+    """Each value of ``kind`` over the family, mapped to the member with
+    the least sorted edge list among those attaining it."""
+    pairs = sorted(
+        (compute(kind, g), g.sorted_edges()) for g in enumerate_family(seq, family)
+    )
+    witnesses: dict[int, Graph] = {}
+    for value, edges in pairs:
+        if value not in witnesses:
+            witnesses[value] = Graph(len(seq), edges)
+    return witnesses

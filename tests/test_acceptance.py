@@ -31,7 +31,7 @@ from twoswitch.explorer import (
     stability_sweep,
 )
 from twoswitch.graphs import Graph, degree_sequence, is_forest, is_graphical, is_tree
-from twoswitch.parameters import adjacency_rank, forest_matching_number
+from twoswitch.parameters import adjacency_rank
 from twoswitch.switch import (
     ActionMatrix,
     SwitchKind,
@@ -272,7 +272,7 @@ def test_08_identities_and_rank():
         for edges in enumerate_forests(n):
             g = Graph(n, edges)
             rank_checked += 1
-            if adjacency_rank(g) != 2 * forest_matching_number(g):
+            if adjacency_rank(g) != 2 * parameters.compute("matching", g):
                 bad.append(("rank", n, edges))
     # rank steps under forest-preserving switches: direct to order 6;
     # at order 7 the identity above plus the order-7 stability sweep

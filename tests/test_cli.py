@@ -170,6 +170,14 @@ class TestIntervalAudit:
         code, _, err = invoke(capsys, "interval-audit", "--sequence", "two,two", "--kind", "matching")
         assert code == 2 and "error:" in err
 
+    def test_zero_workers_is_usage_error(self, capsys):
+        code, out, err = invoke(
+            capsys, "interval-audit", "--sequence", "2,2,2,2,2,2,2,2",
+            "--kind", "matching", "--workers", "0",
+        )
+        assert code == 2
+        assert out == "" and "at least 1" in err
+
 
 class TestEnumerate:
     def test_plain_count(self, capsys):
@@ -237,6 +245,20 @@ class TestBipartiteCheck:
         assert code == 0
         assert "passed=true" in out
         assert "closure.complete=true" in out
+
+    def test_json_closes_the_component(self, capsys):
+        code, out, _ = invoke(capsys, "bipartite-check", "--json")
+        report = json.loads(out)
+        assert code == 0 and report["passed"]
+        assert report["closure"] == {
+            "complete": True,
+            "explored": 232,
+            "frontier": 0,
+            "reached_target": False,
+        }
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0580ce60555de8691cb77b4a14ea886ecb4d2fb4250b0facf6a467b375050397"
+        )
 
     def test_skip_closure(self, capsys):
         code, out, _ = invoke(capsys, "bipartite-check", "--closure-budget", "0")

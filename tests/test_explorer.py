@@ -9,12 +9,17 @@ import pytest
 from conftest import forests
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_edge_diff_audit, oracle_stability_sweep
+from oracles import (
+    oracle_edge_diff_audit,
+    oracle_interval_witnesses,
+    oracle_stability_sweep,
+)
 
 import twoswitch.explorer as ex
 from twoswitch import parameters
 from twoswitch.census import UNDEFINED, census, slot_mask, slot_view
 from twoswitch.explorer import (
+    AuditReport,
     CapExceededError,
     ValueOutOfRangeError,
     are_isomorphic,
@@ -24,7 +29,6 @@ from twoswitch.explorer import (
     enumerate_family,
     enumerate_forests,
     explore,
-    family_members,
     interval_audit,
     interval_sweep,
     realize_parameter_value,
@@ -43,6 +47,29 @@ from twoswitch.switch import apply_switch, nontrivial_matrices
 from twoswitch.transition import SwitchTrace, replay, validate_trace
 
 FAMILIES = ("all", "forest", "tree", "unicyclic", "bipartite")
+
+
+def _shuffled(seq, seed=0):
+    seq = list(seq)
+    random.Random(seed).shuffle(seq)
+    return tuple(seq)
+
+
+# families above the census cap, with the kinds audited on them: the
+# interval cases of the benchmark's family_search workload, each also
+# relabelled as that workload relabels them, and the 2-regular order-8
+# families
+_FAMILY_SEARCH = [
+    ((4, 2, 2, 2, 1, 1, 1, 1), "tree", parameters.STABLE_KINDS),
+    ((3, 3, 2, 2, 2, 1, 1, 1, 1), "tree", ("path_cover", "domination")),
+    ((3, 3, 2, 2, 2, 2, 1, 1), "all", ("matching", "chromatic")),
+]
+ABOVE_CAP = [
+    *_FAMILY_SEARCH,
+    *((_shuffled(seq), family, kinds) for seq, family, kinds in _FAMILY_SEARCH),
+    ((2,) * 8, "all", ("matching",)),
+    ((2,) * 8, "unicyclic", ("matching",)),
+]
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,28 +106,35 @@ def _reference_sweep(cen, kind: str, family: str) -> dict:
 
 class TestEnumerateFamily:
     def test_non_graphical_yields_nothing(self):
-        assert family_members((3, 1)) == []
-        assert family_members((5, 1, 1, 1, 1)) == []
+        assert list(enumerate_family((3, 1))) == []
+        assert list(enumerate_family((5, 1, 1, 1, 1))) == []
 
     def test_unknown_family(self):
         with pytest.raises(GraphError):
-            family_members((1, 1), "chordal")
+            list(enumerate_family((1, 1), "chordal"))
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            family_members((1,) * 10)
+            list(enumerate_family((1,) * 10))
 
     def test_two_regular_on_five(self):
-        members = family_members((2, 2, 2, 2, 2))
+        members = list(enumerate_family((2, 2, 2, 2, 2)))
         assert len(members) == 12  # labeled 5-cycles
         assert all(degree_sequence(g) == (2, 2, 2, 2, 2) for g in members)
-        assert family_members((2, 2, 2, 2, 2), "forest") == []
+        assert list(enumerate_family((2, 2, 2, 2, 2), "forest")) == []
 
     def test_deterministic_and_duplicate_free(self):
-        a = family_members((1, 1, 2, 2, 2))
-        b = family_members((1, 1, 2, 2, 2))
+        a = list(enumerate_family((1, 1, 2, 2, 2)))
+        b = list(enumerate_family((1, 1, 2, 2, 2)))
         assert a == b
         assert len(set(a)) == len(a) == 7
+
+    @pytest.mark.parametrize("seq,family,kinds", ABOVE_CAP)
+    def test_ascending_sorted_edge_lists(self, seq, family, kinds):
+        # interval_audit takes the first member with each value as its
+        # witness, relying on this order
+        edges = [g.sorted_edges() for g in enumerate_family(seq, family)]
+        assert edges and all(a < b for a, b in zip(edges, edges[1:]))
 
     @pytest.mark.parametrize("family", ["all", "forest", "tree", "unicyclic", "bipartite"])
     def test_counts_match_census_order_five(self, family):
@@ -113,7 +147,7 @@ class TestEnumerateFamily:
             seen[int(cen.degree_key[mask])] = seen.get(int(cen.degree_key[mask]), 0) + 1
         for seq in [(2, 2, 2, 2, 2), (1, 1, 2, 2, 2), (3, 3, 2, 2, 2), (1, 1, 1, 1, 0)]:
             key = cen.key_of_sequence(seq)
-            assert len(family_members(seq, family)) == seen.get(key, 0)
+            assert len(list(enumerate_family(seq, family))) == seen.get(key, 0)
 
 
 class TestEnumerateForests:
@@ -155,15 +189,9 @@ class TestSlotView:
 
 
 class TestStabilityAudit:
-    def test_needs_exactly_one_target(self):
-        with pytest.raises(GraphError):
-            stability_audit("matching")
-        with pytest.raises(GraphError):
-            stability_audit("matching", graph=Graph(2), n=2)
-
     def test_unknown_kind(self):
         with pytest.raises(GraphError):
-            stability_audit("girth", n=3)
+            stability_audit("girth", Graph(3))
 
     def test_single_graph(self, fig1_graphs):
         g0, _, _ = fig1_graphs
@@ -174,11 +202,6 @@ class TestStabilityAudit:
         report = stability_audit("edge_cover", graph=Graph(3, [(1, 2)]))
         assert report.passed
         assert "isolated" in report.notes
-
-    def test_order_mode_matches_sweep(self):
-        single = stability_audit("independence", n=4)
-        swept = stability_sweep(4, kinds=("independence",))["independence"]
-        assert single == swept
 
     def test_sweep_all_kinds_order_four(self):
         reports = stability_sweep(4)
@@ -357,12 +380,48 @@ class TestIntervalAudit:
         assert sizes == [3]
         assert many == interval_audit((2,) * 8, "matching", "all")
 
+    @pytest.mark.parametrize("seq,family,kinds", ABOVE_CAP)
+    def test_enumeration_path_matches_the_sorting_oracle(self, seq, family, kinds):
+        checked = len(list(enumerate_family(seq, family)))
+        for kind in kinds:
+            witnesses = oracle_interval_witnesses(seq, kind, family)
+            values = tuple(sorted(witnesses))
+            ok = values == tuple(range(values[0], values[-1] + 1))
+            expected = AuditReport(
+                audit="interval",
+                passed=ok,
+                kind=kind,
+                family=family,
+                sequence=seq,
+                values=values,
+                interval_ok=ok,
+                witnesses=witnesses,
+                checked=checked,
+            )
+            for workers in (1, 2):
+                assert interval_audit(seq, kind, family, workers=workers) == expected
+
+    @pytest.mark.parametrize(
+        "seq,kind", [((3, 1), "matching"), ((0, 0), "edge_cover"), ((2,) * 8, "matching")]
+    )
+    def test_unknown_family_is_rejected_on_every_path(self, seq, kind):
+        # a non-graphical vector and an isolated vertex under edge cover
+        # return early; order 8 reaches the enumerator
+        with pytest.raises(GraphError, match="unknown family"):
+            interval_audit(seq, kind, "chordal")
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_are_rejected(self, workers):
+        for seq in ((2,) * 8, (2, 2, 2), (3, 1)):
+            with pytest.raises(GraphError, match="at least 1"):
+                interval_audit(seq, "matching", "all", workers=workers)
+
     def test_census_path_agrees_with_direct_scan(self):
         seq, kind = (2, 2, 2, 2, 2, 2), "independence"
         report = interval_audit(seq, kind, "all")
-        direct = sorted({parameters.compute(kind, g) for g in family_members(seq)})
+        direct = sorted({parameters.compute(kind, g) for g in enumerate_family(seq)})
         assert list(report.values) == direct
-        assert report.checked == len(family_members(seq))
+        assert report.checked == len(list(enumerate_family(seq)))
 
 
 class TestIntervalSweep:
@@ -593,7 +652,7 @@ class TestExplore:
         assert reach.frontier == len(reach.parents) - 7
 
     def test_whole_component_without_goal(self):
-        members = family_members((2, 2, 2, 2, 2))
+        members = list(enumerate_family((2, 2, 2, 2, 2)))
         reach = explore(members[0], lambda g: True, max_states=len(members))
         assert reach.complete and not reach.found
         assert reach.frontier == 0
@@ -609,7 +668,7 @@ class TestExplore:
         ],
     )
     def test_every_route_replays_inside_keep(self, seq, keep):
-        members = family_members(seq)
+        members = list(enumerate_family(seq))
         start = next(g for g in members if keep(g))
         reach = explore(start, keep, max_states=len(members))
         assert reach.complete and len(reach.parents) > 1
@@ -620,7 +679,7 @@ class TestExplore:
             assert all(keep(x) for x in walk)
 
     def test_goal_search_stops_at_the_goal(self):
-        members = family_members((3, 2, 2, 1, 1, 1), "forest")
+        members = list(enumerate_family((3, 2, 2, 1, 1, 1), "forest"))
         full = explore(members[0], is_forest, max_states=len(members))
         for goal in members[1:]:
             reach = explore(members[0], is_forest, goal=goal, max_states=len(members))
@@ -632,7 +691,7 @@ class TestExplore:
     def test_keep_is_asked_only_about_unseen_states(self):
         # a rejected state may be met and asked about again; an accepted
         # one is seen from then on and never asked about twice
-        members = family_members((2, 2, 2, 2, 1, 1))
+        members = list(enumerate_family((2, 2, 2, 2, 1, 1)))
         asked = []
 
         def keep(g):
@@ -717,7 +776,7 @@ class TestConstrainedSearch:
 
         seen_any = False
         for seq in [(2, 2, 2, 2, 2), (2, 2, 2, 1, 1), (3, 2, 2, 2, 1), (2, 2, 2, 2, 0)]:
-            members = family_members(seq, "unicyclic")
+            members = list(enumerate_family(seq, "unicyclic"))
             for g in members[1:]:
                 res = constrained_transition_search(members[0], g, "unicyclic")
                 assert res.found

@@ -21,7 +21,6 @@ from twoswitch.census import UNDEFINED, census
 from twoswitch.graphs import (
     CapExceededError,
     Graph,
-    NotAForestError,
     degree_sequence,
     is_forest,
 )
@@ -34,7 +33,6 @@ from twoswitch.parameters import (
     compute,
     domination_number,
     edge_cover_number,
-    forest_rank_nullity,
     independence_number,
     matching_number,
     path_cover_number,
@@ -61,7 +59,7 @@ class TestBundledValues:
         assert edge_cover_number(g0) == 4  # 7 - 3
         assert chromatic_number(g0) == 2
         assert clique_number(g0) == 2
-        assert forest_rank_nullity(g0) == (6, 1)
+        assert adjacency_rank(g0) == 6
 
     def test_unicyclic_intermediate(self, fig1_graphs):
         _, g1, _ = fig1_graphs
@@ -75,7 +73,7 @@ class TestBundledValues:
         assert domination_number(STAR5) == 1
         assert path_cover_number(P5) == 1
         assert edge_cover_number(PM4) == 2
-        assert forest_rank_nullity(PM6) == (6, 0)
+        assert adjacency_rank(PM6) == 6
 
     def test_empty_graphs(self):
         assert matching_number(Graph(0)) == 0
@@ -87,7 +85,7 @@ class TestBundledValues:
         assert chromatic_number(Graph(2)) == 1
         assert clique_number(Graph(2)) == 1
         assert chromatic_number(Graph(0)) == 0
-        assert forest_rank_nullity(Graph(3)) == (0, 3)
+        assert adjacency_rank(Graph(3)) == 0
 
     def test_isolated_vertex_guard(self):
         with pytest.raises(IsolatedVertexError):
@@ -139,7 +137,7 @@ class TestAgainstOracles:
 
 class TestForestRoutines:
     """The forest route of ``compute`` must agree with the general
-    algorithms, and the public forest functions with ``compute``."""
+    algorithms."""
 
     ROUTED = {
         "matching": matching_number,
@@ -151,12 +149,6 @@ class TestForestRoutines:
         "chromatic": chromatic_number,
         "clique": clique_number,
     }
-    PUBLIC = [
-        ("matching", parameters.forest_matching_number),
-        ("independence", parameters.forest_independence_number),
-        ("domination", parameters.forest_domination_number),
-        ("path_cover", parameters.forest_path_cover_number),
-    ]
 
     def _agrees_with_general(self, f):
         for kind, general in self.ROUTED.items():
@@ -177,11 +169,6 @@ class TestForestRoutines:
     @settings(max_examples=80, deadline=None)
     def test_random_larger_forests(self, f):
         self._agrees_with_general(f)
-
-    @given(forests(max_n=12))
-    def test_compute_routes_to_same_value(self, f):
-        for kind, fast in self.PUBLIC:
-            assert compute(kind, f) == fast(f)
 
     def test_order_seven_census(self):
         cen = census(7)
@@ -261,7 +248,7 @@ class TestPathCoverLargeOrders:
     def test_random_forests_match_the_tree_dp(self, n, seed):
         f = _random_forest(random.Random(seed), n)
         assert path_cover_number(f) == FOREST_ORACLES["path_cover"](f)
-        assert path_cover_number(f) == parameters.forest_path_cover_number(f)
+        assert path_cover_number(f) == compute("path_cover", f)
 
     @pytest.mark.parametrize(
         "g,expected",
@@ -397,7 +384,6 @@ class TestBlossomMatching:
 
 class TestForestChecks:
     TRIANGLE = Graph(3, [(1, 2), (1, 3), (2, 3)])
-    EDGE_AND_SQUARE = Graph(6, [(1, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
 
     def test_one_forest_check_per_compute(self, monkeypatch):
         calls = []
@@ -411,21 +397,6 @@ class TestForestChecks:
             calls.clear()
             compute("matching", g)
             assert len(calls) == 1
-
-    @pytest.mark.parametrize(
-        "fn",
-        [
-            parameters.forest_matching_number,
-            parameters.forest_independence_number,
-            parameters.forest_domination_number,
-            parameters.forest_path_cover_number,
-            forest_rank_nullity,
-        ],
-    )
-    def test_forest_routines_reject_cycles(self, fn):
-        for g in (self.TRIANGLE, self.EDGE_AND_SQUARE):
-            with pytest.raises(NotAForestError):
-                fn(g)
 
 
 class TestMemoRelease:
@@ -464,10 +435,7 @@ class TestRank:
     @given(forests(max_n=10))
     @settings(max_examples=80, deadline=None)
     def test_forest_rank_is_twice_matching(self, f):
-        rank, nullity = forest_rank_nullity(f)
-        assert rank == 2 * matching_number(f)
-        assert rank + nullity == f.n
-        assert adjacency_rank(f) == rank
+        assert adjacency_rank(f) == 2 * compute("matching", f) == 2 * matching_number(f)
 
     def test_triangle_rank(self):
         # odd cycles are full rank, showing rank != 2*matching in general

@@ -403,10 +403,10 @@ class TestTransitionGraph:
             transition_graph(Graph(3, [(1, 2)]), Graph(3, [(1, 2), (2, 3)]))
 
     def test_small_same_vector_pairs(self):
-        from twoswitch.explorer import family_members
+        from twoswitch.explorer import enumerate_family
 
         for seq in [(2, 2, 2, 2), (2, 2, 1, 1), (3, 2, 2, 2, 1), (2, 2, 2, 1, 1)]:
-            members = family_members(seq)
+            members = list(enumerate_family(seq))
             for f in members:
                 for g in members:
                     trace = transition_graph(f, g)
