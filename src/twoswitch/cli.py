@@ -123,10 +123,10 @@ def _cmd_params(args) -> int:
 def _cmd_stability(args) -> int:
     kinds = parameters.STABLE_KINDS if args.kind == "all" else (args.kind,)
     if args.graph:
-        graph = _load_graph(args.graph)
-        reports = [explorer.stability_audit(k, graph=graph) for k in kinds]
+        reports = explorer.stability_audit(_load_graph(args.graph), kinds)
     else:
-        reports = list(explorer.stability_sweep(args.n, kinds).values())
+        reports = explorer.stability_sweep(args.n, kinds)
+    reports = list(reports.values())
     if args.json:
         print(json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True))
     else:

@@ -387,10 +387,6 @@ def _colour_from(
     return False
 
 
-def components_count(g: Graph) -> int:
-    return graphs.kappa(g)
-
-
 # -- forests -----------------------------------------------------------------
 
 
@@ -486,7 +482,7 @@ _GENERAL = {
     "vertex_cover": vertex_cover_number,
     "chromatic": chromatic_number,
     "clique": clique_number,
-    "components": components_count,
+    "components": graphs.kappa,
 }
 
 

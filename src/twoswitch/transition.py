@@ -6,7 +6,8 @@ finished parts of the problem drop out; recorded switches always act on
 original labels even though the working copies shrink.  A leaf-fixing
 step costs one ``graphs.depth_first`` rooting of the working forest and
 one scan, O(n) when degrees are bounded, so a route costs O(n^2) outside
-the plateau fallback, which is still an unbounded search.
+the plateau fallback, which is still an unbounded ``explorer.explore``
+through forests.
 The general route rewires both graphs to a shared canonical form and
 glues the two halves, inverting one of them.  Both finished routes, and
 any trace given to ``validate_trace``, are checked by one replay on a
@@ -17,7 +18,7 @@ their ``kinds`` come from that replay by the rule ``classify`` uses.
 from __future__ import annotations
 
 import json
-from collections import deque
+import sys
 from dataclasses import dataclass, field
 
 from .graphs import (
@@ -34,6 +35,7 @@ from .switch import (
     SwitchKind,
     apply_switch,
     is_interchangeable,
+    nontrivial_matrices,
     rewired_kind,
 )
 
@@ -392,104 +394,42 @@ def _finishing_switch(red: set[tuple[int, int]], blue: set[tuple[int, int]]) -> 
     return ActionMatrix(a, b, c, d)
 
 
-def _forest_switches(edges: set[tuple[int, int]]):
-    """All valid forest-preserving switches on the given edge set.
-
-    Yields (matrix, resulting edge set) in a fixed order: edge pairs
-    lexicographically, straight pairing before crossed.
-    """
-
-    def acyclic(es) -> bool:
-        parent = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in es:
-            parent.setdefault(u, u)
-            parent.setdefault(v, v)
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
-
-    def norm(u, v):
-        return (u, v) if u < v else (v, u)
-
-    ordered = sorted(edges)
-    for i, (a, b) in enumerate(ordered):
-        for c, d in ordered[i + 1 :]:
-            if len({a, b, c, d}) < 4:
-                continue
-            for x, y in ((c, d), (d, c)):
-                ax, by = norm(a, x), norm(b, y)
-                if ax in edges or by in edges:
-                    continue
-                result = edges - {(a, b), (c, d)} | {ax, by}
-                if acyclic(result):
-                    yield ActionMatrix(a, b, x, y), result
-
-
-def _scan_gaining_switch(
-    adj2: dict[int, set[int]], edges: set[tuple[int, int]]
-) -> ActionMatrix | None:
+def _scan_gaining_switch(adj2: dict[int, set[int]], working: Graph) -> ActionMatrix | None:
     """Best forest-preserving switch by shared-edge gain, or None if the
     best available gain is not positive.
 
-    Tries every pairing of two disjoint working edges.  Quadratic in the
-    edge count and only called when no leaf-fixing switch gains.
+    Walks the switches of the working forest in ``nontrivial_matrices``
+    order and keeps the first forest-preserving one of the highest gain;
+    only a candidate that would replace the current best is tested for
+    acyclicity.  Quadratic in the edge count and only called when no
+    leaf-fixing switch gains.
     """
-    best: tuple[int, ActionMatrix] | None = None
-    for m, _ in _forest_switches(edges):
+    best_gain, best = 0, None
+    for m in nontrivial_matrices(working):
         a, b, x, y = m.labels()
-        gain = (
-            (x in adj2[a])
-            + (y in adj2[b])
-            - (b in adj2[a])
-            - (y in adj2[x])
-        )
-        if best is None or gain > best[0]:
-            best = (gain, m)
+        gain = (x in adj2[a]) + (y in adj2[b]) - (b in adj2[a]) - (y in adj2[x])
+        if gain > best_gain and _acyclic(
+            working.n,
+            working.edges - {(a, b), _norm(x, y)} | {_norm(a, x), _norm(b, y)},
+        ):
+            best_gain, best = gain, m
             if gain == 2:
                 break
-    if best is None or best[0] < 1:
-        return None
-    return best[1]
+    return best
 
 
-def _search_completion(
-    edges: set[tuple[int, int]], goal: set[tuple[int, int]]
-) -> list[ActionMatrix]:
-    """Shortest forest-preserving route between two working edge sets.
+def _search_completion(start: Graph, goal: Graph) -> tuple[ActionMatrix, ...]:
+    """Shortest forest-preserving route between two working forests.
 
-    Plain breadth-first search; only reached from plateau states where
-    no single switch grows the shared edge set, which are rare and leave
-    few edges in play.
+    An unbounded ``explore`` through forests; only reached from plateau
+    states where no single switch grows the shared edge set.
     """
-    start = frozenset(edges)
-    target = frozenset(goal)
-    parents: dict[frozenset, tuple | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        if cur == target:
-            out = []
-            while parents[cur] is not None:
-                prev, m = parents[cur]
-                out.append(m)
-                cur = prev
-            out.reverse()
-            return out
-        for m, result in _forest_switches(set(cur)):
-            key = frozenset(result)
-            if key not in parents:
-                parents[key] = (cur, m)
-                queue.append(key)
-    raise AssertionError("equal-degree working forests must be connected")
+    from .explorer import explore  # explorer imports this module
+
+    reach = explore(start, is_forest, goal=goal, max_states=sys.maxsize)
+    if not reach.found:
+        raise AssertionError("equal-degree working forests must be connected")
+    return reach.route(goal)
 
 
 def transition_forest(f: Graph, f2: Graph) -> SwitchTrace:
@@ -506,13 +446,13 @@ def transition_forest(f: Graph, f2: Graph) -> SwitchTrace:
     scans at most sum(deg(u)^2) <= 2 * n * maxdeg candidates, O(n) when
     degrees are bounded.  Every switch outside the plateau search shrinks
     the gap, so a route whose gains come from leaf fixes costs O(n^2)
-    with bounded degrees.  A step where no leaf fix gains scans every
-    pair of working edges instead, and the plateau search is an unbounded
-    breadth-first search.  The finished route is verified in one pass over
-    a plain edge set: every step rewires, every intermediate is acyclic
-    (union-find over the vertex labels) and the last equals ``f2``, and
-    ``kinds`` comes from that verified replay (T_SWITCH on a tree,
-    F_SWITCH otherwise).
+    with bounded degrees.  A step where no leaf fix gains walks every
+    switch of the working forest instead (``nontrivial_matrices``), and
+    the plateau search is an unbounded ``explore`` through forests.  The
+    finished route is verified in one pass over a plain edge set: every
+    step rewires, every intermediate is acyclic (union-find over the
+    vertex labels) and the last equals ``f2``, and ``kinds`` comes from
+    that verified replay (T_SWITCH on a tree, F_SWITCH otherwise).
 
     Two forests with the same degree vector never differ in exactly one
     edge, so the final switch always closes a gap of two while the rest
@@ -574,12 +514,12 @@ def _forest_steps(f: Graph, f2: Graph) -> list[ActionMatrix]:
             if gain >= 1:
                 m = ActionMatrix(leaf, v, u, w)
             else:
-                e1 = _edge_set(adj1)
-                m = _scan_gaining_switch(adj2, e1)
+                working = Graph(f.n, _edge_set(adj1))
+                m = _scan_gaining_switch(adj2, working)
                 if m is None:
                     # plateau: every single switch trades away as much as
                     # it gains, so fall back to an exact shortest completion
-                    steps.extend(_search_completion(e1, _edge_set(adj2)))
+                    steps.extend(_search_completion(working, Graph(f.n, _edge_set(adj2))))
                     break
         a, b, c, d = m.labels()
         gap += (b in adj2[a]) + (d in adj2[c]) - (c in adj2[a]) - (d in adj2[b])

@@ -107,6 +107,24 @@ class TestStabilityAudit:
         assert code == 0
         assert out.startswith("matching=pass")
 
+    def test_graph_all_kinds_json_is_pinned(self, capsys, monkeypatch):
+        # one walk over the 112 switches of fig2_g0 serves all nine kinds
+        applied = []
+
+        def counted(m, g):
+            applied.append(m)
+            return apply(m, g)
+
+        apply = explorer.apply_switch
+        monkeypatch.setattr(explorer, "apply_switch", counted)
+        code, out, _ = invoke(capsys, "stability-audit", "--graph", "fig2_g0", "--json")
+        assert code == 0
+        assert len(applied) == 112
+        assert [r["checked"] for r in json.loads(out)] == [112] * 9
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8b5e003aee4472a4fd9b8162102a205014280ceb6de9a5cdc7c6c34c9e762cbd"
+        )
+
     def test_order_sweep_all_kinds(self, capsys):
         code, out, _ = invoke(capsys, "stability-audit", "--n", "4")
         assert code == 0

@@ -188,20 +188,69 @@ class TestSlotView:
             assert slot_mask(element, bits, req) == flat[element]
 
 
+def _audit_one_kind(graph, kind):
+    """The stability audit of one kind on its own walk over the switches."""
+    base = parameters.compute(kind, graph)
+    checked = 0
+    for m in nontrivial_matrices(graph):
+        checked += 1
+        value = parameters.compute(kind, apply_switch(m, graph))
+        if abs(value - base) > 1:
+            return AuditReport(
+                audit="stability",
+                passed=False,
+                kind=kind,
+                counterexample=(graph, m),
+                checked=checked,
+                notes=f"{kind} jumped from {base} to {value}",
+            )
+    return AuditReport(audit="stability", passed=True, kind=kind, checked=checked)
+
+
 class TestStabilityAudit:
     def test_unknown_kind(self):
         with pytest.raises(GraphError):
-            stability_audit("girth", Graph(3))
+            stability_audit(Graph(3), ("matching", "girth"))
 
     def test_single_graph(self, fig1_graphs):
         g0, _, _ = fig1_graphs
-        report = stability_audit("matching", graph=g0)
-        assert report.passed and report.checked > 0
+        reports = stability_audit(g0, ("matching",))
+        assert list(reports) == ["matching"]
+        assert reports["matching"].passed and reports["matching"].checked > 0
+
+    def test_all_kinds_by_default(self, fig1_graphs):
+        g0, _, _ = fig1_graphs
+        reports = stability_audit(g0)
+        assert list(reports) == list(parameters.STABLE_KINDS)
+        assert reports == {k: _audit_one_kind(g0, k) for k in parameters.STABLE_KINDS}
 
     def test_edge_cover_skips_isolated(self):
-        report = stability_audit("edge_cover", graph=Graph(3, [(1, 2)]))
-        assert report.passed
+        report = stability_audit(Graph(3, [(1, 2)]), ("edge_cover", "matching"))["edge_cover"]
+        assert report.passed and report.checked == 0
         assert "isolated" in report.notes
+
+    def test_planted_jump_stops_only_its_kind(self, fig2_graphs, monkeypatch):
+        # domination reads 5 too high on the switched graph of the 40th
+        # switch: its report stops there, as a walk of its own would
+        g0, _ = fig2_graphs
+        switches = list(nontrivial_matrices(g0))
+        planted = apply_switch(switches[39], g0)
+        compute = parameters.compute
+
+        def jumping(kind, g):
+            return compute(kind, g) + 5 * (kind == "domination" and g == planted)
+
+        monkeypatch.setattr(parameters, "compute", jumping)
+        reports = stability_audit(g0)
+        assert reports == {k: _audit_one_kind(g0, k) for k in parameters.STABLE_KINDS}
+        failed = reports["domination"]
+        assert not failed.passed and failed.checked == 40
+        assert failed.counterexample == (g0, switches[39])
+        assert all(
+            r.passed and r.checked == len(switches)
+            for k, r in reports.items()
+            if k != "domination"
+        )
 
     def test_sweep_all_kinds_order_four(self):
         reports = stability_sweep(4)

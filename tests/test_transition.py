@@ -237,6 +237,41 @@ class TestRouteIdentity:
         assert digest[:16] == "e76e85016062ad18"
 
 
+class TestFallbackRoutes:
+    # (seed, trees) of order-20 pairs from _same_vector_pair under
+    # random.Random(seed) whose route leaves the leaf fixes: the first two
+    # take a switch from the gaining scan (the second twice), the last four
+    # end in the plateau search
+    PAIRS = ((4, 1), (26, 1), (70, 2), (206, 3), (216, 1), (232, 1))
+
+    def test_fallback_routes_are_pinned(self, monkeypatch):
+        reached = {"scan": 0, "search": 0}
+        scan = transition._scan_gaining_switch
+        search = transition._search_completion
+
+        def spy_scan(*args):
+            m = scan(*args)
+            reached["scan"] += m is not None
+            return m
+
+        def spy_search(*args):
+            reached["search"] += 1
+            return search(*args)
+
+        monkeypatch.setattr(transition, "_scan_gaining_switch", spy_scan)
+        monkeypatch.setattr(transition, "_search_completion", spy_search)
+        texts, total = [], 0
+        for seed, k in self.PAIRS:
+            a, b = _same_vector_pair(random.Random(seed), 20, k)
+            trace = transition_forest(Graph(20, a), Graph(20, b))
+            texts.append(trace_to_json(trace))
+            total += len(trace)
+        assert reached == {"scan": 3, "search": 4}
+        assert total == 70
+        digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+        assert digest == "53c255bdc89520f73ec226b91fa72394a869ebd31d8b6b7084976d03b2e71c22"
+
+
 class TestRouteVerification:
     """Each check of the closing replay catches a fault no other one does."""
 
