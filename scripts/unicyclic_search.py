@@ -37,7 +37,7 @@ def check_order(n: int):
     cen = census(n)
     groups: dict[int, list] = {}
     for mask in np.nonzero(_family_selector(cen, "unicyclic"))[0]:
-        groups.setdefault(int(cen.degree_key[mask]), []).append(cen.graph(int(mask)))
+        groups.setdefault(int(cen.degree_id[mask]), []).append(cen.graph(int(mask)))
     graphs = 0
     split: dict[int, list] = {}  # kappa -> [connected families, disconnected]
     examples = []

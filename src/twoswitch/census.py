@@ -20,16 +20,17 @@ plain ascending order.  Cost per table:
 - path cover: n * 2^(n-1) steps per chunk, tracking the fewest covering
   paths and their possible ends.
 
-Beside the tables, ``degree_key`` packs each mask's degree vector into
-3 bits per vertex, and ``degree_id`` ranks those keys densely (0 ..
-111,849 at n = 7) through a presence array over all 2^(3n) keys and its
-running count, with no sort: about 0.03 s at n = 7.
+Beside the tables, ``degree_id`` ranks each mask's degree vector densely
+(0 .. 111,849 at n = 7), and ``degree_vectors[id]`` packs it into 3 bits
+per vertex; a presence array over all 2^(3n) packed vectors and its
+running count give the ranks with no sort: about 0.03 s at n = 7.
 
 At n = 7 the build takes 2.2-2.6 s on a 2-core VM, 1.2-1.5 s of it in
 the path cover chunks; ``Census.build_s`` has the seconds of each phase.
 
 Tables are cross-checked against the per-graph algorithms in the test
-suite; this module is the audit engine, not an independent authority.
+suite; this module is the engine of the order-wide sweeps (an audit of
+one degree vector enumerates its family), not an independent authority.
 """
 
 from __future__ import annotations
@@ -141,9 +142,9 @@ class Census:
             "path_cover": pi,
             "edge_cover": eps,  # UNDEFINED where an isolated vertex exists
         }
-        self.degree_key = self._timed("degree_keys", self._degree_keys)
+        key = self._timed("degree_keys", self._degree_keys)
         self.degree_id, self.degree_vectors = self._timed(
-            "degree_ids", self._degree_ids
+            "degree_ids", lambda: self._degree_ids(key)
         )
         self.forest = (
             self.popcount.astype(np.int16) + comp.astype(np.int16) == n
@@ -172,16 +173,16 @@ class Census:
             key |= dv << (3 * v)
         return key
 
-    def _degree_ids(self) -> tuple[np.ndarray, np.ndarray]:
+    def _degree_ids(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Dense ids for the degree vectors: ``degree_vectors`` holds the
         order's distinct keys in ascending order, and ``degree_id`` the rank
         of each mask's key among them, so ``degree_vectors[degree_id]`` is
-        ``degree_key``.  A presence array over all 2^(3n) keys and its
-        running count give the ranks without a sort."""
+        ``key``.  A presence array over all 2^(3n) keys and its running
+        count give the ranks without a sort."""
         present = np.zeros(1 << (3 * self.n), dtype=bool)
-        present[self.degree_key] = True
+        present[key] = True
         rank = np.cumsum(present, dtype=np.int32) - 1
-        return rank[self.degree_key], np.flatnonzero(present)
+        return rank[key], np.flatnonzero(present)
 
     def graph(self, mask: int) -> Graph:
         edges = [
@@ -198,12 +199,6 @@ class Census:
         for u, v in g.edges:
             mask |= 1 << self.slot_index[(u - 1, v - 1)]
         return mask
-
-    def key_of_sequence(self, seq) -> int:
-        key = 0
-        for v, d in enumerate(seq):
-            key |= int(d) << (3 * v)
-        return key
 
     # -- edge-slot doubling ---------------------------------------------------
 

@@ -94,8 +94,11 @@ def _cmd_transit(args) -> int:
     trace = transition_forest(g, h) if args.family == "forest" else transition_graph(g, h)
     payload = trace_to_json(trace)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            raise GraphError(f"cannot write trace {args.out!r}: {exc}") from exc
     else:
         print(payload)
     return 0

@@ -24,6 +24,7 @@ from .graphs import (
     CapExceededError,
     Graph,
     GraphError,
+    _integer,
     bipartition,
     degree_sequence,
     is_bipartite,
@@ -33,7 +34,7 @@ from .graphs import (
     is_unicyclic,
     kappa,
 )
-from .switch import ActionMatrix, apply_switch, nontrivial_matrices
+from .switch import ActionMatrix, apply_switch, candidate_matrices, nontrivial_matrices
 from .transition import SwitchTrace, replay, transition_forest, transition_graph
 
 
@@ -65,7 +66,7 @@ def enumerate_family(seq, family: str = "all"):
     """
     if family not in FAMILY_PREDICATES:
         raise GraphError(f"unknown family {family!r}")
-    seq = tuple(int(d) for d in seq)
+    seq = tuple(_integer(d, "degree") for d in seq)
     n = len(seq)
     if n > ENUMERATION_CAP:
         raise CapExceededError(f"order {n} above enumeration cap {ENUMERATION_CAP}")
@@ -148,19 +149,18 @@ class AuditReport:
 
 
 def _switch_patterns(cen):
-    """One canonical representative per distinct switch shape on the order."""
-    pats = []
-    for k1, (a, b) in enumerate(cen.slots):
-        for k2 in range(k1 + 1, cen.n_slots):
-            c, d = cen.slots[k2]
-            if a in (c, d) or b in (c, d):
-                continue
-            for x, y in ((c, d), (d, c)):
-                a1 = cen.slot_index[(min(a, x), max(a, x))]
-                a2 = cen.slot_index[(min(b, y), max(b, y))]
-                m = ActionMatrix(a + 1, b + 1, x + 1, y + 1)
-                pats.append((k1, k2, a1, a2, m))
-    return pats
+    """Every switch shape on the order as ``(k1, k2, a1, a2, matrix)``: the
+    slots of its two deleted and two added edges, in ``candidate_matrices``
+    order on the complete graph."""
+
+    def slot(edge):
+        return cen.slot_index[min(edge) - 1, max(edge) - 1]
+
+    complete = [(u + 1, v + 1) for u, v in cen.slots]
+    return [
+        (*map(slot, m.deleted_edges()), *map(slot, m.added_edges()), m)
+        for m in candidate_matrices(complete)
+    ]
 
 
 def _family_selector(cen, family: str) -> np.ndarray:
@@ -338,14 +338,15 @@ def interval_audit(
 ) -> AuditReport:
     """Do the family's values of ``kind`` form a full integer interval?
 
-    Each observed value's witness is the first family member attaining
-    it in a fixed scan order: ascending edge bitmask up to the census
-    cap, ``enumerate_family`` order (ascending sorted edge lists) beyond.
-    Above the cap ``workers`` (at least 1, and capped at the member and
-    CPU counts) processes evaluate contiguous runs of members; the report
-    does not depend on it.
+    The family is enumerated at every order (``enumerate_family``), and
+    each value's witness is the first member with that value in
+    enumeration order (ascending sorted edge lists).  ``workers`` (at
+    least 1, and capped at the member and CPU counts) processes evaluate
+    contiguous runs of members; the report does not depend on it.
+    ``interval_sweep`` checks every vector of an order at once from the
+    census.
     """
-    seq = tuple(int(d) for d in seq)
+    seq = tuple(_integer(d, "degree") for d in seq)
     n = len(seq)
     if kind not in parameters.STABLE_KINDS:
         raise GraphError(f"unknown parameter kind {kind!r}")
@@ -373,34 +374,22 @@ def interval_audit(
             interval_ok=None,
             notes="edge_cover undefined: sequence has isolated vertices",
         )
-    value_of = {}
-    if n <= CENSUS_MAX:
-        cen = census(n)
-        key = cen.key_of_sequence(seq)
-        select = (cen.degree_key == key) & _family_selector(cen, family)
-        masks = np.nonzero(select)[0]
-        table = cen.tables[kind]
-        for mask in masks:
-            v = int(table[mask])
-            if v not in value_of:
-                value_of[v] = cen.graph(int(mask))
-        checked = int(masks.size)
+    members = list(enumerate_family(seq, family))
+    checked = len(members)
+    pool_size = min(workers, len(members), os.cpu_count() or 1)
+    if pool_size > 1:
+        step = -(-len(members) // pool_size)
+        runs = [
+            (kind, n, [g.sorted_edges() for g in members[i : i + step]])
+            for i in range(0, len(members), step)
+        ]
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            computed = [v for run in pool.map(_interval_eval, runs) for v in run]
     else:
-        members = list(enumerate_family(seq, family))
-        checked = len(members)
-        pool_size = min(workers, len(members), os.cpu_count() or 1)
-        if pool_size > 1:
-            step = -(-len(members) // pool_size)
-            runs = [
-                (kind, n, [g.sorted_edges() for g in members[i : i + step]])
-                for i in range(0, len(members), step)
-            ]
-            with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                computed = [v for run in pool.map(_interval_eval, runs) for v in run]
-        else:
-            computed = [parameters.compute(kind, g) for g in members]
-        for v, g in zip(computed, members):
-            value_of.setdefault(v, g)
+        computed = [parameters.compute(kind, g) for g in members]
+    value_of = {}
+    for v, g in zip(computed, members):
+        value_of.setdefault(v, g)
     values = tuple(sorted(value_of))
     if not values:
         return AuditReport(
@@ -432,6 +421,7 @@ def realize_parameter_value(seq, kind: str, value: int, family: str = "all") -> 
     switch trace between the extreme witnesses rather than by scanning."""
     if family not in ("all", "forest"):
         raise GraphError("realization walks need family 'all' or 'forest'")
+    value = _integer(value, "parameter value")
     report = interval_audit(seq, kind, family)
     if not report.values:
         raise GraphError(f"no members: {report.notes or 'empty family'}")
@@ -567,8 +557,9 @@ def edge_diff_audit(n: int) -> AuditReport:
 
     For each ordered pair of slots (deleted, added), the graphs with the
     first slot set and the second clear are compared with the graphs after
-    the move as two strided views of ``degree_key`` (``census.slot_view``),
-    2^(C(n,2)-2) int64 comparisons per move.  The inverse of a move is the
+    the move as two strided views of ``degree_id`` (``census.slot_view``),
+    2^(C(n,2)-2) int32 comparisons per move; equal ids are equal degree
+    vectors.  The inverse of a move is the
     move back, which compares the same pairs of graphs; it comes later in
     the loop, after its twin has passed, so only the C(n,2)(C(n,2)-1)/2
     moves whose deleted slot is the lower one are compared, about 110
@@ -589,8 +580,8 @@ def edge_diff_audit(n: int) -> AuditReport:
                 checked += cen.n_masks >> 2
                 continue
             bits = (1 << kdel) | (1 << kadd)
-            cur = slot_view(cen.degree_key, bits, 1 << kdel)
-            same = cur == slot_view(cen.degree_key, bits, 1 << kadd)
+            cur = slot_view(cen.degree_id, bits, 1 << kdel)
+            same = cur == slot_view(cen.degree_id, bits, 1 << kadd)
             checked += cur.size
             first = int(np.argmax(same))
             if same.flat[first]:

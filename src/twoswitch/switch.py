@@ -125,19 +125,26 @@ def classify(m: ActionMatrix, g: Graph) -> SwitchKind:
     return rewired_kind(g, before, after)
 
 
-def nontrivial_matrices(g: Graph):
-    """Yield one representative per distinct non-trivial switch on ``g``.
+def candidate_matrices(sorted_edges):
+    """Yield one matrix per distinct switch deleting two of ``sorted_edges``.
 
-    Every interchangeable matrix is row/column-swap equivalent to exactly
-    one yielded matrix: deleted edges are taken as an ordered pair of
-    disjoint edges with the lexicographically smaller one first, and both
-    column orientations are emitted.
+    Every matrix deleting two of the edges is row/column-swap equivalent
+    to exactly one yielded matrix: deleted edges are taken as an ordered
+    pair of disjoint edges with the lexicographically smaller one first,
+    and both column orientations are emitted.  On the edges of K_n these
+    are all the switch shapes of order n.
     """
-    edges = g.sorted_edges()
-    for i, (a, b) in enumerate(edges):
-        for c, d in edges[i + 1:]:
+    for i, (a, b) in enumerate(sorted_edges):
+        for c, d in sorted_edges[i + 1:]:
             if a in (c, d) or b in (c, d):
                 continue
-            for m in (ActionMatrix(a, b, c, d), ActionMatrix(a, b, d, c)):
-                if is_interchangeable(m, g):
-                    yield m
+            yield ActionMatrix(a, b, c, d)
+            yield ActionMatrix(a, b, d, c)
+
+
+def nontrivial_matrices(g: Graph):
+    """Yield one representative per distinct non-trivial switch on ``g``:
+    the ``candidate_matrices`` of its edges that are interchangeable."""
+    for m in candidate_matrices(g.sorted_edges()):
+        if is_interchangeable(m, g):
+            yield m

@@ -51,12 +51,12 @@ def forest_atlas():
         cen = census(n)
         groups: dict[int, list[Graph]] = {}
         for mask in np.nonzero(cen.forest)[0]:
-            groups.setdefault(int(cen.degree_key[mask]), []).append(
+            groups.setdefault(int(cen.degree_id[mask]), []).append(
                 cen.graph(int(mask))
             )
         families = []
-        for key in sorted(groups):
-            members = groups[key]
+        for vid in sorted(groups):
+            members = groups[vid]
             lengths: dict[tuple[int, int], int] = {}
             failures: list[str] = []
             for i, f in enumerate(members):
@@ -65,7 +65,7 @@ def forest_atlas():
                     v = validate_trace(trace, g, require_forests=True)
                     lengths[(i, j)] = v.length
                     if not (v.ok and v.within_bound):
-                        failures.append(f"pair ({i},{j}) of key {key}: {v.as_dict()}")
+                        failures.append(f"pair ({i},{j}) of degree id {vid}: {v.as_dict()}")
             families.append(
                 {"members": members, "lengths": lengths, "failures": failures}
             )

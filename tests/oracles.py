@@ -27,9 +27,12 @@ ordered edge move, where the package compares each shape or move with
 its inverse once.  They share the census, the shape list and the report
 type with the package, and check only that halving the work leaves every
 report unchanged.  ``oracle_interval_witnesses`` picks the interval
-witnesses above the census cap by sorting (value, sorted edge list)
-pairs, where the package takes the first member with each value in
-enumeration order.
+witnesses by sorting (value, sorted edge list) pairs, where the package
+takes the first member with each value in enumeration order.
+``oracle_interval_census`` is the interval audit read off the census
+tables, the family's masks selected by degree id and family flags and
+each value's witness its lowest mask, where the package enumerates the
+family at every order.
 
 The four rooted forest dynamic programs (matching, independence,
 domination, path cover) are the only reference above the reach of the
@@ -44,8 +47,13 @@ import itertools
 
 import numpy as np
 
-from twoswitch.census import UNDEFINED, slot_mask, slot_view
-from twoswitch.explorer import AuditReport, _switch_patterns, enumerate_family
+from twoswitch.census import UNDEFINED, census, slot_mask, slot_view
+from twoswitch.explorer import (
+    AuditReport,
+    _family_selector,
+    _switch_patterns,
+    enumerate_family,
+)
 from twoswitch.graphs import Graph, NotAForestError
 from twoswitch.parameters import compute
 from twoswitch.switch import ActionMatrix, SwitchKind
@@ -731,8 +739,8 @@ def oracle_edge_diff_audit(cen) -> AuditReport:
             if kadd == kdel:
                 continue
             bits = (1 << kdel) | (1 << kadd)
-            cur = slot_view(cen.degree_key, bits, 1 << kdel)
-            same = cur == slot_view(cen.degree_key, bits, 1 << kadd)
+            cur = slot_view(cen.degree_id, bits, 1 << kdel)
+            same = cur == slot_view(cen.degree_id, bits, 1 << kadd)
             checked += cur.size
             first = int(np.argmax(same))
             if same.flat[first]:
@@ -760,3 +768,44 @@ def oracle_interval_witnesses(seq, kind: str, family: str) -> dict[int, Graph]:
         if value not in witnesses:
             witnesses[value] = Graph(len(seq), edges)
     return witnesses
+
+
+def oracle_interval_census(seq, kind: str, family: str) -> AuditReport:
+    """``interval_audit`` on a graphical vector of order at most 7 (and no
+    isolated vertex under edge cover), from the census: the family's
+    masks in ascending order, each value's witness the lowest mask with
+    that value."""
+    seq = tuple(seq)
+    cen = census(len(seq))
+    packed = sum(d << (3 * v) for v, d in enumerate(seq))
+    select = (cen.degree_vectors[cen.degree_id] == packed) & _family_selector(cen, family)
+    masks = np.flatnonzero(select)
+    witnesses: dict[int, Graph] = {}
+    for mask in masks:
+        value = int(cen.tables[kind][mask])
+        if value not in witnesses:
+            witnesses[value] = cen.graph(int(mask))
+    values = tuple(sorted(witnesses))
+    if not values:
+        return AuditReport(
+            audit="interval",
+            passed=True,
+            kind=kind,
+            family=family,
+            sequence=seq,
+            interval_ok=None,
+            checked=0,
+            notes="family is empty",
+        )
+    ok = values == tuple(range(values[0], values[-1] + 1))
+    return AuditReport(
+        audit="interval",
+        passed=ok,
+        kind=kind,
+        family=family,
+        sequence=seq,
+        values=values,
+        interval_ok=ok,
+        witnesses=witnesses,
+        checked=int(masks.size),
+    )

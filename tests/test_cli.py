@@ -57,6 +57,15 @@ class TestTransit:
         code, _, err = invoke(capsys, "transit", "nope.edges", "fig1_g0")
         assert code == 2 and "nope.edges" in err
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "t.json"
+        code, out, err = invoke(
+            capsys, "transit", "--family", "forest", "fig1_g0", "fig1_g2",
+            "--out", str(out_path),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write trace") and "t.json" in err
+
 
 class TestParams:
     def test_all_kinds_sorted(self, capsys):

@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import itertools
 import random
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     oracle_edge_diff_audit,
+    oracle_interval_census,
     oracle_interval_witnesses,
     oracle_stability_sweep,
 )
@@ -41,6 +43,7 @@ from twoswitch.graphs import (
     degree_sequence,
     is_bipartite,
     is_forest,
+    is_graphical,
     is_unicyclic,
 )
 from twoswitch.switch import apply_switch, nontrivial_matrices
@@ -70,6 +73,13 @@ ABOVE_CAP = [
     ((2,) * 8, "all", ("matching",)),
     ((2,) * 8, "unicyclic", ("matching",)),
 ]
+# the same witness rule below the census cap: the README's forest
+# example and the 2-regular order-6 family
+ENUMERATED = [
+    *ABOVE_CAP,
+    ((3, 2, 2, 2, 1, 1, 1), "forest", parameters.STABLE_KINDS),
+    ((2,) * 6, "all", parameters.STABLE_KINDS),
+]
 
 
 @functools.lru_cache(maxsize=None)
@@ -88,8 +98,10 @@ def _reference_sweep(cen, kind: str, family: str) -> dict:
         if table[mask] != UNDEFINED:
             seq = degree_sequence(cen.graph(mask))
             groups.setdefault(seq, set()).add(int(table[mask]))
+    # ascending packed vector, as in Census.degree_vectors: the last
+    # vertex's degree is the most significant
     gaps = sorted(
-        (cen.key_of_sequence(seq), seq)
+        (seq[::-1], seq)
         for seq, values in groups.items()
         if len(values) != max(values) - min(values) + 1
     )
@@ -116,6 +128,15 @@ class TestEnumerateFamily:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             list(enumerate_family((1,) * 10))
+
+    @pytest.mark.parametrize("seq", [(2.7, 2.2, 2.9), (True, True), ("1", "1")])
+    def test_non_integer_degrees_are_rejected(self, seq):
+        with pytest.raises(GraphError, match="degree must be an integer"):
+            list(enumerate_family(seq))
+
+    def test_numpy_integer_degrees(self):
+        seq = np.array([2, 2, 2, 1, 1])
+        assert list(enumerate_family(seq)) == list(enumerate_family((2, 2, 2, 1, 1)))
 
     def test_two_regular_on_five(self):
         members = list(enumerate_family((2, 2, 2, 2, 2)))
@@ -144,10 +165,10 @@ class TestEnumerateFamily:
         sel = _family_selector(cen, family)
         seen = {}
         for mask in np.nonzero(sel)[0]:
-            seen[int(cen.degree_key[mask])] = seen.get(int(cen.degree_key[mask]), 0) + 1
+            seq = degree_sequence(cen.graph(int(mask)))
+            seen[seq] = seen.get(seq, 0) + 1
         for seq in [(2, 2, 2, 2, 2), (1, 1, 2, 2, 2), (3, 3, 2, 2, 2), (1, 1, 1, 1, 0)]:
-            key = cen.key_of_sequence(seq)
-            assert len(list(enumerate_family(seq, family))) == seen.get(key, 0)
+            assert len(list(enumerate_family(seq, family))) == seen.get(seq, 0)
 
 
 class TestEnumerateForests:
@@ -347,13 +368,13 @@ class TestSweepsMatchTheOrderedOracles:
                 table[k] = table[k] + 2 if up else table[k] - 2
             tables[kind] = table
         cen.tables = tables
-        key = cen.degree_key.copy()
+        ids = cen.degree_id.copy()
         for _ in range(rng.randint(1, 5)):
             mask = rng.randrange(1, cen.full_mask)
             kdel = rng.choice([k for k in range(cen.n_slots) if mask >> k & 1])
             kadd = rng.choice([k for k in range(cen.n_slots) if not mask >> k & 1])
-            key[mask ^ (1 << kdel) ^ (1 << kadd)] = key[mask]
-        cen.degree_key = key
+            ids[mask ^ (1 << kdel) ^ (1 << kadd)] = ids[mask]
+        cen.degree_id = ids
         monkeypatch.setattr(ex, "census", lambda n: cen)
 
         reports = stability_sweep(5)
@@ -388,7 +409,7 @@ class TestIntervalAudit:
         assert report.passed and report.interval_ok is None
 
     def test_enumeration_path_beyond_census(self):
-        # order 8 goes through the explicit enumerator, not the tables
+        # order 8 is above the census cap; the audit enumerates every order
         report = interval_audit((2,) * 8, "matching", "all")
         assert report.values == (3, 4)
         assert report.checked == 3507
@@ -429,7 +450,7 @@ class TestIntervalAudit:
         assert sizes == [3]
         assert many == interval_audit((2,) * 8, "matching", "all")
 
-    @pytest.mark.parametrize("seq,family,kinds", ABOVE_CAP)
+    @pytest.mark.parametrize("seq,family,kinds", ENUMERATED)
     def test_enumeration_path_matches_the_sorting_oracle(self, seq, family, kinds):
         checked = len(list(enumerate_family(seq, family)))
         for kind in kinds:
@@ -465,12 +486,37 @@ class TestIntervalAudit:
             with pytest.raises(GraphError, match="at least 1"):
                 interval_audit(seq, "matching", "all", workers=workers)
 
-    def test_census_path_agrees_with_direct_scan(self):
+    def test_order_six_agrees_with_direct_scan(self):
         seq, kind = (2, 2, 2, 2, 2, 2), "independence"
         report = interval_audit(seq, kind, "all")
         direct = sorted({parameters.compute(kind, g) for g in enumerate_family(seq)})
         assert list(report.values) == direct
         assert report.checked == len(list(enumerate_family(seq)))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_the_census_oracle(self, n):
+        # every graphical vector to order 5, every family and kind: the
+        # census read-off gives the same values, counts and verdicts as
+        # enumeration; only the witnesses follow another scan order
+        fields = ("values", "checked", "interval_ok", "passed", "notes")
+        for seq in itertools.product(range(n), repeat=n):
+            if not is_graphical(seq):
+                continue
+            for family in FAMILIES:
+                for kind in parameters.STABLE_KINDS:
+                    if kind == "edge_cover" and 0 in seq:
+                        continue  # undefined: both return before any scan
+                    got = interval_audit(seq, kind, family)
+                    want = oracle_interval_census(seq, kind, family)
+                    assert [getattr(got, f) for f in fields] == [
+                        getattr(want, f) for f in fields
+                    ], (seq, family, kind)
+
+    @pytest.mark.parametrize("seq", [(2.7, 2.2, 2.9), (True, True), (2, 2, 2.0)])
+    def test_non_integer_degrees_are_rejected(self, seq):
+        # truncating them would audit (2, 2, 2) and (1, 1) under these names
+        with pytest.raises(GraphError, match="degree must be an integer"):
+            interval_audit(seq, "matching")
 
 
 class TestIntervalSweep:
@@ -484,9 +530,6 @@ class TestIntervalSweep:
         assert report.passed and report.singletons
 
     def test_agrees_with_per_vector_audit(self):
-        from twoswitch.graphs import is_graphical
-        import itertools
-
         kind = "matching"
         swept = interval_sweep(4, kind, "all")
         count = 0
@@ -535,7 +578,7 @@ class TestIntervalSweep:
         groups: dict[int, list[int]] = {}
         for m in _members(5, family):
             if table[m] != UNDEFINED:
-                groups.setdefault(int(cen.degree_key[m]), []).append(m)
+                groups.setdefault(int(cen.degree_id[m]), []).append(m)
         mask, *rest = rng.choice([g for g in groups.values() if len(g) > 1])
         table[mask] = max(table[rest]) + 2
         cen.tables = {**cen.tables, kind: table}
@@ -569,6 +612,12 @@ class TestRealizeParameterValue:
         with pytest.raises(GraphError):
             realize_parameter_value((2,) * 6, "independence", 2, "unicyclic")
 
+    @pytest.mark.parametrize("value", [2.5, True, "2"])
+    def test_non_integer_value_is_rejected(self, value):
+        # 2.5 lies inside [2, 3] but no member attains it
+        with pytest.raises(GraphError, match="parameter value must be an integer"):
+            realize_parameter_value((2,) * 6, "independence", value, "all")
+
 
 class TestEdgeDiffAudit:
     @pytest.mark.parametrize("n", range(2, 6))
@@ -580,15 +629,15 @@ class TestEdgeDiffAudit:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_reports_a_planted_collision(self, monkeypatch, seed):
-        # give one graph the degree key of a graph one edge move away
+        # give one graph the degree id of a graph one edge move away
         cen = copy.copy(census(5))
-        key = cen.degree_key.copy()
+        ids = cen.degree_id.copy()
         rng = random.Random(seed)
         mask = rng.randrange(1, cen.full_mask)
         kdel = rng.choice([k for k in range(cen.n_slots) if mask >> k & 1])
         kadd = rng.choice([k for k in range(cen.n_slots) if not mask >> k & 1])
-        key[mask ^ (1 << kdel) ^ (1 << kadd)] = key[mask]
-        cen.degree_key = key
+        ids[mask ^ (1 << kdel) ^ (1 << kadd)] = ids[mask]
+        cen.degree_id = ids
         monkeypatch.setattr(ex, "census", lambda n: cen)
 
         # reference: the same moves in the same order, by boolean selection
@@ -598,7 +647,7 @@ class TestEdgeDiffAudit:
         for position, (d, a) in enumerate(moves):
             bits = (1 << d) | (1 << a)
             cur = cen.masks[(cen.masks & bits) == 1 << d]
-            hits = cur[key[cur ^ bits] == key[cur]]
+            hits = cur[ids[cur ^ bits] == ids[cur]]
             if hits.size:
                 break
         else:
@@ -857,7 +906,7 @@ class TestConstrainedSearch:
 
         groups = {}
         for mask in np.nonzero(_family_selector(cen, "unicyclic"))[0]:
-            groups.setdefault(int(cen.degree_key[mask]), []).append(cen.graph(int(mask)))
+            groups.setdefault(int(cen.degree_id[mask]), []).append(cen.graph(int(mask)))
         families = 0
         for members in groups.values():
             if kappa(members[0]) != 1 or len(members) == 1:
