@@ -72,7 +72,7 @@ def main() -> int:
     t0 = time.perf_counter()
     for n in range(1, args.max_order + 1):
         t = time.perf_counter()
-        phases = ", ".join(f"{k} {v:.1f}s" for k, v in census(n).build_s.items())
+        phases = ", ".join(f"{k} {v:.2f}s" for k, v in census(n).build_s.items())
         built = time.perf_counter() - t
         t = time.perf_counter()
         reports = stability_sweep(n)

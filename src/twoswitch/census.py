@@ -3,34 +3,49 @@
 The exhaustive audits need all nine parameters on all M = 2^C(n,2)
 labelled graphs for n up to 7 (M = 2,097,152 at n = 7), which is far
 outside per-graph Python speed.  Here a graph is a bitmask over the
-C(n,2) edge slots in lexicographic order.  Every recurrence reads only
-numerically smaller masks or vertex subsets, so each table is filled in
-plain ascending order.  Cost per table:
+C(n,2) edge slots in lexicographic order.
 
-- matching and independence: doubling over the top edge slot k, which
-  fills masks [2^k, 2^(k+1)) from [0, 2^k); M gathered elements each;
-- clique: one gather at the complement mask;
-- vertex cover and edge cover, by Gallai's identities: n - independence,
-  and n - matching on graphs with no isolated vertex;
-- components: 2^(n-1) cut tests over the M masks;
-- domination: vertex subsets by size, each an OR of at most n closed
-  neighbourhoods over only the masks that no smaller subset dominates;
-- chromatic: the same doubling, with 2^(n-2) candidate colour classes
-  per edge slot k, one gather over [0, 2^k) each;
-- path cover: n * 2^(n-1) steps per chunk, tracking the fewest covering
-  paths and their possible ends.
+Five tables are the largest pattern subgraph inside each mask.  A table
+of marks holds each pattern mask's size and 0 elsewhere; one maximum
+over submasks (the max form of Yates's subset zeta transform, C(n,2)
+passes of M/2 maxima) then gives every mask the largest pattern inside
+it.  The patterns, each marked with its number of edges unless said
+otherwise:
+
+- matching: the masks of maximum degree at most 1;
+- clique: the edges within each vertex subset t, marked |t|;
+  independence is the clique table at the complement mask, and vertex
+  cover is n - independence (Gallai);
+- domination: star forests, where every edge has an end of degree 1; a
+  dominating set of size gamma joins every other vertex to it by one
+  edge, and the centres of a star forest with e edges dominate, so
+  gamma = n - the largest;
+- path cover: linear forests, forests of maximum degree at most 2, so
+  pi = n - the largest;
+- chromatic: the cluster graph of each of the Bell(n) set partitions
+  (877 at n = 7), marked n - #blocks; colour classes are the blocks of a
+  cluster graph inside the complement, so chi = n - the largest there.
+
+The complement of mask m is M - 1 - m, so a table read at the complement
+masks is the table reversed.  Edge cover is n - matching on graphs with
+no isolated vertex (Gallai), ``UNDEFINED`` elsewhere.  Components take
+2^(n-1) cut tests, each adding 1 to the strided view of the masks with
+no edge across its cut, and run first: the linear-forest marks read the
+forest flags.  The degrees, built the same way one slot at a time, give
+the degree-1 and maximum-degree tests and the degree ids.
 
 Beside the tables, ``degree_id`` ranks each mask's degree vector densely
 (0 .. 111,849 at n = 7), and ``degree_vectors[id]`` packs it into 3 bits
 per vertex; a presence array over all 2^(3n) packed vectors and its
 running count give the ranks with no sort: about 0.03 s at n = 7.
 
-At n = 7 the build takes 2.2-2.6 s on a 2-core VM, 1.2-1.5 s of it in
-the path cover chunks; ``Census.build_s`` has the seconds of each phase.
+At n = 7 the build takes 0.39-0.45 s on a 2-core VM, no phase over
+0.1 s; ``Census.build_s`` has the seconds of each table and phase.
 
-Tables are cross-checked against the per-graph algorithms in the test
-suite; this module is the engine of the order-wide sweeps (an audit of
-one degree vector enumerates its family), not an independent authority.
+Tables are cross-checked against the per-graph algorithms and the
+recurrences in the test suite; this module is the engine of the
+order-wide sweeps (an audit of one degree vector enumerates its family),
+not an independent authority.
 """
 
 from __future__ import annotations
@@ -40,12 +55,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, _integer
 
 CENSUS_MAX = 7
-_CHUNK = 1 << 18
 # table value of an undefined parameter (edge cover with an isolated
-# vertex) and the DPs' unreachable marker; real values never exceed n
+# vertex); real values never exceed n
 UNDEFINED = 99
 
 
@@ -89,10 +103,28 @@ def slot_mask(element: int, bits: int, req: int) -> int:
     return mask
 
 
+def _partitions(vertices: int):
+    """Every set partition of the vertex bitmask ``vertices``, as a list of
+    block bitmasks; the first block holds the lowest vertex."""
+    if not vertices:
+        yield []
+        return
+    low = vertices & -vertices
+    others = vertices ^ low
+    sub = others
+    while True:
+        for rest in _partitions(others ^ sub):
+            yield [low | sub, *rest]
+        if not sub:
+            return
+        sub = (sub - 1) & others
+
+
 class Census:
     """Everything the audits need about all graphs on {1..n}."""
 
     def __init__(self, n: int):
+        n = _integer(n, "order")
         if not 0 <= n <= CENSUS_MAX:
             raise GraphError(f"census supports orders 0..{CENSUS_MAX}, got {n}")
         self.n = n
@@ -116,19 +148,28 @@ class Census:
 
         self.masks = np.arange(self.n_masks, dtype=np.int64)
         self.popcount = np.bitwise_count(self.masks).astype(np.uint8)
-        self._adjv = self._adjacency_arrays()
 
         # advisory seconds per build phase; not part of the tables
         self.build_s: dict[str, float] = {}
-        mu, alpha, chi = self._timed("doubling", self._slot_doubling)
-        omega = alpha[self.full_mask ^ self.masks]
-        nu = np.uint8(n) - alpha
-        gamma = self._timed("domination", self._domination_table)
-        comp = self._timed("components", self._components_table)
-        pi = self._timed("path_cover", self._path_cover_table)
+        degrees = self._timed("degrees", self._degrees)
+        top = np.zeros(self.n_masks, dtype=np.uint8)  # the maximum degree
         no_isolated = np.ones(self.n_masks, dtype=bool)
-        for v in range(n):
-            no_isolated &= self._adjv[v] != 0
+        for d in degrees:
+            np.maximum(top, d, out=top)
+            no_isolated &= d != 0
+        comp = self._timed("components", self._components_table)
+        self.forest = self.popcount.astype(np.int16) + comp.astype(np.int16) == n
+        largest = self._largest_inside
+        mu = self._timed("matching", lambda: largest(self.popcount * (top <= 1)))
+        omega = self._timed("clique", self._clique_table)
+        alpha = omega[::-1].copy()
+        nu = np.uint8(n) - alpha
+        gamma = self._timed("domination", lambda: self._domination_by_stars(degrees))
+        linear_forest = self.forest & (top <= 2)
+        pi = self._timed(
+            "path_cover", lambda: n - largest(self.popcount * linear_forest)
+        )
+        chi = self._timed("chromatic", self._chromatic_table)
         eps = np.where(no_isolated, np.uint8(n) - mu, np.uint8(UNDEFINED))
 
         self.tables = {
@@ -142,12 +183,9 @@ class Census:
             "path_cover": pi,
             "edge_cover": eps,  # UNDEFINED where an isolated vertex exists
         }
-        key = self._timed("degree_keys", self._degree_keys)
+        key = self._timed("degree_keys", lambda: self._degree_keys(degrees))
         self.degree_id, self.degree_vectors = self._timed(
             "degree_ids", lambda: self._degree_ids(key)
-        )
-        self.forest = (
-            self.popcount.astype(np.int16) + comp.astype(np.int16) == n
         )
 
     def _timed(self, phase: str, build):
@@ -158,19 +196,20 @@ class Census:
 
     # -- geometry -----------------------------------------------------------
 
-    def _adjacency_arrays(self) -> list[np.ndarray]:
-        adjv = [np.zeros(self.n_masks, dtype=np.uint8) for _ in range(self.n)]
-        for k, (u, v) in enumerate(self.slots):
-            bit = ((self.masks >> k) & 1).astype(np.uint8)
-            adjv[u] |= bit << v
-            adjv[v] |= bit << u
-        return adjv
+    def _degrees(self) -> list[np.ndarray]:
+        """Each vertex's degree in every mask: slot k = uv adds 1 at u and
+        at v in the masks that hold it, one strided view each."""
+        degrees = [np.zeros(self.n_masks, dtype=np.uint8) for _ in range(self.n)]
+        for k, uv in enumerate(self.slots):
+            for w in uv:
+                view = slot_view(degrees[w], 1 << k, 1 << k)
+                view += 1
+        return degrees
 
-    def _degree_keys(self) -> np.ndarray:
-        key = np.zeros(self.n_masks, dtype=np.int64)
-        for v in range(self.n):
-            dv = np.bitwise_count(self.masks & self.star[v]).astype(np.int64)
-            key |= dv << (3 * v)
+    def _degree_keys(self, degrees: list[np.ndarray]) -> np.ndarray:
+        key = np.zeros(self.n_masks, dtype=np.int32)  # 3n <= 21 bits
+        for v, d in enumerate(degrees):
+            key |= d.astype(np.int32) << (3 * v)
         return key
 
     def _degree_ids(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,82 +239,11 @@ class Census:
             mask |= 1 << self.slot_index[(u - 1, v - 1)]
         return mask
 
-    # -- edge-slot doubling ---------------------------------------------------
-
-    def _slot_doubling(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """mu, alpha and chi on [2^k, 2^(k+1)) from [0, 2^k), where the top
-        edge is slot k = uv.  A matching skips uv or takes it with the lower
-        edges apart from u and v.  A maximum independent set omits u or
-        omits v; deleting a vertex's edges isolates it, hence the -1.  In an
-        optimal colouring u's class is an independent set I holding u and
-        not v; deleting I's edges clears slot k and leaves the other classes
-        colouring the rest, so chi is 1 + the least chi over those I."""
-        n = self.n
-        mu = np.zeros(self.n_masks, dtype=np.uint8)
-        alpha = np.zeros(self.n_masks, dtype=np.uint8)
-        chi = np.zeros(self.n_masks, dtype=np.uint8)
-        alpha[0] = n
-        chi[0] = n > 0
-        for k, (u, v) in enumerate(self.slots):
-            lo = self.masks[: 1 << k]
-            top = slice(1 << k, 2 << k)
-            apart = ~(self.star[u] | self.star[v])
-            np.maximum(mu[: 1 << k], mu[lo & apart] + 1, out=mu[top])
-            np.maximum(
-                alpha[lo & ~self.star[u]], alpha[lo & ~self.star[v]], out=alpha[top]
-            )
-            alpha[top] -= 1
-            best = chi[top]
-            best[:] = UNDEFINED
-            for rest in range(1 << n):
-                if rest & (1 << u | 1 << v):
-                    continue
-                cls = rest | 1 << u
-                cleared = 0  # the edges at I, slot k among them
-                for w in range(n):
-                    if cls >> w & 1:
-                        cleared |= self.star[w]
-                np.minimum(
-                    best,
-                    chi[lo & ~cleared],
-                    out=best,
-                    where=(lo & self.edges_within[cls]) == 0,
-                )
-            best += 1
-        return mu, alpha, chi
-
-    # -- vertex-subset sweeps --------------------------------------------------
-
-    def _domination_table(self) -> np.ndarray:
-        """gamma is the size of the smallest vertex subset whose closed
-        neighbourhoods cover every vertex.  Subsets go by size, each size
-        testing only the masks no smaller subset dominates: the census's one
-        size-ordered sweep."""
-        n = self.n
-        vfull = (1 << n) - 1
-        gamma = np.full(self.n_masks, 255, dtype=np.uint8)
-        by_size = [[] for _ in range(n + 1)]
-        for t in range(1 << n):
-            by_size[t.bit_count()].append(t)
-        for size, subsets in enumerate(by_size):
-            open_ = np.flatnonzero(gamma == 255)
-            if not open_.size:
-                break
-            closed = [a[open_] | np.uint8(1 << w) for w, a in enumerate(self._adjv)]
-            hit = np.zeros(open_.size, dtype=bool)
-            for t in subsets:
-                reach = np.zeros(open_.size, dtype=np.uint8)
-                for w in range(n):
-                    if t >> w & 1:
-                        reach |= closed[w]
-                hit |= reach == vfull
-            gamma[open_[hit]] = size
-        return gamma
-
     def _components_table(self) -> np.ndarray:
         """A vertex set holding vertex 1 that no edge leaves is a union of
-        components, and there are 2^(kappa-1) of them: count the cut tests
-        over the 2^(n-1) such sets."""
+        components, and there are 2^(kappa-1) of them.  Each of the 2^(n-1)
+        such sets adds 1 to the masks with no edge across it, a strided view
+        with its cut's slots clear."""
         comp = np.zeros(self.n_masks, dtype=np.uint8)
         if self.n == 0:
             return comp
@@ -284,41 +252,53 @@ class Census:
             for v in range(self.n):
                 if t >> v & 1:
                     cut ^= self.star[v]
-            comp += (self.masks & cut) == 0
+            view = slot_view(comp, cut, 0)
+            view += 1
         return np.bitwise_count(comp - np.uint8(1)) + np.uint8(1)
 
-    # -- chunked vertex-subset DP ------------------------------------------------
+    # -- the largest pattern inside each mask -----------------------------------
 
-    def _path_cover_table(self) -> np.ndarray:
-        """fewest[s] paths cover G[s], and last[s] holds the vertices that end
-        a path in some such cover; u in s either extends a path ending at a
-        neighbour in last[s - u] or opens one.  Each step reads only smaller
-        vertex subsets, so s runs over 1 .. 2^n - 1 in numeric order."""
+    def _largest_inside(self, marks: np.ndarray) -> np.ndarray:
+        """``marks[m]`` becomes the largest ``marks[s]`` over the submasks s
+        of m, in place.  Along slot k the masks pair up as (m, m | 2^k), the
+        second of each pair in the upper half of a length-2 axis, and it
+        takes the larger of the two; after every slot each mask has seen all
+        of its submasks."""
+        for k in range(self.n_slots):
+            pairs = marks.reshape(-1, 2, 1 << k)
+            np.maximum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+        return marks
+
+    def _clique_table(self) -> np.ndarray:
+        # the complete graph on each vertex subset t, marked |t|
+        marks = np.zeros(self.n_masks, dtype=np.uint8)
+        np.maximum.at(
+            marks, self.edges_within, [t.bit_count() for t in range(1 << self.n)]
+        )
+        return self._largest_inside(marks)
+
+    def _domination_by_stars(self, degrees: list[np.ndarray]) -> np.ndarray:
+        # a star forest: every edge has an end of degree 1
+        star_forest = np.ones(self.n_masks, dtype=bool)
+        for k, (u, v) in enumerate(self.slots):
+            ok, du, dv = (
+                slot_view(a, 1 << k, 1 << k)
+                for a in (star_forest, degrees[u], degrees[v])
+            )
+            ok &= (du == 1) | (dv == 1)
+        return self.n - self._largest_inside(self.popcount * star_forest)
+
+    def _chromatic_table(self) -> np.ndarray:
+        # each partition's cluster graph, read back at the complement masks:
+        # mask m's complement is mask M - 1 - m, so the table reversed
         n = self.n
-        vfull = (1 << n) - 1
-        pi = np.zeros(self.n_masks, dtype=np.uint8)
-        for lo in range(0, self.n_masks, _CHUNK):
-            hi = min(lo + _CHUNK, self.n_masks)
-            adjc = [self._adjv[v][lo:hi] for v in range(n)]
-            fewest = [None] * (1 << n)
-            last = [None] * (1 << n)
-            fewest[0] = np.zeros(hi - lo, dtype=np.uint8)
-            last[0] = np.zeros(hi - lo, dtype=np.uint8)
-            for s in range(1, 1 << n):
-                members = [u for u in range(n) if s >> u & 1]
-                costs = [
-                    fewest[s ^ 1 << u] + ((adjc[u] & last[s ^ 1 << u]) == 0)
-                    for u in members
-                ]
-                low = np.minimum.reduce(costs)
-                tails = np.zeros(hi - lo, dtype=np.uint8)
-                for u, c in zip(members, costs):
-                    tails |= (c == low).view(np.uint8) << u
-                fewest[s] = low
-                last[s] = tails
-            pi[lo:hi] = fewest[vfull]
-            del fewest, last
-        return pi
+        marks = np.zeros(self.n_masks, dtype=np.uint8)
+        for blocks in _partitions((1 << n) - 1):
+            cluster = 0
+            for block in blocks:
+                cluster |= self.edges_within[block]
+            marks[cluster] = n - len(blocks)
+        return n - self._largest_inside(marks)[::-1]
 
 
 @lru_cache(maxsize=None)

@@ -270,6 +270,7 @@ def stability_sweep(n: int, kinds=parameters.STABLE_KINDS) -> dict[str, AuditRep
     incidence; when one graph has several bad switches, the shape first
     in ``_switch_patterns`` order is named.
     """
+    n = _integer(n, "order")
     if n > CENSUS_MAX:
         raise CapExceededError(f"order-wide stability audit capped at {CENSUS_MAX}")
     for kind in kinds:
@@ -480,6 +481,7 @@ def interval_sweep(n: int, kind: str, family: str = "all") -> SweepReport:
     A defined edge cover is at most n - 1 <= 6, so undefined entries are
     marked in bit 7 and that bit is cleared before anything is counted.
     """
+    n = _integer(n, "order")
     if n > CENSUS_MAX:
         raise CapExceededError(f"interval sweep capped at {CENSUS_MAX}")
     if kind not in parameters.STABLE_KINDS:
@@ -568,6 +570,7 @@ def edge_diff_audit(n: int) -> AuditReport:
     failing move and ``checked`` counts the incidences up to and including
     that move.
     """
+    n = _integer(n, "order")
     if n > CENSUS_MAX:
         raise CapExceededError(f"edge-move audit capped at {CENSUS_MAX}")
     cen = census(n)

@@ -5,12 +5,14 @@ set-partition enumeration, permutation checks.  They share no code with
 the package so a bug would have to happen twice, in different shapes, to
 slip through.
 
-The census derives its two cover tables from Gallai's identities, and
-its path-cover table from the same subset recurrence as the per-graph
-``path_cover_number``; the direct table-level dynamic programs at the
-end of this file are their independent route.  They follow the census's
-mask layout (bit k of a mask is the k-th vertex pair in lexicographic
-order) and nothing else.  ``oracle_path_cover_partition`` is the
+The census reads five tables off the largest pattern subgraph inside
+each mask and derives its two cover tables from Gallai's identities;
+the direct table-level dynamic programs at the end of this file are
+their independent route.  ``census_doubling_tables`` (matching,
+independence and chromatic by doubling over the top edge slot) and
+``census_domination_table`` (vertex subsets by size) are the census's
+earlier builders.  They follow the census's mask layout (bit k of a mask
+is the k-th vertex pair in lexicographic order) and nothing else.  ``oracle_path_cover_partition`` is the
 partition into traceable vertex sets for one graph, fast enough to check
 ``path_cover_number`` beyond the reach of ``oracle_path_cover``, and
 ``oracle_matching_memo`` the memoized subset search that checks the
@@ -534,6 +536,20 @@ def _mask_geometry(n: int):
     return masks, {uv: k for k, uv in enumerate(slots)}
 
 
+def _stars_and_within(n: int, slot: dict) -> tuple[list[int], list[int]]:
+    """The slots at each vertex, and the slots inside each vertex subset."""
+    star = [0] * n
+    for (u, v), k in slot.items():
+        star[u] |= 1 << k
+        star[v] |= 1 << k
+    within = [0] * (1 << n)
+    for t in range(1 << n):
+        for (u, v), k in slot.items():
+            if t >> u & 1 and t >> v & 1:
+                within[t] |= 1 << k
+    return star, within
+
+
 def census_vertex_cover_table(n: int) -> np.ndarray:
     """Vertex cover of every mask: the size of the first vertex subset, in
     order of size, whose complement spans no edge."""
@@ -647,11 +663,7 @@ def census_chromatic_table(n: int) -> np.ndarray:
     chi = np.zeros(len(masks), dtype=np.uint8)
     if n == 0:
         return chi
-    within = [0] * (1 << n)  # the slots of the edges inside each subset
-    for t in range(1 << n):
-        for (u, v), k in slot.items():
-            if t >> u & 1 and t >> v & 1:
-                within[t] |= 1 << k
+    _, within = _stars_and_within(n, slot)
     for lo in range(0, len(masks), _CHUNK):
         mc = masks[lo : lo + _CHUNK]
         independent = [(mc & w) == 0 for w in within]
@@ -669,6 +681,79 @@ def census_chromatic_table(n: int) -> np.ndarray:
             f.append(best)
         chi[lo : lo + _CHUNK] = f[-1]
     return chi
+
+
+
+def census_doubling_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Matching, independence and chromatic of every mask by doubling over
+    the top edge slot k = uv, filling masks [2^k, 2^(k+1)) from [0, 2^k).
+
+    A matching skips uv or takes it with the lower edges apart from u and
+    v.  A maximum independent set omits u or omits v; deleting a vertex's
+    edges isolates it, hence the -1.  In an optimal colouring u's class is
+    an independent set I holding u and not v; deleting I's edges clears
+    slot k and leaves the other classes colouring the rest, so chi is 1 +
+    the least chi over those I.
+    """
+    masks, slot = _mask_geometry(n)
+    star, within = _stars_and_within(n, slot)
+    mu = np.zeros(len(masks), dtype=np.uint8)
+    alpha = np.zeros(len(masks), dtype=np.uint8)
+    chi = np.zeros(len(masks), dtype=np.uint8)
+    alpha[0] = n
+    chi[0] = n > 0
+    for (u, v), k in sorted(slot.items(), key=lambda item: item[1]):
+        lo = masks[: 1 << k]
+        top = slice(1 << k, 2 << k)
+        apart = ~(star[u] | star[v])
+        np.maximum(mu[: 1 << k], mu[lo & apart] + 1, out=mu[top])
+        np.maximum(alpha[lo & ~star[u]], alpha[lo & ~star[v]], out=alpha[top])
+        alpha[top] -= 1
+        best = chi[top]
+        best[:] = UNDEFINED
+        for rest in range(1 << n):
+            if rest & (1 << u | 1 << v):
+                continue
+            cls = rest | 1 << u
+            cleared = 0  # the edges at I, slot k among them
+            for w in range(n):
+                if cls >> w & 1:
+                    cleared |= star[w]
+            np.minimum(
+                best, chi[lo & ~cleared], out=best, where=(lo & within[cls]) == 0
+            )
+        best += 1
+    return mu, alpha, chi
+
+
+def census_domination_table(n: int) -> np.ndarray:
+    """Domination of every mask: vertex subsets by size, each size testing
+    only the masks that no smaller subset dominates, by an OR of the
+    subset's closed neighbourhoods."""
+    masks, slot = _mask_geometry(n)
+    closed = [np.full(len(masks), 1 << v, dtype=np.uint8) for v in range(n)]
+    for (u, v), k in slot.items():
+        present = ((masks >> k) & 1).astype(np.uint8)
+        closed[u] |= present << v
+        closed[v] |= present << u
+    vfull = (1 << n) - 1
+    gamma = np.full(len(masks), 255, dtype=np.uint8)
+    for size in range(n + 1):
+        open_ = np.flatnonzero(gamma == 255)
+        if not open_.size:
+            break
+        reach_of = [c[open_] for c in closed]
+        hit = np.zeros(open_.size, dtype=bool)
+        for t in range(1 << n):
+            if t.bit_count() != size:
+                continue
+            reach = np.zeros(open_.size, dtype=np.uint8)
+            for w in range(n):
+                if t >> w & 1:
+                    reach |= reach_of[w]
+            hit |= reach == vfull
+        gamma[open_[hit]] = size
+    return gamma
 
 
 ORACLES = {

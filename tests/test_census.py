@@ -4,9 +4,14 @@ import hashlib
 
 import numpy as np
 import pytest
-from oracles import census_chromatic_table, census_path_cover_table
+from oracles import (
+    census_chromatic_table,
+    census_domination_table,
+    census_doubling_tables,
+    census_path_cover_table,
+)
 
-from twoswitch.census import CENSUS_MAX, Census, census
+from twoswitch.census import CENSUS_MAX, Census, _partitions, census
 from twoswitch.graphs import Graph, GraphError, degree_sequence, is_forest
 from twoswitch.parameters import compute
 
@@ -54,6 +59,17 @@ class TestGeometry:
             assert cen.n_masks == 1
             assert cen.graph(0) == Graph(n)
             assert bool(cen.forest[0])
+
+    @pytest.mark.parametrize("n", [True, 3.0, "3"])
+    def test_non_integer_orders_are_rejected(self, n):
+        with pytest.raises(GraphError, match="order must be an integer"):
+            Census(n)
+        with pytest.raises(GraphError, match="order must be an integer"):
+            census(n)
+
+    def test_numpy_integer_order(self):
+        cen = Census(np.int64(3))
+        assert type(cen.n) is int and cen.n == 3
 
     def test_mask_graph_round_trip(self):
         cen = census(5)
@@ -155,13 +171,17 @@ class TestDegreeIds:
             assert cen.degree_vectors[cen.degree_id[mask]] == want, mask
 
     def test_build_phase_is_timed(self):
-        assert "degree_ids" in census(3).build_s
+        # one phase per built table; the other three are read off these
+        built = {"components", "matching", "clique", "domination", "path_cover"}
+        assert built | {"chromatic", "degree_ids"} <= set(census(3).build_s)
 
 
 class TestPathCoverReference:
-    """The census table and ``path_cover_number`` run the same subset
-    recurrence, so the per-graph rows above compare it with itself; the
-    traceable-set partition DP in the oracles is the independent route."""
+    """The census reads path cover off the largest linear forest inside each
+    mask and ``path_cover_number`` runs a subset recurrence; the rows above
+    compare the two on every mask to order 5 and on samples at orders 6
+    and 7.  The traceable-set partition DP in the oracles is a third route,
+    compared on every mask."""
 
     @pytest.mark.parametrize("n", range(CENSUS_MAX + 1))
     def test_every_mask(self, n):
@@ -171,12 +191,62 @@ class TestPathCoverReference:
 
 
 class TestChromaticReference:
-    """The census fills chromatic by edge-slot doubling and the per-graph
-    rows above are sampled at orders 6 and 7; the subset-partition DP in
-    the oracles is the independent route, compared on every mask."""
+    """The census reads chromatic off the largest cluster graph inside the
+    complement and the per-graph rows above are sampled at orders 6 and 7;
+    the subset-partition DP in the oracles is an independent route,
+    compared on every mask."""
 
     @pytest.mark.parametrize("n", range(CENSUS_MAX))
     def test_every_mask(self, n):
         table = census(n).tables["chromatic"]
         assert table.dtype == np.uint8
         assert np.array_equal(table, census_chromatic_table(n))
+
+
+class TestEarlierBuilders:
+    """The census's earlier builders, kept in the oracles: edge-slot
+    doubling for matching, independence and chromatic, and the size-ordered
+    domination sweep, compared on every mask to the cap."""
+
+    @pytest.mark.parametrize("n", range(CENSUS_MAX + 1))
+    def test_doubling(self, n):
+        cen = census(n)
+        for kind, table in zip(
+            ("matching", "independence", "chromatic"), census_doubling_tables(n)
+        ):
+            assert np.array_equal(cen.tables[kind], table), kind
+
+    @pytest.mark.parametrize("n", range(CENSUS_MAX + 1))
+    def test_domination(self, n):
+        table = census_domination_table(n)
+        assert np.array_equal(census(n).tables["domination"], table)
+
+
+class TestLargestInside:
+    # Bell numbers: the set partitions of n labelled vertices
+    @pytest.mark.parametrize(
+        "n,bell", [(0, 1), (1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203), (7, 877)]
+    )
+    def test_partitions(self, n, bell):
+        everything = (1 << n) - 1
+        seen = set()
+        for blocks in _partitions(everything):
+            union = 0
+            for block in blocks:
+                assert block and not block & union  # non-empty and disjoint
+                union |= block
+            assert union == everything
+            seen.add(frozenset(blocks))
+        assert len(seen) == bell
+
+    def test_submask_max_matches_brute_force(self):
+        cen = census(4)
+        rng = np.random.default_rng(4)
+        marks = rng.integers(0, 256, cen.n_masks, dtype=np.uint8)
+        want = [
+            max(int(marks[s]) for s in range(m + 1) if s & m == s)
+            for m in range(cen.n_masks)
+        ]
+        got = cen._largest_inside(marks.copy())
+        assert got.dtype == np.uint8
+        assert got.tolist() == want

@@ -385,6 +385,20 @@ class TestSweepsMatchTheOrderedOracles:
         assert report == oracle_edge_diff_audit(cen)
 
 
+class TestSweepOrders:
+    SWEEPS = {
+        "stability": stability_sweep,
+        "interval": lambda n: interval_sweep(n, "matching"),
+        "edge_diff": edge_diff_audit,
+    }
+
+    @pytest.mark.parametrize("n", [True, 3.0, "3"])
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_non_integer_orders_are_rejected(self, sweep, n):
+        with pytest.raises(GraphError, match="order must be an integer"):
+            self.SWEEPS[sweep](n)
+
+
 class TestIntervalAudit:
     def test_domination_over_small_forests(self):
         report = interval_audit((3, 2, 2, 2, 1, 1, 1), "domination", "forest")

@@ -329,8 +329,8 @@ def _gnm(rng, n, m):
 
 class TestBlossomMatching:
     """``matching_number`` against references computed apart from it:
-    the census's slot-doubling tables, the memoized subset search it
-    replaced, and networkx."""
+    the census's matching table (the largest matching inside each mask),
+    the memoized subset search it replaced, and networkx."""
 
     # Greedy takes 1-2, 3-4, 5-6 and 7-8 and leaves 9 and 10 free.  The
     # one augmenting path, 9-2=1-4=3-7=8-5=6-10, crosses the triangles
