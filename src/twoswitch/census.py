@@ -40,7 +40,10 @@ per vertex; a presence array over all 2^(3n) packed vectors and its
 running count give the ranks with no sort: about 0.03 s at n = 7.
 
 At n = 7 the build takes 0.39-0.45 s on a 2-core VM, no phase over
-0.1 s; ``Census.build_s`` has the seconds of each table and phase.
+0.1 s; ``Census.build_s`` has the seconds of each table and phase.  A
+census keeps only what the sweeps read, 32 MB at n = 7 (the tables,
+popcount, forest flags and degree ids); building census(1..7) in one
+process peaks at 102 MB RSS.  Only ``Census`` checks the order.
 
 Tables are cross-checked against the per-graph algorithms and the
 recurrences in the test suite; this module is the engine of the
@@ -55,7 +58,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph, GraphError, _integer
+from .graphs import CapExceededError, Graph, GraphError, _integer
 
 CENSUS_MAX = 7
 # table value of an undefined parameter (edge cover with an isolated
@@ -126,7 +129,8 @@ class Census:
     def __init__(self, n: int):
         n = _integer(n, "order")
         if not 0 <= n <= CENSUS_MAX:
-            raise GraphError(f"census supports orders 0..{CENSUS_MAX}, got {n}")
+            error = GraphError if n < 0 else CapExceededError
+            raise error(f"census supports orders 0..{CENSUS_MAX}, got {n}")
         self.n = n
         self.slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
         self.slot_index = {uv: k for k, uv in enumerate(self.slots)}
@@ -146,8 +150,7 @@ class Census:
                     acc |= 1 << k
             self.edges_within[t] = acc
 
-        self.masks = np.arange(self.n_masks, dtype=np.int64)
-        self.popcount = np.bitwise_count(self.masks).astype(np.uint8)
+        self.popcount = np.bitwise_count(np.arange(self.n_masks, dtype=np.uint32))
 
         # advisory seconds per build phase; not part of the tables
         self.build_s: dict[str, float] = {}
@@ -301,6 +304,10 @@ class Census:
         return n - self._largest_inside(marks)[::-1]
 
 
-@lru_cache(maxsize=None)
 def census(n: int) -> Census:
-    return Census(n)
+    """The shared ``Census`` of order ``n``, one per order whatever the
+    integer type of ``n``."""
+    return _shared(_integer(n, "order"))
+
+
+_shared = lru_cache(maxsize=None)(Census)

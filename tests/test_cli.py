@@ -287,15 +287,11 @@ class TestBipartiteCheck:
             "0580ce60555de8691cb77b4a14ea886ecb4d2fb4250b0facf6a467b375050397"
         )
 
-    def test_skip_closure(self, capsys):
-        code, out, _ = invoke(capsys, "bipartite-check", "--closure-budget", "0")
-        assert code == 0
-        assert "closure" not in out
-
-    def test_negative_closure_budget_is_usage_error(self, capsys):
-        code, out, err = invoke(capsys, "bipartite-check", "--closure-budget", "-3")
-        assert code == 2
-        assert out == "" and "at least 1" in err
+    def test_closure_bound_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["bipartite-check", "--closure-budget", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestConstrainedSearch:

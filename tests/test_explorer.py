@@ -4,6 +4,7 @@ import copy
 import functools
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,10 +200,11 @@ class TestSlotView:
         cen = census(n)
         bits = data.draw(st.integers(0, cen.full_mask))
         req = data.draw(st.integers(0, cen.full_mask)) & bits
-        view = slot_view(cen.masks, bits, req)
-        assert np.shares_memory(view, cen.masks)
+        masks = np.arange(cen.n_masks)
+        view = slot_view(masks, bits, req)
+        assert np.shares_memory(view, masks)
         flat = view.ravel()
-        assert np.array_equal(flat, cen.masks[(cen.masks & bits) == req])
+        assert np.array_equal(flat, masks[(masks & bits) == req])
         assert np.all(np.diff(flat) > 0)
         picks = data.draw(st.lists(st.integers(0, flat.size - 1), max_size=20))
         for element in {0, flat.size - 1, *picks}:
@@ -398,8 +400,38 @@ class TestSweepOrders:
         with pytest.raises(GraphError, match="order must be an integer"):
             self.SWEEPS[sweep](n)
 
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_orders_above_the_census_cap(self, sweep):
+        with pytest.raises(CapExceededError, match="census supports orders 0..7, got 8"):
+            self.SWEEPS[sweep](8)
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [lambda n: stability_sweep(n, kinds=("bogus",)), lambda n: interval_sweep(n, "bogus")],
+        ids=["stability", "interval"],
+    )
+    def test_a_bad_order_is_named_before_a_bad_kind(self, sweep):
+        with pytest.raises(CapExceededError):
+            sweep(8)
+        with pytest.raises(GraphError, match="order must be an integer"):
+            sweep(3.0)
+        with pytest.raises(GraphError, match="unknown parameter kind"):
+            sweep(3)
+
 
 class TestIntervalAudit:
+    def test_serial_walk_keeps_one_member_per_value(self):
+        # 1,074 members with two values: the walk keeps the two witnesses,
+        # where a list of every member peaked at about 2 MB
+        tracemalloc.start()
+        try:
+            report = interval_audit((3, 3, 2, 2, 2, 2, 1, 1), "matching")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.checked == 1074 and report.values == (3, 4)
+        assert peak < 256 * 1024
+
     def test_domination_over_small_forests(self):
         report = interval_audit((3, 2, 2, 2, 1, 1, 1), "domination", "forest")
         assert report.passed and report.interval_ok
@@ -658,9 +690,10 @@ class TestEdgeDiffAudit:
         moves = [
             (d, a) for d in range(cen.n_slots) for a in range(cen.n_slots) if a != d
         ]
+        masks = np.arange(cen.n_masks)
         for position, (d, a) in enumerate(moves):
             bits = (1 << d) | (1 << a)
-            cur = cen.masks[(cen.masks & bits) == 1 << d]
+            cur = masks[(masks & bits) == 1 << d]
             hits = cur[ids[cur ^ bits] == ids[cur]]
             if hits.size:
                 break
@@ -717,18 +750,16 @@ class TestBipartitePair:
         assert report.parts_differ
         assert report.one_step_invariant
         assert report.switches_checked > 100
-        assert report.closure is not None
         assert report.closure.complete and not report.closure.reached_target
 
-    def test_closure_can_be_skipped(self):
-        report = bipartite_counterexample_check(closure_budget=None)
-        assert report.closure is None
-        assert report.passed
-
-    def test_exhausted_budget_is_incomplete(self):
-        report = bipartite_counterexample_check(closure_budget=5)
+    def test_exhausted_budget_is_incomplete(self, monkeypatch):
+        # a closure cut short proves nothing, so the check fails
+        monkeypatch.setattr(ex, "CLOSURE_STATES", 5)
+        report = bipartite_counterexample_check()
         assert not report.closure.complete
         assert not report.closure.reached_target
+        assert report.one_step_invariant and report.parts_differ
+        assert not report.passed
 
     @pytest.mark.parametrize(
         "budget, expected",
@@ -738,14 +769,10 @@ class TestBipartitePair:
             (2000, (232, 0, False, True)),
         ],
     )
-    def test_closure_at_pinned_budgets(self, budget, expected):
-        c = bipartite_counterexample_check(closure_budget=budget).closure
+    def test_closure_at_pinned_budgets(self, monkeypatch, budget, expected):
+        monkeypatch.setattr(ex, "CLOSURE_STATES", budget)
+        c = bipartite_counterexample_check().closure
         assert (c.explored, c.frontier, c.reached_target, c.complete) == expected
-
-    @pytest.mark.parametrize("budget", [0, -3])
-    def test_closure_budget_below_one_is_rejected(self, budget):
-        with pytest.raises(GraphError):
-            bipartite_counterexample_check(closure_budget=budget)
 
 
 class TestExplore:

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -442,3 +443,34 @@ class TestRank:
         tri = Graph(3, [(1, 2), (1, 3), (2, 3)])
         assert adjacency_rank(tri) == 3
         assert matching_number(tri) == 1
+
+    @pytest.mark.parametrize("n", range(40, 102))
+    def test_closed_forms_at_larger_orders(self, n):
+        assert adjacency_rank(_cycle(n)) == (n - 2 if n % 4 == 0 else n)
+        assert adjacency_rank(_path(n)) == (n if n % 2 == 0 else n - 1)
+        a = n // 3
+        k_ab = Graph(n, [(u, w) for u in range(1, a + 1) for w in range(a + 1, n + 1)])
+        assert adjacency_rank(k_ab) == 2
+
+    @pytest.mark.parametrize("n", [40, 41, 64, 101])
+    def test_complete_graph_has_full_rank(self, n):
+        assert adjacency_rank(_disjoint_cliques(1, n)) == n
+
+    def test_dense_random_graph_matches_floating_rank(self):
+        g = _gnp(random.Random(60), 60)
+        assert adjacency_rank(g) == oracle_rank(g)
+
+    def test_entries_stay_small(self):
+        # without reducing rows, entry bit-lengths roughly double per pivot
+        # and this took seconds; at n = 40 it did not finish in minutes
+        g = _gnp(random.Random(30), 30)
+        start = time.perf_counter()
+        rank = adjacency_rank(g)
+        assert time.perf_counter() - start < 1.0
+        assert rank == oracle_rank(g)
+
+
+def _gnp(rng, n):
+    """G(n, 1/2): each slot an edge with probability one half."""
+    slots = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)]
+    return Graph(n, [uv for uv in slots if rng.random() < 0.5])
