@@ -18,10 +18,11 @@ partition into traceable vertex sets for one graph, fast enough to check
 ``oracle_matching_memo`` the memoized subset search that checks the
 blossom algorithm of ``matching_number`` up to 20 vertices.
 ``oracle_leaf_fixing_switch`` picks the forest route's leaf-fixing
-switch with one path search per leaf, where the package roots each
-working forest once.  ``oracle_classify`` is the paper's path-shape
-characterisation of t- and f-switches, where the package decides by
-acyclicity before and after the switch.
+switch with one path search per leaf and one gain per candidate, where
+the package takes each gain's candidates by set algebra and searches a
+path only for a leaf that has some.  ``oracle_classify`` is the paper's
+path-shape characterisation of t- and f-switches, where the package
+decides by acyclicity before and after the switch.
 
 ``oracle_stability_sweep`` and ``oracle_edge_diff_audit`` are the
 order-wide sweeps that compare every ordered switch shape and every

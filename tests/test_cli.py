@@ -266,6 +266,19 @@ class TestOrderSevenWireFormat:
         )
 
 
+@pytest.fixture(scope="module")
+def bipartite_report():
+    """One run of the bipartite check (about a second), shared by the
+    commands below; the report is frozen."""
+    return explorer.bipartite_counterexample_check()
+
+
+@pytest.fixture
+def shared_bipartite_check(monkeypatch, bipartite_report):
+    monkeypatch.setattr(explorer, "bipartite_counterexample_check", lambda: bipartite_report)
+
+
+@pytest.mark.usefixtures("shared_bipartite_check")
 class TestBipartiteCheck:
     def test_full_run(self, capsys):
         code, out, _ = invoke(capsys, "bipartite-check")

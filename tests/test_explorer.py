@@ -739,9 +739,16 @@ class TestAreIsomorphic:
         assert are_isomorphic(f, h)
 
 
+@pytest.fixture(scope="module")
+def bipartite_report():
+    """One default run of the bipartite check, whose 232-state closure
+    takes about a second; the report is frozen, so tests can share it."""
+    return bipartite_counterexample_check()
+
+
 class TestBipartitePair:
-    def test_all_gates(self):
-        report = bipartite_counterexample_check()
+    def test_all_gates(self, bipartite_report):
+        report = bipartite_report
         assert report.passed
         assert report.same_degree_vector
         assert report.both_bipartite
@@ -769,9 +776,12 @@ class TestBipartitePair:
             (2000, (232, 0, False, True)),
         ],
     )
-    def test_closure_at_pinned_budgets(self, monkeypatch, budget, expected):
-        monkeypatch.setattr(ex, "CLOSURE_STATES", budget)
-        c = bipartite_counterexample_check().closure
+    def test_closure_at_pinned_budgets(self, monkeypatch, request, budget, expected):
+        if budget == ex.CLOSURE_STATES:  # the default run
+            c = request.getfixturevalue("bipartite_report").closure
+        else:
+            monkeypatch.setattr(ex, "CLOSURE_STATES", budget)
+            c = bipartite_counterexample_check().closure
         assert (c.explored, c.frontier, c.reached_target, c.complete) == expected
 
 

@@ -117,6 +117,46 @@ class TestLeafFixingSwitch:
             assert leaf_fixing_switch(f, g).labels() == oracle_leaf_fixing_switch(f, g)
             compared += 1
 
+    # (seed, step, choice, path neighbour): at leaf fix 9 of seed 0 (n =
+    # 89, 4 trees), leaf 34 (v = 41) takes u = 67, whose smallest gain-1
+    # partner 33 is u's neighbour on the 34-67 path, so 65 wins
+    PINNED = (0, 9, (1, 34, 41, 67, 65), 33)
+
+    def test_matches_reference_on_working_states(self, monkeypatch):
+        # every leaf fix of 20 seeded routes (n = 40..120, 1-5 trees),
+        # asked of the reference on the working forests as full graphs
+        states = []
+        best = transition._best_leaf_fix
+
+        def spy(adj1, adj2):
+            choice = best(adj1, adj2)
+            states.append((transition._edge_set(adj1), transition._edge_set(adj2), choice))
+            return choice
+
+        monkeypatch.setattr(transition, "_best_leaf_fix", spy)
+        compared = 0
+        for seed in range(20):
+            rng = random.Random(seed)
+            n = rng.randint(40, 120)
+            a, b = _same_vector_pair(rng, n, rng.randint(1, 5))
+            states.clear()
+            transition_forest(Graph(n, a), Graph(n, b))
+            for e1, e2, (_, *labels) in states:
+                assert tuple(labels) == oracle_leaf_fixing_switch(Graph(n, e1), Graph(n, e2))
+            compared += len(states)
+            if seed == self.PINNED[0]:
+                pinned = (n, *states[self.PINNED[1]])
+        assert compared == 1280
+
+        n, e1, e2, choice = pinned
+        assert choice == self.PINNED[2]
+        gain, leaf, v, u, w = choice
+        x = self.PINNED[3]
+        f, f2 = Graph(n, e1), Graph(n, e2)
+        assert x < w and (u, x) in f
+        assert 1 - ((u, x) in f2) + ((v, x) in f2) == gain
+        assert classify(ActionMatrix(leaf, v, u, x), f) is SwitchKind.PLAIN
+
 
 class TestTransitionForest:
     def test_identity_pair(self, fig1_graphs):
