@@ -17,7 +17,6 @@ from . import explorer, fixtures, parameters
 from .graphs import (
     Graph,
     GraphError,
-    degree_sequence,
     format_edge_list,
     parse_edge_list,
     to_dot,
@@ -109,12 +108,12 @@ def _cmd_params(args) -> int:
     if args.kind != "all":
         print(f"{args.kind}={_param_value(args.kind, g)}")
         return 0
-    isolated = any(d == 0 for d in degree_sequence(g))
     values = {}
     for kind in sorted(PARAM_KINDS):
-        if kind == "edge_cover" and isolated:
-            continue  # undefined, skipped rather than reported
-        values[kind] = _param_value(kind, g)
+        try:
+            values[kind] = _param_value(kind, g)
+        except parameters.IsolatedVertexError:
+            continue  # edge cover is undefined: skipped rather than reported
     if args.json:
         print(json.dumps(values, indent=2, sort_keys=True))
     else:

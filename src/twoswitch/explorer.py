@@ -190,22 +190,19 @@ def stability_audit(graph: Graph, kinds=parameters.STABLE_KINDS) -> dict[str, Au
     ``checked`` counts the switches it was evaluated on.
     ``stability_sweep`` checks a whole order.
     """
-    for kind in kinds:
-        if kind not in parameters.STABLE_KINDS:
-            raise GraphError(f"unknown parameter kind {kind!r}")
-    isolated = any(d == 0 for d in degree_sequence(graph))
+    kinds = parameters._check_kinds(kinds)
     reports = {}
     base = {}
     for kind in kinds:
-        if kind == "edge_cover" and isolated:
+        try:
+            base[kind] = parameters.compute(kind, graph)
+        except parameters.IsolatedVertexError:
             reports[kind] = AuditReport(
                 audit="stability",
                 passed=True,
                 kind=kind,
                 notes="edge_cover undefined: graph has isolated vertices",
             )
-        else:
-            base[kind] = parameters.compute(kind, graph)
     checked = 0
     for m in nontrivial_matrices(graph):
         if not base:
@@ -271,9 +268,7 @@ def stability_sweep(n: int, kinds=parameters.STABLE_KINDS) -> dict[str, AuditRep
     in ``_switch_patterns`` order is named.
     """
     cen = census(n)
-    for kind in kinds:
-        if kind not in parameters.STABLE_KINDS:
-            raise GraphError(f"unknown parameter kind {kind!r}")
+    kinds = parameters._check_kinds(kinds)
     checked = dict.fromkeys(kinds, 0)
     worst: dict[str, tuple[int, int, ActionMatrix]] = {}
     for bits, sides in _switch_pairs(cen):
@@ -349,10 +344,10 @@ def interval_audit(
     """
     seq = tuple(_integer(d, "degree") for d in seq)
     n = len(seq)
-    if kind not in parameters.STABLE_KINDS:
-        raise GraphError(f"unknown parameter kind {kind!r}")
+    parameters._check_kind(kind)
     if family not in FAMILY_PREDICATES:
         raise GraphError(f"unknown family {family!r}")
+    workers = _integer(workers, "worker count")
     if workers < 1:
         raise GraphError(f"worker count must be at least 1, got {workers}")
     if not is_graphical(seq):
@@ -486,8 +481,7 @@ def interval_sweep(n: int, kind: str, family: str = "all") -> SweepReport:
     marked in bit 7 and that bit is cleared before anything is counted.
     """
     cen = census(n)
-    if kind not in parameters.STABLE_KINDS:
-        raise GraphError(f"unknown parameter kind {kind!r}")
+    parameters._check_kind(kind)
     ids, values = cen.degree_id, cen.tables[kind]
     if family != "all":
         masks = np.flatnonzero(_family_selector(cen, family))
@@ -859,6 +853,7 @@ def constrained_transition_search(
     budget of expanded states ran out first it is only a shrug.  A found
     (shortest) route reports ``complete=False`` unless ``g == h``.
     """
+    budget = _integer(budget, "search budget")
     if budget < 1:
         raise GraphError(f"search budget must be at least 1, got {budget}")
     if family not in FAMILY_PREDICATES:

@@ -3,8 +3,12 @@
 Everything downstream (switches, transitions, audits) works with small
 graphs whose vertices are consecutive integers starting at 1.  Graphs are
 immutable so they can be hashed, deduplicated and used as dict keys.
-``depth_first`` is the package's one connectivity traversal and
-``_acyclic`` its one acyclicity rule, for switch verdicts too.
+``depth_first`` is the traversal behind components, forest paths and the
+forest parameters, and ``_acyclic`` the acyclicity rule behind the
+forest predicates, switch verdicts and trace replay.  Two loops keep
+their own: the forest route's path search stops at its goal
+(``transition._toward``), and ``explorer.enumerate_forests`` keeps a
+union-find it can undo.
 """
 
 from __future__ import annotations

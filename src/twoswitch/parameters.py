@@ -2,35 +2,38 @@
 
 Nine integer invariants that a single 2-switch can move by at most one:
 matching, independence, domination, path cover, edge cover, vertex cover,
-chromatic, clique and component count.  All algorithms here are exact and
-deterministic (ties always break toward the lowest label).
+chromatic, clique and component count.  ``compute`` is the one entry
+point for all nine.  All algorithms here are exact and deterministic
+(ties always break toward the lowest label).
+
+On every graph ``compute`` takes components from one traversal and the
+two covers from Gallai's identities: vertex cover is n - independence,
+and edge cover n - matching on graphs with no isolated vertex.  The six
+other kinds each have a general route and a forest route.
 
 On a general graph matching is Edmonds' blossom algorithm (1965):
-O(n^3) time, O(n + m) memory and no cap on the order.  Edge cover comes
-from it by Gallai's identity, n - matching on graphs with no isolated
-vertex, and components is one traversal.  The other six kinds are
-exponential, and each refuses graphs above ``SUBSET_MAX`` = 20 vertices
-with ``CapExceededError``.  Independence and domination are memoized
-searches over vertex subsets, so a memo holds at most 2^20 states; it is
-freed on return.  Clique is independence on the complement, and vertex
-cover n - independence (Gallai).  Path cover is a numpy recurrence over
-the 2^n vertex subsets, O(2^n * n) time and about 5 * 2^n bytes
-whatever the edges, and chromatic a backtracking search for the fewest
-colours.  At n = 20, on G(n, m) graphs of every density, K20 and K10,10
-(2-core VM, Python 3.11), one call took at most about 0.04 ms for
-matching and edge cover, 7 ms for chromatic, 2 ms for domination, 1 ms
-for independence, vertex cover and clique, and 0.3 s for path cover; a
-matching of G(1000, 2500) took about 30 ms.
+O(n^3) time, O(n + m) memory and no cap on the order.  The other five
+kinds are exponential, and each refuses graphs above ``SUBSET_MAX`` = 20
+vertices with ``CapExceededError``.  Independence and domination are
+memoized searches over vertex subsets, so a memo holds at most 2^20
+states; it is freed on return.  Clique is independence on the
+complement.  Path cover is a numpy recurrence over the 2^n vertex
+subsets, O(2^n * n) time and about 5 * 2^n bytes whatever the edges, and
+chromatic a backtracking search for the fewest colours.  At n = 20, on
+G(n, m) graphs of every density, K20 and K10,10 (2-core VM, Python
+3.11), one call took at most about 0.04 ms for matching and edge cover,
+7 ms for chromatic, 2 ms for domination, 1 ms for independence, vertex
+cover and clique, and 0.3 s for path cover; a matching of G(1000, 2500)
+took about 30 ms.
 
-On a forest ``compute`` answers every kind but components from two
-leaves-up passes over the reversed ``graphs.depth_first`` preorder, O(n)
-each and without a cap.  The first links a vertex to its parent whenever
-both have room: with one link per vertex that is a maximum matching nu,
-and with two it is a largest set of disjoint paths, so path cover is n
-minus its edges.
-Forests are bipartite, so König's theorem gives independence n - nu and
-vertex cover nu, and Gallai's identity edge cover n - nu.  The second is
-the domination greedy of Cockayne, Goodman and Hedetniemi (1975), which
+On a forest the six kinds come from two leaves-up passes over the
+reversed ``graphs.depth_first`` preorder, O(n) each and without a cap.
+The first links a vertex to its parent whenever both have room: with one
+link per vertex that is a maximum matching nu, and with two it is a
+largest set of disjoint paths, so path cover is n minus its edges.
+Forests are bipartite, so König's theorem gives independence n - nu, and
+with it vertex cover nu and edge cover n - nu.  The second is the
+domination greedy of Cockayne, Goodman and Hedetniemi (1975), which
 takes the parent of every vertex still undominated.  Chromatic and clique
 are 2 with an edge, and the adjacency rank is 2 * nu.  The tests check
 both passes against rooted dynamic programs.
@@ -61,6 +64,7 @@ STABLE_KINDS = (
     "path_cover",
     "vertex_cover",
 )
+_KINDS = frozenset(STABLE_KINDS)
 
 
 SUBSET_MAX = 20  # every exponential kind: at most 2^20 vertex subsets
@@ -120,7 +124,7 @@ def _lowest_with_neighbour(adj: list[int], avail: int) -> int:
 # -- matching --------------------------------------------------------------
 
 
-def matching_number(g: Graph) -> int:
+def _matching(g: Graph) -> int:
     """Maximum number of pairwise disjoint edges, by Edmonds' blossom
     algorithm (Edmonds 1965, "Paths, trees, and flowers").
 
@@ -236,10 +240,10 @@ def _blossom_base(
     return base[u]
 
 
-# -- independence / vertex cover / clique -----------------------------------
+# -- independence / clique ------------------------------------------------
 
 
-def _independence(adj: list[int]) -> int:
+def _largest_independent(adj: list[int]) -> int:
     def step(avail: int, memo) -> int:
         v = _lowest_with_neighbour(adj, avail)
         if v < 0:
@@ -250,29 +254,23 @@ def _independence(adj: list[int]) -> int:
     return _Memo(step)[(1 << len(adj)) - 1]
 
 
-def independence_number(g: Graph) -> int:
+def _independence(g: Graph) -> int:
     """Largest set of pairwise non-adjacent vertices."""
-    return _independence(_adj_masks(g))
+    return _largest_independent(_adj_masks(g))
 
 
-def vertex_cover_number(g: Graph) -> int:
-    """Smallest set of vertices meeting every edge: the complement of a
-    largest independent set (Gallai)."""
-    return g.n - independence_number(g)
-
-
-def clique_number(g: Graph) -> int:
+def _clique(g: Graph) -> int:
     """Largest complete subgraph: a largest independent set of the
     complement."""
     adj = _adj_masks(g)
     full = (1 << g.n) - 1
-    return _independence([full & ~(a | 1 << v) for v, a in enumerate(adj)])
+    return _largest_independent([full & ~(a | 1 << v) for v, a in enumerate(adj)])
 
 
 # -- domination ------------------------------------------------------------
 
 
-def domination_number(g: Graph) -> int:
+def _domination(g: Graph) -> int:
     """Smallest set whose closed neighbourhoods cover every vertex."""
     closed = [a | 1 << v for v, a in enumerate(_adj_masks(g))]
 
@@ -292,7 +290,7 @@ def domination_number(g: Graph) -> int:
 _PATH_COVER_ROWS = 1 << 14  # subsets per step: bounds each temporary to n * 2^14 entries
 
 
-def path_cover_number(g: Graph) -> int:
+def _path_cover(g: Graph) -> int:
     """Minimum number of vertex-disjoint paths covering all vertices.
 
     Isolated vertices count as trivial one-vertex paths.  For each vertex
@@ -324,33 +322,10 @@ def path_cover_number(g: Graph) -> int:
     return int(best[-1])
 
 
-# -- edge cover ------------------------------------------------------------
-
-
-def edge_cover_number(g: Graph) -> int:
-    """Minimum number of edges touching every vertex.
-
-    Gallai's identity gives it as n - matching: extend a maximum matching
-    by one edge per unmatched vertex.  Undefined when a vertex has no
-    edge, which raises ``IsolatedVertexError``.
-    """
-    return _edge_cover(g, matching_number)
-
-
-def _edge_cover(g: Graph, matching) -> int:
-    adj = g.adjacency()
-    isolated = next((v for v in g.vertices() if not adj[v]), None)
-    if isolated is not None:
-        raise IsolatedVertexError(
-            f"vertex {isolated} has degree 0; edge cover undefined"
-        )
-    return g.n - matching(g)
-
-
 # -- colouring / cliques ----------------------------------------------------
 
 
-def chromatic_number(g: Graph) -> int:
+def _chromatic(g: Graph) -> int:
     """Fewest colours in a proper colouring; 0 for the empty-order graph."""
     adj = _adj_masks(g)
     if not g.edges:
@@ -480,16 +455,15 @@ def adjacency_rank(g: Graph) -> int:
 
 # -- dispatch ----------------------------------------------------------------
 
+# the general exact algorithms: matching at any order, the rest up to
+# ``SUBSET_MAX`` vertices
 _GENERAL = {
-    "matching": matching_number,
-    "independence": independence_number,
-    "domination": domination_number,
-    "path_cover": path_cover_number,
-    "edge_cover": edge_cover_number,
-    "vertex_cover": vertex_cover_number,
-    "chromatic": chromatic_number,
-    "clique": clique_number,
-    "components": graphs.kappa,
+    "matching": _matching,
+    "independence": _independence,
+    "domination": _domination,
+    "path_cover": _path_cover,
+    "chromatic": _chromatic,
+    "clique": _clique,
 }
 
 
@@ -497,32 +471,65 @@ def _two_with_an_edge(g: Graph) -> int:
     return 2 if g.edges else min(g.n, 1)
 
 
-# forests are bipartite: König gives vertex cover = matching, Gallai the rest,
-# and chromatic and clique are 2 with an edge; only ``compute`` calls these,
-# after it has ruled out a cycle
+# the same six kinds on a forest, linear and uncapped: forests are bipartite,
+# so König gives independence n - matching, and chromatic and clique are 2
+# with an edge; only ``compute`` calls these, after it has ruled out a cycle
 _FOREST = {
     "matching": _forest_matching,
     "independence": lambda g: g.n - _forest_matching(g),
-    "vertex_cover": _forest_matching,
-    "edge_cover": lambda g: _edge_cover(g, _forest_matching),
     "domination": _dominating,
     "path_cover": lambda g: g.n - _capped_links(g, 2),
     "chromatic": _two_with_an_edge,
     "clique": _two_with_an_edge,
 }
 
+# Gallai (1959): a vertex set meets every edge exactly when the other
+# vertices are independent, and a maximum matching grows into a minimum
+# edge cover by one edge per unmatched vertex
+_GALLAI = {"vertex_cover": "independence", "edge_cover": "matching"}
+
+
+def _check_kind(kind) -> None:
+    """Refuse anything but one of ``STABLE_KINDS``, naming it as given."""
+    if not (isinstance(kind, str) and kind in _KINDS):
+        raise GraphError(f"unknown parameter kind {kind!r}")
+
+
+def _check_kinds(kinds) -> tuple[str, ...]:
+    """``kinds`` as a tuple once ``_check_kind`` passes each member; a
+    string is refused whole rather than read as its letters."""
+    if isinstance(kinds, str):
+        raise GraphError(f"parameter kinds must be a collection of kinds, got {kinds!r}")
+    kinds = tuple(kinds)
+    for kind in kinds:
+        _check_kind(kind)
+    return kinds
+
 
 def compute(kind: str, g: Graph) -> int:
     """Evaluate one of the nine stable parameters on ``g``.
 
-    Forests take the linear leaves-up passes for every kind the general
-    algorithms would spend super-linear time on, so no forest meets the
-    cap; all other cases take the general exact algorithm, which raises
-    ``CapExceededError`` above ``SUBSET_MAX`` vertices for every kind but
-    components, matching and edge cover.
+    The package's one entry point for them.  Components is one
+    traversal.  The two covers are Gallai's identities, vertex cover
+    n - independence and edge cover n - matching, and edge cover raises
+    ``IsolatedVertexError`` when some vertex has no edge.  The six other
+    kinds, the covers' two among them, take the linear leaves-up passes
+    on a forest, so no forest meets the cap, and the general exact
+    algorithm otherwise, which raises ``CapExceededError`` above
+    ``SUBSET_MAX`` vertices for every kind but matching.  A ``kind``
+    outside ``STABLE_KINDS`` raises ``GraphError``.
     """
-    if kind not in _GENERAL:
-        raise GraphError(f"unknown parameter kind {kind!r}")
-    if kind in _FOREST and graphs.is_forest(g):
-        return _FOREST[kind](g)
-    return _GENERAL[kind](g)
+    _check_kind(kind)
+    if kind == "components":
+        return graphs.kappa(g)
+    if kind == "edge_cover":
+        adj = g.adjacency()
+        isolated = next((v for v in g.vertices() if not adj[v]), None)
+        if isolated is not None:
+            raise IsolatedVertexError(
+                f"vertex {isolated} has degree 0; edge cover undefined"
+            )
+    table = _FOREST if graphs.is_forest(g) else _GENERAL
+    if kind in _GALLAI:
+        return g.n - table[_GALLAI[kind]](g)
+    return table[kind](g)

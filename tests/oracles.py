@@ -12,11 +12,12 @@ their independent route.  ``census_doubling_tables`` (matching,
 independence and chromatic by doubling over the top edge slot) and
 ``census_domination_table`` (vertex subsets by size) are the census's
 earlier builders.  They follow the census's mask layout (bit k of a mask
-is the k-th vertex pair in lexicographic order) and nothing else.  ``oracle_path_cover_partition`` is the
-partition into traceable vertex sets for one graph, fast enough to check
-``path_cover_number`` beyond the reach of ``oracle_path_cover``, and
+is the k-th vertex pair in lexicographic order) and nothing else.
+``oracle_path_cover_partition`` is the partition into traceable vertex
+sets for one graph, fast enough to check the general path cover
+recurrence beyond the reach of ``oracle_path_cover``, and
 ``oracle_matching_memo`` the memoized subset search that checks the
-blossom algorithm of ``matching_number`` up to 20 vertices.
+general blossom matching up to 20 vertices.
 ``oracle_leaf_fixing_switch`` picks the forest route's leaf-fixing
 switch with one path search per leaf and one gain per candidate, where
 the package takes each gain's candidates by set algebra and searches a

@@ -183,10 +183,10 @@ class TestDegreeIds:
 
 class TestPathCoverReference:
     """The census reads path cover off the largest linear forest inside each
-    mask and ``path_cover_number`` runs a subset recurrence; the rows above
-    compare the two on every mask to order 5 and on samples at orders 6
-    and 7.  The traceable-set partition DP in the oracles is a third route,
-    compared on every mask."""
+    mask and ``compute`` runs a subset recurrence on each non-forest; the
+    rows above compare the two on every mask to order 5 and on samples at
+    orders 6 and 7.  The traceable-set partition DP in the oracles is a
+    third route, compared on every mask."""
 
     @pytest.mark.parametrize("n", range(CENSUS_MAX + 1))
     def test_every_mask(self, n):

@@ -235,6 +235,16 @@ class TestStabilityAudit:
         with pytest.raises(GraphError):
             stability_audit(Graph(3), ("matching", "girth"))
 
+    @pytest.mark.parametrize(
+        "audit",
+        [lambda kinds: stability_audit(Graph(3), kinds), lambda kinds: stability_sweep(4, kinds)],
+        ids=["graph", "order"],
+    )
+    def test_a_string_of_kinds_is_named_whole(self, audit):
+        # not read as the kinds 'm', 'a', 't', ...
+        with pytest.raises(GraphError, match="collection of kinds, got 'matching'"):
+            audit("matching")
+
     def test_single_graph(self, fig1_graphs):
         g0, _, _ = fig1_graphs
         reports = stability_audit(g0, ("matching",))
@@ -563,6 +573,12 @@ class TestIntervalAudit:
         # truncating them would audit (2, 2, 2) and (1, 1) under these names
         with pytest.raises(GraphError, match="degree must be an integer"):
             interval_audit(seq, "matching")
+
+    @pytest.mark.parametrize("workers", [True, 2.5, "2"])
+    def test_non_integer_workers_are_rejected(self, workers):
+        with pytest.raises(GraphError, match="worker count must be an integer"):
+            interval_audit((2, 2, 2), "matching", "all", workers=workers)
+        assert interval_audit((2, 2, 2), "matching", "all", workers=np.int64(1)).passed
 
 
 class TestIntervalSweep:
@@ -905,6 +921,13 @@ class TestConstrainedSearch:
         g = Graph(4, [(1, 2), (3, 4)])
         with pytest.raises(GraphError):
             constrained_transition_search(g, g, budget=0)
+
+    @pytest.mark.parametrize("budget", [True, 2.5, "2"])
+    def test_non_integer_budget_is_rejected(self, budget):
+        g = Graph(4, [(1, 2), (3, 4)])
+        with pytest.raises(GraphError, match="search budget must be an integer"):
+            constrained_transition_search(g, g, budget=budget)
+        assert constrained_transition_search(g, g, budget=np.int64(1)).found
 
     def test_budget_exhaustion_is_inconclusive(self):
         f = Graph(8, [(1, 2), (2, 6), (3, 4), (3, 7), (4, 5), (5, 8), (6, 7)])

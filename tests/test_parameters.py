@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import time
 
 import numpy as np
@@ -17,11 +18,13 @@ from oracles import (
     oracle_vertex_cover,
 )
 
+import twoswitch
 from twoswitch import parameters
 from twoswitch.census import UNDEFINED, census
 from twoswitch.graphs import (
     CapExceededError,
     Graph,
+    GraphError,
     degree_sequence,
     is_forest,
 )
@@ -29,15 +32,7 @@ from twoswitch.parameters import (
     STABLE_KINDS,
     IsolatedVertexError,
     adjacency_rank,
-    chromatic_number,
-    clique_number,
     compute,
-    domination_number,
-    edge_cover_number,
-    independence_number,
-    matching_number,
-    path_cover_number,
-    vertex_cover_number,
 )
 
 K4 = Graph(4, [(u, v) for u in range(1, 4) for v in range(u + 1, 5)])
@@ -46,60 +41,81 @@ PM6 = Graph(6, [(1, 2), (3, 4), (5, 6)])
 STAR5 = Graph(5, [(1, v) for v in range(2, 6)])
 P5 = Graph(5, [(v, v + 1) for v in range(1, 5)])
 
+# The general algorithms, which ``compute`` skips on forests; tests that
+# exercise them on forests call them here.  ``GENERAL_ROUTE`` adds the two
+# covers as ``compute`` takes them off a non-forest, by Gallai's identities.
+GENERAL = parameters._GENERAL
+GENERAL_ROUTE = {
+    **GENERAL,
+    "vertex_cover": lambda g: g.n - GENERAL["independence"](g),
+    "edge_cover": lambda g: g.n - GENERAL["matching"](g),
+}
+
 
 class TestBundledValues:
     """Expected numbers below were frozen from the subset-scan oracles."""
 
     def test_spider_tree(self, fig1_graphs):
         g0, _, _ = fig1_graphs
-        assert matching_number(g0) == 3
-        assert independence_number(g0) == 4
-        assert vertex_cover_number(g0) == 3
-        assert domination_number(g0) == 3
-        assert path_cover_number(g0) == 2
-        assert edge_cover_number(g0) == 4  # 7 - 3
-        assert chromatic_number(g0) == 2
-        assert clique_number(g0) == 2
+        assert {kind: general(g0) for kind, general in GENERAL_ROUTE.items()} == {
+            "matching": 3,
+            "independence": 4,
+            "vertex_cover": 3,
+            "domination": 3,
+            "path_cover": 2,
+            "edge_cover": 4,  # 7 - 3
+            "chromatic": 2,
+            "clique": 2,
+        }
         assert adjacency_rank(g0) == 6
 
     def test_unicyclic_intermediate(self, fig1_graphs):
         _, g1, _ = fig1_graphs
-        assert chromatic_number(g1) == 3
-        assert clique_number(g1) == 3
+        assert GENERAL["chromatic"](g1) == 3
+        assert GENERAL["clique"](g1) == 3
         assert compute("components", g1) == 2
 
     def test_small_named_graphs(self):
-        assert independence_number(K4) == 1
-        assert vertex_cover_number(K4) == 3
-        assert domination_number(STAR5) == 1
-        assert path_cover_number(P5) == 1
-        assert edge_cover_number(PM4) == 2
+        assert GENERAL["independence"](K4) == 1
+        assert GENERAL_ROUTE["vertex_cover"](K4) == 3
+        assert GENERAL["domination"](STAR5) == 1
+        assert GENERAL["path_cover"](P5) == 1
+        assert GENERAL_ROUTE["edge_cover"](PM4) == 2
         assert adjacency_rank(PM6) == 6
 
     def test_empty_graphs(self):
-        assert matching_number(Graph(0)) == 0
+        assert GENERAL["matching"](Graph(0)) == 0
         assert degree_sequence(Graph(5)) == (0,) * 5
-        assert independence_number(Graph(5)) == 5
-        assert vertex_cover_number(Graph(5)) == 0
-        assert domination_number(Graph(3)) == 3
-        assert path_cover_number(Graph(4)) == 4
-        assert chromatic_number(Graph(2)) == 1
-        assert clique_number(Graph(2)) == 1
-        assert chromatic_number(Graph(0)) == 0
+        assert GENERAL["independence"](Graph(5)) == 5
+        assert GENERAL_ROUTE["vertex_cover"](Graph(5)) == 0
+        assert GENERAL["domination"](Graph(3)) == 3
+        assert GENERAL["path_cover"](Graph(4)) == 4
+        assert GENERAL["chromatic"](Graph(2)) == 1
+        assert GENERAL["clique"](Graph(2)) == 1
+        assert GENERAL["chromatic"](Graph(0)) == 0
         assert adjacency_rank(Graph(3)) == 0
 
     def test_isolated_vertex_guard(self):
-        with pytest.raises(IsolatedVertexError):
-            edge_cover_number(Graph(3, [(1, 2)]))
-        assert edge_cover_number(Graph(0)) == 0
+        # the guard is ``compute``'s, on forests and non-forests alike
+        for g, v in ((Graph(3, [(1, 2)]), 3), (Graph(4, [(2, 3), (2, 4), (3, 4)]), 1)):
+            with pytest.raises(IsolatedVertexError, match=f"vertex {v} has degree 0"):
+                compute("edge_cover", g)
+        assert compute("edge_cover", Graph(0)) == 0
 
     def test_compute_dispatch(self, fig1_graphs):
         g0, g1, _ = fig1_graphs
         assert compute("components", g1) == 2
         assert compute("matching", Graph(0)) == 0
         assert compute("domination", g0) == 3
-        with pytest.raises(Exception):
+        with pytest.raises(GraphError, match="unknown parameter kind 'girth'"):
             compute("girth", g0)
+
+    @pytest.mark.parametrize(
+        "kind", [["matching"], None, 3, b"matching"], ids=["list", "None", "int", "bytes"]
+    )
+    def test_a_kind_that_is_not_a_string_is_named(self, kind):
+        with pytest.raises(GraphError, match=re.escape(f"unknown parameter kind {kind!r}")):
+            compute(kind, P5)
 
 
 def all_graphs_upto(max_n):
@@ -130,26 +146,20 @@ class TestAgainstOracles:
     @settings(max_examples=60, deadline=None)
     def test_complement_identities(self, g):
         # both cover numbers are defined by Gallai's identities; check the
-        # identities against brute force
-        assert vertex_cover_number(g) == oracle_vertex_cover(g)
+        # identities against brute force on the general algorithms, and
+        # what ``compute`` returns, which takes forests the forest route
+        assert GENERAL_ROUTE["vertex_cover"](g) == oracle_vertex_cover(g)
+        assert compute("vertex_cover", g) == oracle_vertex_cover(g)
         if all(d > 0 for d in degree_sequence(g)):
-            assert edge_cover_number(g) == oracle_edge_cover(g)
+            assert GENERAL_ROUTE["edge_cover"](g) == oracle_edge_cover(g)
+            assert compute("edge_cover", g) == oracle_edge_cover(g)
 
 
 class TestForestRoutines:
     """The forest route of ``compute`` must agree with the general
     algorithms."""
 
-    ROUTED = {
-        "matching": matching_number,
-        "independence": independence_number,
-        "domination": domination_number,
-        "path_cover": path_cover_number,
-        "vertex_cover": vertex_cover_number,
-        "edge_cover": edge_cover_number,
-        "chromatic": chromatic_number,
-        "clique": clique_number,
-    }
+    ROUTED = GENERAL_ROUTE
 
     def _agrees_with_general(self, f):
         for kind, general in self.ROUTED.items():
@@ -248,8 +258,8 @@ class TestPathCoverLargeOrders:
     @pytest.mark.parametrize("n,seed", [(16, 0), (16, 1), (16, 2), (20, 0), (20, 1)])
     def test_random_forests_match_the_tree_dp(self, n, seed):
         f = _random_forest(random.Random(seed), n)
-        assert path_cover_number(f) == FOREST_ORACLES["path_cover"](f)
-        assert path_cover_number(f) == compute("path_cover", f)
+        assert GENERAL["path_cover"](f) == FOREST_ORACLES["path_cover"](f)
+        assert GENERAL["path_cover"](f) == compute("path_cover", f)
 
     @pytest.mark.parametrize(
         "g,expected",
@@ -263,12 +273,12 @@ class TestPathCoverLargeOrders:
         ids=["empty", "P20", "K1,19", "10K2", "2K10"],
     )
     def test_closed_forms_at_twenty(self, g, expected):
-        assert path_cover_number(g) == expected
+        assert GENERAL["path_cover"](g) == expected
 
     @given(graphs(max_n=11, max_edges=12))
     @settings(max_examples=40, deadline=None)
     def test_sparse_graphs_match_the_partition_dp(self, g):
-        assert path_cover_number(g) == oracle_path_cover_partition(g)
+        assert GENERAL["path_cover"](g) == oracle_path_cover_partition(g)
 
 
 class TestSubsetCap:
@@ -276,14 +286,7 @@ class TestSubsetCap:
     vertices; matching and edge cover, from Edmonds' blossom algorithm,
     answer any order, and forests of any order take the linear route."""
 
-    CAPPED = {
-        "independence": independence_number,
-        "domination": domination_number,
-        "path_cover": path_cover_number,
-        "vertex_cover": vertex_cover_number,
-        "chromatic": chromatic_number,
-        "clique": clique_number,
-    }
+    CAPPED = ("independence", "domination", "path_cover", "vertex_cover", "chromatic", "clique")
     ON_C21 = {"matching": 10, "edge_cover": 11}
     ON_P30 = {
         "matching": 15,
@@ -300,7 +303,7 @@ class TestSubsetCap:
     @pytest.mark.parametrize("kind", CAPPED)
     def test_refuses_order_above_cap(self, kind):
         with pytest.raises(CapExceededError, match=f"capped at {parameters.SUBSET_MAX} "):
-            self.CAPPED[kind](Graph(parameters.SUBSET_MAX + 1))
+            GENERAL_ROUTE[kind](Graph(parameters.SUBSET_MAX + 1))
 
     @pytest.mark.parametrize("kind", CAPPED)
     def test_compute_refuses_large_non_forest(self, kind):
@@ -308,11 +311,12 @@ class TestSubsetCap:
             compute(kind, _cycle(21))
 
     def test_matching_of_empty_graph_above_cap(self):
-        assert matching_number(Graph(parameters.SUBSET_MAX + 1)) == 0
+        assert GENERAL["matching"](Graph(parameters.SUBSET_MAX + 1)) == 0
 
     def test_edge_cover_of_empty_graph_above_cap(self):
+        # the domain check is ``compute``'s and comes before any route
         with pytest.raises(IsolatedVertexError):
-            edge_cover_number(Graph(parameters.SUBSET_MAX + 1))
+            compute("edge_cover", Graph(parameters.SUBSET_MAX + 1))
 
     @pytest.mark.parametrize("kind", ON_C21)
     def test_compute_answers_large_non_forest(self, kind):
@@ -329,7 +333,7 @@ def _gnm(rng, n, m):
 
 
 class TestBlossomMatching:
-    """``matching_number`` against references computed apart from it:
+    """The blossom matching against references computed apart from it:
     the census's matching table (the largest matching inside each mask),
     the memoized subset search it replaced, and networkx."""
 
@@ -349,7 +353,7 @@ class TestBlossomMatching:
         cen = census(n)
         table = cen.tables["matching"]
         for mask in range(len(table)):
-            assert matching_number(cen.graph(mask)) == table[mask], mask
+            assert GENERAL["matching"](cen.graph(mask)) == table[mask], mask
 
     @pytest.mark.parametrize("n", [12, 16, 20])
     @pytest.mark.parametrize("seed", range(3))
@@ -357,7 +361,7 @@ class TestBlossomMatching:
     def test_memo_oracle(self, n, seed, density):
         m = n * (n - 1) // 4 if density == "half" else n
         g = _gnm(random.Random(f"{n} {seed} {density}"), n, m)
-        assert matching_number(g) == oracle_matching_memo(g)
+        assert GENERAL["matching"](g) == oracle_matching_memo(g)
 
     @pytest.mark.parametrize("n", [30, 60, 100, 200])
     @pytest.mark.parametrize("seed", range(2))
@@ -367,10 +371,10 @@ class TestBlossomMatching:
         g = _gnm(rng, n, rng.choice([n // 2, n, 2 * n, n * (n - 1) // 8]))
         h = nx.Graph(sorted(g.edges))
         h.add_nodes_from(g.vertices())
-        assert matching_number(g) == len(nx.max_weight_matching(h, maxcardinality=True))
+        assert GENERAL["matching"](g) == len(nx.max_weight_matching(h, maxcardinality=True))
 
     def test_augmenting_path_through_odd_cycles(self):
-        assert matching_number(self.TWO_TRIANGLES) == 5
+        assert GENERAL["matching"](self.TWO_TRIANGLES) == 5
 
     # Greedy matches the centre to leaf 2, so every other leaf roots a
     # search of its own: 1998 that fail on K1,1999, and with the edge 2-3
@@ -380,7 +384,32 @@ class TestBlossomMatching:
     )
     def test_large_star(self, extra, expected):
         g = Graph(2000, [(1, v) for v in range(2, 2001)] + extra)
-        assert matching_number(g) == expected
+        assert GENERAL["matching"](g) == expected
+
+
+class TestPublicNames:
+    """``compute`` is the one entry point for the nine kinds."""
+
+    PER_KIND = (
+        "matching_number",
+        "independence_number",
+        "vertex_cover_number",
+        "clique_number",
+        "domination_number",
+        "path_cover_number",
+        "edge_cover_number",
+        "chromatic_number",
+    )
+
+    def test_every_exported_name_resolves(self):
+        missing = [name for name in twoswitch.__all__ if not hasattr(twoswitch, name)]
+        assert missing == []
+
+    @pytest.mark.parametrize("name", PER_KIND)
+    def test_no_per_kind_function_is_public(self, name):
+        assert name not in twoswitch.__all__
+        assert not hasattr(twoswitch, name)
+        assert not hasattr(parameters, name)
 
 
 class TestForestChecks:
@@ -394,10 +423,11 @@ class TestForestChecks:
             return is_forest(g)
 
         monkeypatch.setattr("twoswitch.graphs.is_forest", counting_is_forest)
-        for g in (P5, self.TRIANGLE):
-            calls.clear()
-            compute("matching", g)
-            assert len(calls) == 1
+        for kind in STABLE_KINDS:
+            for g in (P5, self.TRIANGLE):
+                calls.clear()
+                compute(kind, g)
+                assert len(calls) <= 1, kind
 
 
 class TestMemoRelease:
@@ -407,21 +437,16 @@ class TestMemoRelease:
     the cycle collector."""
 
     @pytest.mark.parametrize(
-        "fn",
-        [
-            matching_number,
-            independence_number,
-            domination_number,
-            clique_number,
-            chromatic_number,
-        ],
+        "kind",
+        ["matching", "independence", "domination", "clique", "chromatic"],
+        ids=lambda kind: f"{kind}_number",
     )
-    def test_no_cycle_left(self, fn):
+    def test_no_cycle_left(self, kind):
         g = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 4)])
         gc.collect()
         gc.disable()
         try:
-            fn(g)
+            GENERAL[kind](g)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -436,13 +461,13 @@ class TestRank:
     @given(forests(max_n=10))
     @settings(max_examples=80, deadline=None)
     def test_forest_rank_is_twice_matching(self, f):
-        assert adjacency_rank(f) == 2 * compute("matching", f) == 2 * matching_number(f)
+        assert adjacency_rank(f) == 2 * compute("matching", f) == 2 * GENERAL["matching"](f)
 
     def test_triangle_rank(self):
         # odd cycles are full rank, showing rank != 2*matching in general
         tri = Graph(3, [(1, 2), (1, 3), (2, 3)])
         assert adjacency_rank(tri) == 3
-        assert matching_number(tri) == 1
+        assert GENERAL["matching"](tri) == 1
 
     @pytest.mark.parametrize("n", range(40, 102))
     def test_closed_forms_at_larger_orders(self, n):
