@@ -80,9 +80,10 @@ def slot_view(table: np.ndarray, bits: int, req: int) -> np.ndarray:
     ``req``, as a strided view in ascending mask order.
 
     The fixed slots get their own length-2 axes and the free runs between
-    them are merged, so the view has at most one axis per free run.
+    them are merged, so the view has at most one axis per free run.  The
+    mask is the first axis of ``table``; any further axes stay last.
     """
-    top = table.size.bit_length() - 1
+    top = len(table).bit_length() - 1
     shape, index = [], []
     for k in reversed(range(top)):
         if bits >> k & 1:
@@ -91,7 +92,7 @@ def slot_view(table: np.ndarray, bits: int, req: int) -> np.ndarray:
             top = k
     shape.append(1 << top)
     index.append(slice(None))
-    return table.reshape(shape)[tuple(index)]
+    return table.reshape(*shape, *table.shape[1:])[tuple(index)]
 
 
 def slot_mask(element: int, bits: int, req: int) -> int:

@@ -257,37 +257,53 @@ def stability_sweep(n: int, kinds=parameters.STABLE_KINDS) -> dict[str, AuditRep
     set and its two non-edge slots clear, and the switch flips all four.
     The inverse of a switch is the switch flipping the same four slots
     back, so the 6 C(n,4) shapes form 3 C(n,4) unordered pairs, one per
-    pair of perfect matchings on a 4-set.  For each pair the sweep
-    compares two strided views of each stored table (``census.slot_view``),
-    the graphs on either side, in ascending mask order: no index array and
-    no gather.  That is 2^(C(n,2)-4) comparisons per pair and kind, about
-    124 million at n = 7 for all nine kinds, with temporaries of one view
-    at a time.  ``checked`` counts every (graph, switch) incidence, both
-    directions of each pair.  A failing kind reports its lowest-mask bad
-    incidence; when one graph has several bad switches, the shape first
-    in ``_switch_patterns`` order is named.
+    pair of perfect matchings on a 4-set.  The sweep stacks the tables of
+    ``kinds`` into one array of len(kinds) bytes per mask, read from
+    ``census(n).tables`` at the call, about 19 MB at n = 7 for all nine
+    kinds and freed on return.  For each pair it takes two strided views
+    of the stack (``census.slot_view``), the graphs on either side in
+    ascending mask order with the kinds last, and compares every kind in
+    one uint8 pass: no index array and no gather.  That is 2^(C(n,2)-4)
+    rows of len(kinds) bytes per pair, about 124 million comparisons at
+    n = 7 for all nine kinds, with temporaries of one pair's view at a
+    time.  Only a pair with a jump is searched kind by kind.  ``checked``
+    counts every (graph, switch) incidence, both directions of each pair.
+    A failing kind reports its lowest-mask bad incidence; when one graph
+    has several bad switches, the shape first in ``_switch_patterns``
+    order is named.
     """
     cen = census(n)
     kinds = parameters._check_kinds(kinds)
-    checked = dict.fromkeys(kinds, 0)
+    if not kinds:
+        return {}
+    stack = np.stack([cen.tables[kind] for kind in kinds], axis=-1, dtype=np.uint8)
+    rows = cen.n_masks >> 4  # the graphs on one side of a switch pair
+    incidences = defined_incidences = 0
+    cover = "edge_cover" in kinds
+    if cover:
+        # isolated vertices leave the table undefined; only an incidence
+        # whose starting graph is defined counts and judges
+        defined = cen.tables["edge_cover"] < UNDEFINED
     worst: dict[str, tuple[int, int, ActionMatrix]] = {}
     for bits, sides in _switch_pairs(cen):
         (req, _, _), (inv_req, _, _) = sides
-        for kind in kinds:
-            table = cen.tables[kind]
-            cur = slot_view(table, bits, req)
-            after = slot_view(table, bits, inv_req)
-            bad = np.abs(after.astype(np.int16) - cur) > 1
+        incidences += 2 * rows
+        if cover:
+            starts = slot_view(defined, bits, req), slot_view(defined, bits, inv_req)
+            defined_incidences += sum(int(np.count_nonzero(s)) for s in starts)
+        # uint8 arithmetic: after - cur + 1 wraps into 0..2 exactly when
+        # |after - cur| <= 1, as table values are below 255
+        cur = slot_view(stack, bits, req)
+        bad = slot_view(stack, bits, inv_req) - cur + np.uint8(1) > 2
+        if not bad.any():
+            continue
+        by_kind = bad.reshape(rows, len(kinds))
+        for j in np.flatnonzero(by_kind.any(axis=0)):
+            kind = kinds[j]
             if kind == "edge_cover":
-                # isolated vertices leave the table undefined; only an
-                # incidence whose starting graph is defined counts and judges
-                defined, defined_after = cur < UNDEFINED, after < UNDEFINED
-                checked[kind] += int(np.count_nonzero(defined))
-                checked[kind] += int(np.count_nonzero(defined_after))
-                firsts = (_first_true(bad & defined), _first_true(bad & defined_after))
+                firsts = (_first_true(by_kind[:, j] & s.reshape(-1)) for s in starts)
             else:
-                checked[kind] += 2 * cur.size
-                firsts = (_first_true(bad),) * 2
+                firsts = (_first_true(by_kind[:, j]),) * 2
             # the two views order the free slots alike, so the first bad
             # element is the lowest bad graph on each side
             for first, (side_req, position, m) in zip(firsts, sides):
@@ -296,6 +312,9 @@ def stability_sweep(n: int, kinds=parameters.STABLE_KINDS) -> dict[str, AuditRep
                 found = (slot_mask(first, bits, side_req), position, m)
                 if kind not in worst or found[:2] < worst[kind][:2]:
                     worst[kind] = found
+    checked = {
+        kind: defined_incidences if kind == "edge_cover" else incidences for kind in kinds
+    }
     out = {}
     for kind in kinds:
         if kind in worst:

@@ -496,14 +496,15 @@ def _check_kind(kind) -> None:
 
 
 def _check_kinds(kinds) -> tuple[str, ...]:
-    """``kinds`` as a tuple once ``_check_kind`` passes each member; a
-    string is refused whole rather than read as its letters."""
+    """``kinds`` as a tuple once ``_check_kind`` passes each member, each
+    kind once in first-seen order; a string is refused whole rather than
+    read as its letters."""
     if isinstance(kinds, str):
         raise GraphError(f"parameter kinds must be a collection of kinds, got {kinds!r}")
     kinds = tuple(kinds)
     for kind in kinds:
         _check_kind(kind)
-    return kinds
+    return tuple(dict.fromkeys(kinds))
 
 
 def compute(kind: str, g: Graph) -> int:

@@ -209,6 +209,11 @@ class TestSlotView:
         picks = data.draw(st.lists(st.integers(0, flat.size - 1), max_size=20))
         for element in {0, flat.size - 1, *picks}:
             assert slot_mask(element, bits, req) == flat[element]
+        # a table with one row per mask keeps its row axis last
+        rows = np.stack([masks, masks[::-1]], axis=-1)
+        stacked = slot_view(rows, bits, req)
+        assert np.shares_memory(stacked, rows)
+        assert np.array_equal(stacked.reshape(-1, 2), rows[flat])
 
 
 def _audit_one_kind(graph, kind):
@@ -343,6 +348,22 @@ class TestStabilityAudit:
         assert cen.mask_of(g) == lowest
         assert jumps(g, m)
 
+    @pytest.mark.parametrize(
+        "audit",
+        [
+            lambda kinds: stability_audit(Graph(5, [(1, 2), (3, 4)]), kinds),
+            lambda kinds: stability_sweep(4, kinds),
+        ],
+        ids=["graph", "order"],
+    )
+    def test_a_repeated_kind_reports_once(self, audit):
+        # each kind once, in first-seen order, with the single-kind count
+        once = audit(("matching", "edge_cover"))
+        reports = audit(("matching", "edge_cover", "matching", "edge_cover"))
+        assert list(reports) == ["matching", "edge_cover"]
+        assert reports == once
+        assert reports["matching"] == audit(("matching",))["matching"]
+
     @pytest.mark.parametrize("kinds", [("bogus",), ("matching", "girth")])
     def test_sweep_rejects_unknown_kinds(self, kinds):
         with pytest.raises(GraphError, match="unknown parameter kind"):
@@ -366,27 +387,7 @@ class TestSweepsMatchTheOrderedOracles:
 
     @pytest.mark.parametrize("seed", range(64))
     def test_planted_tables(self, monkeypatch, seed):
-        # jumps of two at up to 40 masks per kind, so that some graphs have
-        # several bad switches and the tie-break names one of them; edge
-        # cover plants land on undefined masks too, where 99 - 2 reads as
-        # defined on one side of a switch only
-        rng = random.Random(seed)
-        cen = copy.copy(census(5))
-        tables = dict(cen.tables)
-        for kind in ("matching", "domination", "edge_cover", "chromatic"):
-            table = tables[kind].copy()
-            for k in rng.sample(range(cen.n_masks), rng.randint(1, 40)):
-                up = table[k] < 2 or rng.random() < 0.5
-                table[k] = table[k] + 2 if up else table[k] - 2
-            tables[kind] = table
-        cen.tables = tables
-        ids = cen.degree_id.copy()
-        for _ in range(rng.randint(1, 5)):
-            mask = rng.randrange(1, cen.full_mask)
-            kdel = rng.choice([k for k in range(cen.n_slots) if mask >> k & 1])
-            kadd = rng.choice([k for k in range(cen.n_slots) if not mask >> k & 1])
-            ids[mask ^ (1 << kdel) ^ (1 << kadd)] = ids[mask]
-        cen.degree_id = ids
+        cen = _planted_census(5, seed)
         monkeypatch.setattr(ex, "census", lambda n: cen)
 
         reports = stability_sweep(5)
@@ -395,6 +396,100 @@ class TestSweepsMatchTheOrderedOracles:
         report = edge_diff_audit(5)
         assert not report.passed
         assert report == oracle_edge_diff_audit(cen)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_planted_tables_order_six(self, monkeypatch, seed):
+        cen = _planted_census(6, seed)
+        monkeypatch.setattr(ex, "census", lambda n: cen)
+
+        reports = stability_sweep(6)
+        assert not all(r.passed for r in reports.values())
+        assert reports == oracle_stability_sweep(cen, parameters.STABLE_KINDS)
+        report = edge_diff_audit(6)
+        assert not report.passed
+        assert report == oracle_edge_diff_audit(cen)
+
+    def test_two_kinds_jump_on_one_switch_pair(self, monkeypatch):
+        # matching and domination both read two high at one graph, so the
+        # same switch pairs carry a jump of each kind
+        cen = copy.copy(census(6))
+        mask = cen.mask_of(Graph(6, [(1, 2), (3, 4)]))
+        tables = dict(cen.tables)
+        for kind in ("matching", "domination"):
+            tables[kind] = tables[kind].copy()
+            tables[kind][mask] += 2
+        cen.tables = tables
+        monkeypatch.setattr(ex, "census", lambda n: cen)
+
+        reports = stability_sweep(6)
+        assert reports == oracle_stability_sweep(cen, parameters.STABLE_KINDS)
+        failed = {kind for kind, r in reports.items() if not r.passed}
+        assert failed == {"matching", "domination"}
+        assert reports["matching"].counterexample == reports["domination"].counterexample
+
+    def test_edge_cover_planted_on_an_undefined_mask(self, monkeypatch):
+        # vertices 5 and 6 are isolated, so the table is undefined there
+        # and at both of the graph's switch neighbours; a planted value
+        # makes the graph's own two switches count and judge, while the
+        # switches into it start undefined and still do not
+        unplanted = stability_sweep(6, ("edge_cover",))["edge_cover"]
+        cen = copy.copy(census(6))
+        g = Graph(6, [(1, 2), (3, 4)])
+        table = cen.tables["edge_cover"].copy()
+        assert table[cen.mask_of(g)] == UNDEFINED
+        table[cen.mask_of(g)] = 2
+        cen.tables = dict(cen.tables, edge_cover=table)
+        monkeypatch.setattr(ex, "census", lambda n: cen)
+
+        reports = stability_sweep(6)
+        assert reports == oracle_stability_sweep(cen, parameters.STABLE_KINDS)
+        report = reports["edge_cover"]
+        assert not report.passed
+        assert report.counterexample[0] == g
+        assert report.checked == unplanted.checked + 2
+        assert all(r.passed for kind, r in reports.items() if kind != "edge_cover")
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [("edge_cover", "matching"), tuple(reversed(parameters.STABLE_KINDS))],
+        ids=["two", "all"],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_kind_subset_in_any_order_matches_one_call_per_kind(
+        self, monkeypatch, kinds, seed
+    ):
+        cen = _planted_census(5, seed)
+        monkeypatch.setattr(ex, "census", lambda n: cen)
+
+        reports = stability_sweep(5, kinds)
+        assert list(reports) == list(kinds)
+        assert reports == {kind: stability_sweep(5, (kind,))[kind] for kind in kinds}
+
+
+def _planted_census(n: int, seed: int):
+    """A copy of ``census(n)`` with jumps of two at up to 40 masks per kind,
+    so that some graphs have several bad switches and the tie-break names
+    one of them, and up to five planted edge-move collisions.  Edge cover
+    plants land on undefined masks too, where 99 - 2 reads as defined on
+    one side of a switch only."""
+    rng = random.Random(seed)
+    cen = copy.copy(census(n))
+    tables = dict(cen.tables)
+    for kind in ("matching", "domination", "edge_cover", "chromatic"):
+        table = tables[kind].copy()
+        for k in rng.sample(range(cen.n_masks), rng.randint(1, 40)):
+            up = table[k] < 2 or rng.random() < 0.5
+            table[k] = table[k] + 2 if up else table[k] - 2
+        tables[kind] = table
+    cen.tables = tables
+    ids = cen.degree_id.copy()
+    for _ in range(rng.randint(1, 5)):
+        mask = rng.randrange(1, cen.full_mask)
+        kdel = rng.choice([k for k in range(cen.n_slots) if mask >> k & 1])
+        kadd = rng.choice([k for k in range(cen.n_slots) if not mask >> k & 1])
+        ids[mask ^ (1 << kdel) ^ (1 << kadd)] = ids[mask]
+    cen.degree_id = ids
+    return cen
 
 
 class TestSweepOrders:
