@@ -72,33 +72,44 @@ def enumerate_family(seq, family: str = "all"):
         raise CapExceededError(f"order {n} above enumeration cap {ENUMERATION_CAP}")
     if not is_graphical(seq):
         return
-    keep = FAMILY_PREDICATES[family]
     residual = [0] + list(seq)  # 1-indexed
+    yield from _complete(n, residual, [], FAMILY_PREDICATES[family], {})
 
-    def rec(edges: list):
-        v = next((u for u in range(1, n + 1) if residual[u] > 0), None)
-        if v is None:
-            g = Graph(n, edges)
-            if keep(g):
-                yield g
-            return
-        partners = [w for w in range(v + 1, n + 1) if residual[w] > 0]
-        need = residual[v]
-        if len(partners) < need:
-            return
-        for combo in itertools.combinations(partners, need):
-            residual[v] = 0
-            for w in combo:
-                residual[w] -= 1
-            if is_graphical([residual[w] for w in range(v + 1, n + 1)]):
-                edges.extend((v, w) for w in combo)
-                yield from rec(edges)
-                del edges[-need:]
-            for w in combo:
-                residual[w] += 1
-            residual[v] = need
 
-    yield from rec([])
+def _complete(n: int, residual: list[int], edges: list, keep, graphical: dict):
+    """Yield the family members that add to ``edges`` a graph whose
+    degrees are ``residual``, in ``enumerate_family``'s order.
+
+    ``graphical`` holds the Erdős–Gallai verdict of each sorted residual
+    vector met so far: the test ignores order, and the branches of one
+    enumeration meet few distinct vectors.  The recursion is at most n
+    deep, and each verdict costs O(n^2) once.  A module-level generator,
+    so no closure cell keeps it, or the verdicts, in a reference cycle.
+    """
+    v = next((u for u in range(1, n + 1) if residual[u] > 0), None)
+    if v is None:
+        g = Graph(n, edges)
+        if keep(g):
+            yield g
+        return
+    partners = [w for w in range(v + 1, n + 1) if residual[w] > 0]
+    need = residual[v]
+    if len(partners) < need:
+        return
+    for combo in itertools.combinations(partners, need):
+        residual[v] = 0
+        for w in combo:
+            residual[w] -= 1
+        rest = tuple(sorted(residual[v + 1 :]))
+        if rest not in graphical:
+            graphical[rest] = is_graphical(rest)
+        if graphical[rest]:
+            edges.extend((v, w) for w in combo)
+            yield from _complete(n, residual, edges, keep, graphical)
+            del edges[-need:]
+        for w in combo:
+            residual[w] += 1
+        residual[v] = need
 
 
 # -- reports --------------------------------------------------------------------

@@ -93,7 +93,9 @@ class Graph:
         return f"Graph({self.n}, {self.sorted_edges()})"
 
     def __contains__(self, edge) -> bool:
-        return _normalize_edge(*edge) in self.edges
+        u, v = edge
+        # a loop is never an edge, so it is absent rather than malformed
+        return u != v and _normalize_edge(u, v) in self.edges
 
     @property
     def size(self) -> int:

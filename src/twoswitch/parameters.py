@@ -14,17 +14,23 @@ other kinds each have a general route and a forest route.
 On a general graph matching is Edmonds' blossom algorithm (1965):
 O(n^3) time, O(n + m) memory and no cap on the order.  The other five
 kinds are exponential, and each refuses graphs above ``SUBSET_MAX`` = 20
-vertices with ``CapExceededError``.  Independence and domination are
-memoized searches over vertex subsets, so a memo holds at most 2^20
-states; it is freed on return.  Clique is independence on the
-complement.  Path cover is a numpy recurrence over the 2^n vertex
-subsets, O(2^n * n) time and about 5 * 2^n bytes whatever the edges, and
-chromatic a backtracking search for the fewest colours.  At n = 20, on
-G(n, m) graphs of every density, K20 and K10,10 (2-core VM, Python
-3.11), one call took at most about 0.04 ms for matching and edge cover,
-7 ms for chromatic, 2 ms for domination, 1 ms for independence, vertex
-cover and clique, and 0.3 s for path cover; a matching of G(1000, 2500)
-took about 30 ms.
+vertices with ``CapExceededError``.  Independence is a memoized search
+over vertex subsets, so its memo holds at most 2^20 states; clique is
+independence on the complement.  Domination is a branch and bound over
+undominated sets, started from the greedy bound, whose table holds at
+most 2^20 sets.  Both are freed on return.  Path cover certifies each
+component with a bounded Pósa rotation–extension search for a spanning
+path, O(k^3) on k vertices, and runs a numpy recurrence over the 2^k
+vertex subsets, O(2^k * k) time and about 5 * 2^k bytes, only on the
+components it leaves.  Chromatic is a backtracking search for the fewest
+colours.  At n = 20, on G(n, m) graphs of every density, K20 and K10,10
+(2-core VM, Python 3.11), one call took at most about 0.04 ms for
+matching and edge cover, 7 ms for chromatic, 1 ms for independence,
+vertex cover and clique, and 0.5 ms for domination.  Path cover took
+at most 0.3 ms where every component was certified, as on each of 40
+seeded G(20, m) at every density from 0.25 up, and 0.15-0.25 s where a
+20-vertex component was not; a matching of G(1000, 2500) took about
+30 ms.
 
 On a forest the six kinds come from two leaves-up passes over the
 reversed ``graphs.depth_first`` preorder, O(n) each and without a cap.
@@ -271,40 +277,197 @@ def _clique(g: Graph) -> int:
 
 
 def _domination(g: Graph) -> int:
-    """Smallest set whose closed neighbourhoods cover every vertex."""
+    """Smallest set whose closed neighbourhoods cover every vertex, by a
+    depth-first branch and bound over the set of undominated vertices.
+
+    The greedy set of ``_greedy_dominating`` is the first incumbent, and
+    ``_dominate`` then looks only for strictly smaller sets.  Its table
+    keeps, for each undominated set it expanded, the fewest chosen
+    vertices it was expanded with: at most 2^n entries, freed on return,
+    and at most (n + 1) * 2^n expansions of O(n) each.
+    """
     closed = [a | 1 << v for v, a in enumerate(_adj_masks(g))]
+    best = [_greedy_dominating(closed)]
+    _dominate(closed, (1 << g.n) - 1, 0, best, {})
+    return best[0]
 
-    def step(undominated: int, memo) -> int:
-        if not undominated:
-            return 0
-        v = (undominated & -undominated).bit_length() - 1
-        # some member of N[v] must go into the dominating set
-        return 1 + min(memo[undominated & ~closed[w]] for w in _bits(closed[v]))
 
-    return _Memo(step)[(1 << g.n) - 1]
+def _greedy_dominating(closed: list[int]) -> int:
+    """Size of the set that repeatedly takes the vertex dominating the
+    most undominated vertices, the lowest label on a tie: an upper bound
+    on domination.  O(n^2) time, O(n) memory."""
+    undominated = (1 << len(closed)) - 1
+    size = 0
+    while undominated:
+        gain = [(c & undominated).bit_count() for c in closed]
+        undominated &= ~closed[gain.index(max(gain))]
+        size += 1
+    return size
+
+
+def _dominate(
+    closed: list[int], undominated: int, size: int, best: list[int], expanded: dict
+) -> None:
+    """Lower ``best[0]`` to the smallest dominating set that adds to
+    ``size`` chosen vertices a set dominating ``undominated``, if that is
+    below ``best[0]``.
+
+    A branch stops when ``expanded`` shows the same undominated set
+    already expanded with at most ``size`` chosen, or when ``size`` plus
+    the lower bound ceil(|undominated| / largest coverage) reaches
+    ``best[0]``.  Otherwise it branches on the undominated vertex with
+    the fewest dominators (lowest label on a tie), taking each member of
+    its closed neighbourhood, most coverage first.  Each set is expanded
+    at most once per value of ``size``, so at most (n + 1) * 2^n times,
+    each in O(n) time; ``expanded`` holds at most 2^n entries and the
+    recursion is at most n deep.  A module-level function, as
+    ``_colour_from`` is, so no reference cycle keeps the table alive.
+    """
+    if not undominated:
+        best[0] = min(best[0], size)
+        return
+    if expanded.get(undominated, size + 1) <= size:
+        return
+    gain = [(c & undominated).bit_count() for c in closed]
+    if size + -(-undominated.bit_count() // max(gain)) >= best[0]:
+        return
+    expanded[undominated] = size
+    v = min(_bits(undominated), key=lambda u: (closed[u].bit_count(), u))
+    for w in sorted(_bits(closed[v]), key=lambda w: (-gain[w], w)):
+        _dominate(closed, undominated & ~closed[w], size + 1, best, expanded)
 
 
 # -- path cover ------------------------------------------------------------
 
 
-_PATH_COVER_ROWS = 1 << 14  # subsets per step: bounds each temporary to n * 2^14 entries
-
-
 def _path_cover(g: Graph) -> int:
     """Minimum number of vertex-disjoint paths covering all vertices.
 
-    Isolated vertices count as trivial one-vertex paths.  For each vertex
-    subset S, ``best[S]`` is the fewest paths covering G[S] and
-    ``last[S]`` the bitmask of vertices that end a path in some cover of
-    that size.  Taking u out of S leaves P, and u either extends a path
-    ending next to it (when adj[u] meets last[P]) or opens a new one; the
-    cheapest u give best[S], and exactly those u form last[S].  Subsets
-    are processed one popcount layer at a time, vectorized over the layer
-    and over u: O(2^n * n) time and about 5 * 2^n bytes of tables
-    whatever the edges.
+    Isolated vertices count as trivial one-vertex paths.  Each component
+    needs at least one path, so a component in which
+    ``_hamiltonian_path`` finds a spanning path contributes exactly one.
+    Every other component, relabelled 0..k-1, goes to the subset
+    recurrence ``_path_cover_by_subsets``, whose tables then have 2^k
+    entries, not 2^n.  Time O(n^3) for the searches plus O(2^k * k) per
+    component they leave, and memory about 5 * 2^k bytes for the largest
+    such component.
     """
-    n = g.n
-    adj = np.array(_adj_masks(g), dtype=np.uint32)[:, None]
+    adj = _adj_masks(g)
+    total = 0
+    for comp in graphs.components(g):
+        vertices = [v - 1 for v in comp]
+        if _hamiltonian_path(adj, vertices) is not None:
+            total += 1
+        else:
+            index = {v: i for i, v in enumerate(vertices)}
+            total += _path_cover_by_subsets(
+                [sum(1 << index[w] for w in _bits(adj[v])) for v in vertices]
+            )
+    return total
+
+
+def _hamiltonian_path(adj: list[int], component: list[int]) -> list[int] | None:
+    """A path through every vertex of ``component``, a connected vertex
+    list of the graph with neighbour masks ``adj``, or None when the
+    bounded search below finds none; None proves nothing.
+
+    A component with more than two vertices of degree one has no such
+    path.  Otherwise Pósa's rotation–extension (1976, "Hamiltonian
+    circuits in random graphs") grows a path from each vertex in turn,
+    least degree first and the lowest label on a tie.  The path extends
+    at its end to the free neighbour with the fewest free neighbours
+    (Warnsdorff's rule), the lowest label on a tie.  When neither end has
+    a free neighbour, ``_rotations`` looks for a rotation of the path
+    that frees one.  On a component of k vertices all the starts share
+    one budget of k^2 rotations, so the search takes O(k^3) time and
+    O(k^3) memory.
+    """
+    k = len(component)
+    if k > 2 and sum(1 for v in component if adj[v] & (adj[v] - 1) == 0) > 2:
+        return None
+    budget = [k * k]
+    for start in sorted(component, key=lambda v: (adj[v].bit_count(), v)):
+        path = _grow_path(adj, start, k, budget)
+        if path is not None or not budget[0]:
+            return path
+    return None
+
+
+def _grow_path(adj: list[int], start: int, k: int, budget: list[int]):
+    """Rotation–extension from ``start`` until the path has ``k``
+    vertices, or None when ``_rotations`` finds no way on.  Each of the
+    k - 1 extensions takes O(k) time and the path O(k) memory, besides
+    the rotations."""
+    path = [start]
+    on = 1 << start
+    while len(path) < k:
+        free = adj[path[-1]] & ~on
+        if not free and adj[path[0]] & ~on:
+            path.reverse()
+        elif not free:
+            path = _rotations(adj, path, on, budget)
+            if path is None:
+                return None
+        free = adj[path[-1]] & ~on
+        step = min(_bits(free), key=lambda w: ((adj[w] & ~on).bit_count(), w))
+        path.append(step)
+        on |= 1 << step
+    return path
+
+
+def _rotations(adj: list[int], path: list[int], on: int, budget: list[int]):
+    """A reordering of ``path`` whose end has a neighbour off the path,
+    whose vertex set is the bitmask ``on``; None once ``budget[0]``
+    rotations are spent.
+
+    Breadth first from the path and its reverse, a rotation about a
+    neighbour ``p[i]`` of the end makes ``p[:i + 1] + p[:i:-1]``, which
+    ends at ``p[i + 1]``; each (first, last) pair of ends is kept once.
+    A path whose ends are adjacent closes a cycle, and the graph is
+    connected, so opening the cycle just after its lowest vertex with a
+    neighbour off it gives the answer.  Each rotation adds one path of
+    k vertices to the queue, so a call that spends b rotations takes
+    O((b + 1) * k) time and memory.
+    """
+    queue = [path, path[::-1]]
+    seen = {(path[0], path[-1]), (path[-1], path[0])}
+    for p in queue:  # the queue grows while it is read
+        end = p[-1]
+        if adj[end] & ~on:
+            return p
+        if adj[end] >> p[0] & 1:
+            j = min(
+                (i for i, v in enumerate(p) if adj[v] & ~on), key=p.__getitem__
+            )
+            return p[j + 1 :] + p[: j + 1]
+        for i in range(len(p) - 2):
+            if adj[end] >> p[i] & 1 and (p[0], p[i + 1]) not in seen:
+                if budget[0] == 0:
+                    return None
+                budget[0] -= 1
+                seen.add((p[0], p[i + 1]))
+                queue.append(p[: i + 1] + p[: i : -1])
+    return None
+
+
+_PATH_COVER_ROWS = 1 << 14  # subsets per step: bounds each temporary to n * 2^14 entries
+
+
+def _path_cover_by_subsets(adj: list[int]) -> int:
+    """Minimum path cover of the graph with neighbour masks ``adj``, by a
+    recurrence over all 2^k vertex subsets.
+
+    For each vertex subset S, ``best[S]`` is the fewest paths covering
+    G[S] and ``last[S]`` the bitmask of vertices that end a path in some
+    cover of that size.  Taking u out of S leaves P, and u either extends
+    a path ending next to it (when adj[u] meets last[P]) or opens a new
+    one; the cheapest u give best[S], and exactly those u form last[S].
+    Subsets are processed one popcount layer at a time, vectorized over
+    the layer and over u: O(2^k * k) time and about 5 * 2^k bytes of
+    tables whatever the edges.
+    """
+    n = len(adj)
+    adj = np.array(adj, dtype=np.uint32)[:, None]
     bit = (np.int64(1) << np.arange(n, dtype=np.int64))[:, None]
     size = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
     best = np.zeros(1 << n, dtype=np.uint8)

@@ -17,7 +17,9 @@ is the k-th vertex pair in lexicographic order) and nothing else.
 sets for one graph, fast enough to check the general path cover
 recurrence beyond the reach of ``oracle_path_cover``, and
 ``oracle_matching_memo`` the memoized subset search that checks the
-general blossom matching up to 20 vertices.
+general blossom matching up to 20 vertices; ``oracle_domination_memo``
+is likewise the memoized subset search that checks the general
+domination branch and bound there.
 ``oracle_leaf_fixing_switch`` picks the forest route's leaf-fixing
 switch with one path search per leaf and one gain per candidate, where
 the package takes each gain's candidates by set algebra and searches a
@@ -151,6 +153,34 @@ def oracle_domination(g: Graph) -> int:
             if len(dominated) == g.n:
                 return k
     raise AssertionError("V itself always dominates")
+
+
+def oracle_domination_memo(g: Graph) -> int:
+    """Domination by a memoized search over undominated vertex sets, the
+    package's algorithm before branch and bound replaced it.
+
+    Some member of the closed neighbourhood of the lowest undominated
+    vertex is in every dominating set, so each step tries them all.
+    Exponential, at most 2^n memo entries; used at n <= 20, where
+    ``oracle_domination`` cannot reach.
+    """
+    closed = [1 << v for v in range(g.n)]
+    for u, v in g.edges:
+        closed[u - 1] |= 1 << (v - 1)
+        closed[v - 1] |= 1 << (u - 1)
+    memo: dict[int, int] = {0: 0}
+
+    def best(undominated: int) -> int:
+        if undominated not in memo:
+            v = (undominated & -undominated).bit_length() - 1
+            memo[undominated] = 1 + min(
+                best(undominated & ~closed[w])
+                for w in range(g.n)
+                if closed[v] >> w & 1
+            )
+        return memo[undominated]
+
+    return best((1 << g.n) - 1)
 
 
 def oracle_clique(g: Graph) -> int:

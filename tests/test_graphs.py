@@ -33,6 +33,8 @@ class TestGraphBasics:
         assert g.sorted_edges() == [(1, 2), (1, 3)]
         assert (2, 1) in g
         assert (2, 3) not in g
+        assert (2, 2) not in g  # a loop is absent, not malformed
+        assert ("a", "b") not in g
 
     def test_rejects_bad_edges(self):
         with pytest.raises(GraphFormatError):

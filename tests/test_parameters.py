@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from oracles import (
     FOREST_ORACLES,
     ORACLES,
+    oracle_domination_memo,
     oracle_edge_cover,
     oracle_matching_memo,
     oracle_path_cover_partition,
@@ -25,6 +26,7 @@ from twoswitch.graphs import (
     CapExceededError,
     Graph,
     GraphError,
+    components,
     degree_sequence,
     is_forest,
 )
@@ -240,15 +242,13 @@ def _random_forest(rng, n, join=0.85):
     return Graph(n, edges)
 
 
+def _clique_edges(size, offset=0):
+    return [(offset + u, offset + v) for u in range(1, size) for v in range(u + 1, size + 1)]
+
+
 def _disjoint_cliques(count, size):
     return Graph(
-        count * size,
-        [
-            (b + u, b + v)
-            for b in range(0, count * size, size)
-            for u in range(1, size)
-            for v in range(u + 1, size + 1)
-        ],
+        count * size, [e for b in range(0, count * size, size) for e in _clique_edges(size, b)]
     )
 
 
@@ -279,6 +279,96 @@ class TestPathCoverLargeOrders:
     @settings(max_examples=40, deadline=None)
     def test_sparse_graphs_match_the_partition_dp(self, g):
         assert GENERAL["path_cover"](g) == oracle_path_cover_partition(g)
+
+
+def _certified(g):
+    """Each component of ``g`` with the path the bounded search certifies
+    in it, or None, in 1-based labels."""
+    adj = parameters._adj_masks(g)
+    out = []
+    for comp in components(g):
+        path = parameters._hamiltonian_path(adj, [v - 1 for v in comp])
+        out.append((comp, None if path is None else [v + 1 for v in path]))
+    return out
+
+
+def _subdivided_claw_with_chord(offset):
+    """K1,3 with each edge subdivided and a chord between two of the
+    subdivision vertices: a triangle and three leaves, so no spanning
+    path and path cover 2."""
+    c, a1, a2, a3, b1, b2, b3 = range(offset + 1, offset + 8)
+    return [(c, a1), (c, a2), (c, a3), (a1, b1), (a2, b2), (a3, b3), (a1, a2)]
+
+
+def _complete_bipartite(a, b, offset=0):
+    return [(offset + u, offset + a + w) for u in range(1, a + 1) for w in range(1, b + 1)]
+
+
+class TestPathCoverCertificates:
+    """Path cover certifies each component by a bounded search for a
+    spanning path and sends only the others to the subset recurrence."""
+
+    @pytest.mark.parametrize("n", range(8, 15))
+    @pytest.mark.parametrize("density", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_seeded_graphs_match_the_recurrence_and_partition_dp(self, n, density):
+        slots = n * (n - 1) // 2
+        g = _gnm(random.Random(f"path cover {n} {density}"), n, round(density * slots))
+        want = parameters._path_cover_by_subsets(parameters._adj_masks(g))
+        assert GENERAL["path_cover"](g) == want
+        # the O(3^n) partition DP takes about a second per denser graph at n = 14
+        if n <= 12 or density == 0.1:
+            assert want == oracle_path_cover_partition(g)
+
+    @pytest.mark.parametrize("n", [8, 11, 14, 17, 20])
+    @pytest.mark.parametrize("density", [0.1, 0.15, 0.2, 0.3, 0.5, 0.9])
+    def test_every_certified_path_spans_its_component(self, n, density):
+        slots = n * (n - 1) // 2
+        g = _gnm(random.Random(f"certificate {n} {density}"), n, round(density * slots))
+        for comp, path in _certified(g):
+            if path is not None:
+                assert sorted(path) == comp
+                assert all((u, v) in g for u, v in zip(path, path[1:])), path
+
+    # claw: a subdivided K1,3 with a chord, on 1..7; pieces: each
+    # component's path cover, in the order of their lowest vertices
+    MIXED = {
+        "claw+K4": (11, _subdivided_claw_with_chord(0) + _clique_edges(4, 7), [2, 1]),
+        "K2,4+claw+C5": (
+            18,
+            _complete_bipartite(2, 4)
+            + _subdivided_claw_with_chord(6)
+            + [(13 + v, 13 + v % 5 + 1) for v in range(1, 6)],
+            [2, 2, 1],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", MIXED)
+    def test_mixed_components_run_the_recurrence_per_component(self, monkeypatch, name):
+        n, edges, pieces = self.MIXED[name]
+        g = Graph(n, edges)
+        assert not is_forest(g)
+        certified = _certified(g)
+        assert [path is not None for _, path in certified] == [p == 1 for p in pieces]
+        orders = []
+        recurrence = parameters._path_cover_by_subsets
+
+        def recording(adj):
+            orders.append(len(adj))
+            return recurrence(adj)
+
+        whole = recurrence(parameters._adj_masks(g))
+        monkeypatch.setattr(parameters, "_path_cover_by_subsets", recording)
+        assert GENERAL["path_cover"](g) == sum(pieces) == whole
+        if n <= 12:  # the partition DP is O(3^n)
+            assert whole == oracle_path_cover_partition(g)
+        # the recurrence ran once per uncertified component, on its own vertices
+        assert orders == [len(comp) for comp, path in certified if path is None]
+
+    def test_unbalanced_complete_bipartite_at_the_cap(self):
+        # K9,11 has no spanning path; the recurrence settles it at 2^20 subsets
+        g = Graph(20, _complete_bipartite(9, 11))
+        assert _certified(g) == [(list(range(1, 21)), None)]
+        assert GENERAL["path_cover"](g) == 2
 
 
 class TestSubsetCap:
@@ -387,6 +477,53 @@ class TestBlossomMatching:
         assert GENERAL["matching"](g) == expected
 
 
+class TestDominationBranchAndBound:
+    """The general domination search against the memoized subset search it
+    replaced, at the subset cap."""
+
+    @pytest.mark.parametrize("density", [0.15, 0.3, 0.5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_graphs_at_twenty(self, density, seed):
+        g = _gnm(random.Random(f"domination {density} {seed}"), 20, round(density * 190))
+        assert GENERAL["domination"](g) == oracle_domination_memo(g)
+
+    @pytest.mark.parametrize("density", [0.15, 0.3, 0.5])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_search_without_the_greedy_bound(self, density, seed):
+        # the greedy set is often optimal already, which leaves the search
+        # nothing to find; from the whole vertex set it must find it all
+        g = _gnm(random.Random(f"bare {density} {seed}"), 16, round(density * 120))
+        closed = [a | 1 << v for v, a in enumerate(parameters._adj_masks(g))]
+        best = [g.n]
+        parameters._dominate(closed, (1 << g.n) - 1, 0, best, {})
+        assert best[0] == oracle_domination_memo(g)
+
+    # a cubic graph: the generalized Petersen graph GP(10, 3)
+    CUBIC = [
+        e
+        for i in range(10)
+        for e in ((i + 1, (i + 1) % 10 + 1), (i + 1, i + 11), (i + 11, (i + 3) % 10 + 11))
+    ]
+    NAMED = {
+        "C19": (_cycle(19), 7),  # ceil(n / 3)
+        "C20": (_cycle(20), 7),
+        "GP(10,3)": (Graph(20, CUBIC), None),
+        "K10,10": (Graph(20, _complete_bipartite(10, 10)), 2),
+        "2K10": (_disjoint_cliques(2, 10), 2),
+        "4C5": (
+            Graph(20, [(b + v, b + v % 5 + 1) for b in range(0, 20, 5) for v in range(1, 6)]),
+            8,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_named_graphs(self, name):
+        g, closed_form = self.NAMED[name]
+        want = oracle_domination_memo(g)
+        assert GENERAL["domination"](g) == want
+        assert closed_form in (None, want)
+
+
 class TestPublicNames:
     """``compute`` is the one entry point for the nine kinds."""
 
@@ -431,25 +568,41 @@ class TestForestChecks:
 
 
 class TestMemoRelease:
-    """The subset searches read their memo through an argument, never a
-    closure, and the recursive searches reach themselves through the
-    module; none may leave a reference cycle, and with it the memo, to
-    the cycle collector."""
+    """The subset searches read their memo or table through an argument,
+    never a closure, and the recursive searches reach themselves through
+    the module; none may leave a reference cycle, and with it the memo,
+    to the cycle collector."""
+
+    @staticmethod
+    def _no_cycle_left(call, g):
+        gc.collect()
+        gc.disable()
+        try:
+            call(g)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize(
         "kind",
-        ["matching", "independence", "domination", "clique", "chromatic"],
+        ["matching", "independence", "domination", "clique", "chromatic", "path_cover"],
         ids=lambda kind: f"{kind}_number",
     )
     def test_no_cycle_left(self, kind):
         g = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 4)])
-        gc.collect()
-        gc.disable()
-        try:
-            GENERAL[kind](g)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        self._no_cycle_left(GENERAL[kind], g)
+
+    # neither has a spanning path, so the subset recurrence runs: K2,4
+    # has no leaves and fails the rotation search, the claw with a chord
+    # fails its leaf count
+    @pytest.mark.parametrize(
+        "edges",
+        [_complete_bipartite(2, 4), _subdivided_claw_with_chord(0)],
+        ids=["K2,4", "claw"],
+    )
+    def test_no_cycle_left_by_the_path_cover_fallback(self, edges):
+        g = Graph(max(map(max, edges)), edges)
+        self._no_cycle_left(GENERAL["path_cover"], g)
 
 
 class TestRank:
