@@ -53,6 +53,13 @@ FAMILY_PREDICATES = {
 ENUMERATION_CAP = 9
 
 
+def _check_family(family) -> None:
+    """Refuse anything but a key of ``FAMILY_PREDICATES``, naming it as
+    given."""
+    if not (isinstance(family, str) and family in FAMILY_PREDICATES):
+        raise GraphError(f"unknown family {family!r}")
+
+
 # -- enumeration ---------------------------------------------------------------
 
 
@@ -64,8 +71,7 @@ def enumerate_family(seq, family: str = "all"):
     next unfinished vertex, and so on.  Non-graphical input yields
     nothing.
     """
-    if family not in FAMILY_PREDICATES:
-        raise GraphError(f"unknown family {family!r}")
+    _check_family(family)
     seq = tuple(_integer(d, "degree") for d in seq)
     n = len(seq)
     if n > ENUMERATION_CAP:
@@ -175,6 +181,7 @@ def _switch_patterns(cen):
 
 
 def _family_selector(cen, family: str) -> np.ndarray:
+    _check_family(family)
     if family == "all":
         return np.ones(cen.n_masks, dtype=bool)
     if family == "forest":
@@ -184,9 +191,7 @@ def _family_selector(cen, family: str) -> np.ndarray:
     if family == "unicyclic":
         comp = cen.tables["components"].astype(np.int16)
         return cen.popcount.astype(np.int16) == cen.n - comp + 1
-    if family == "bipartite":
-        return cen.tables["chromatic"] <= 2
-    raise GraphError(f"unknown family {family!r}")
+    return cen.tables["chromatic"] <= 2  # bipartite
 
 
 # -- stability audit --------------------------------------------------------------
@@ -375,67 +380,43 @@ def interval_audit(
     seq = tuple(_integer(d, "degree") for d in seq)
     n = len(seq)
     parameters._check_kind(kind)
-    if family not in FAMILY_PREDICATES:
-        raise GraphError(f"unknown family {family!r}")
+    _check_family(family)
     workers = _integer(workers, "worker count")
     if workers < 1:
         raise GraphError(f"worker count must be at least 1, got {workers}")
-    if not is_graphical(seq):
-        return AuditReport(
-            audit="interval",
-            passed=True,
-            kind=kind,
-            family=family,
-            sequence=seq,
-            interval_ok=None,
-            notes="sequence is not graphical",
-        )
-    if kind == "edge_cover" and any(d == 0 for d in seq):
-        return AuditReport(
-            audit="interval",
-            passed=True,
-            kind=kind,
-            family=family,
-            sequence=seq,
-            interval_ok=None,
-            notes="edge_cover undefined: sequence has isolated vertices",
-        )
-    members = enumerate_family(seq, family)
-    pool_size = 1
-    if workers > 1:
-        members = list(members)
-        pool_size = min(workers, len(members), os.cpu_count() or 1)
-    if pool_size > 1:
-        step = -(-len(members) // pool_size)
-        runs = [
-            (kind, n, [g.sorted_edges() for g in members[i : i + step]])
-            for i in range(0, len(members), step)
-        ]
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            computed = [v for run in pool.map(_interval_eval, runs) for v in run]
-        pairs = zip(computed, members)
-    else:
-        pairs = ((parameters.compute(kind, g), g) for g in members)
     value_of = {}
     checked = 0
-    for checked, (v, g) in enumerate(pairs, 1):
-        value_of.setdefault(v, g)
+    if not is_graphical(seq):
+        notes = "sequence is not graphical"
+    elif kind == "edge_cover" and any(d == 0 for d in seq):
+        notes = "edge_cover undefined: sequence has isolated vertices"
+    else:
+        members = enumerate_family(seq, family)
+        pool_size = 1
+        if workers > 1:
+            members = list(members)
+            pool_size = min(workers, len(members), os.cpu_count() or 1)
+        if pool_size > 1:
+            step = -(-len(members) // pool_size)
+            runs = [
+                (kind, n, [g.sorted_edges() for g in members[i : i + step]])
+                for i in range(0, len(members), step)
+            ]
+            with ProcessPoolExecutor(max_workers=pool_size) as pool:
+                computed = [v for run in pool.map(_interval_eval, runs) for v in run]
+            pairs = zip(computed, members)
+        else:
+            pairs = ((parameters.compute(kind, g), g) for g in members)
+        for checked, (v, g) in enumerate(pairs, 1):
+            value_of.setdefault(v, g)
+        notes = "" if value_of else "family is empty"
     values = tuple(sorted(value_of))
-    if not values:
-        return AuditReport(
-            audit="interval",
-            passed=True,
-            kind=kind,
-            family=family,
-            sequence=seq,
-            interval_ok=None,
-            checked=checked,
-            notes="family is empty",
-        )
-    interval_ok = values == tuple(range(values[0], values[-1] + 1))
+    interval_ok = None
+    if values:
+        interval_ok = values == tuple(range(values[0], values[-1] + 1))
     return AuditReport(
         audit="interval",
-        passed=interval_ok,
+        passed=interval_ok is not False,
         kind=kind,
         family=family,
         sequence=seq,
@@ -443,6 +424,7 @@ def interval_audit(
         interval_ok=interval_ok,
         witnesses=value_of,
         checked=checked,
+        notes=notes,
     )
 
 
@@ -808,10 +790,11 @@ def bipartite_counterexample_check() -> BipartiteCheckReport:
     both_connected = kappa(g0) == 1 and kappa(g1) == 1
     non_isomorphic = not are_isomorphic(g0, g1)
     parts_differ = False
+    # the two parts hold every vertex, so vertices 3 and 4 share a part
+    # exactly when both or neither lie in the first
     if both_bipartite:
-        parts_differ = (bip0.side(3) != bip0.side(4)) and (
-            bip1.side(3) == bip1.side(4)
-        )
+        first0, first1 = bip0[0], bip1[0]
+        parts_differ = (3 in first0) != (4 in first0) and (3 in first1) == (4 in first1)
 
     one_step = True
     checked = 0
@@ -823,7 +806,7 @@ def bipartite_counterexample_check() -> BipartiteCheckReport:
             break
         t = apply_switch(m, g0)
         bt = bipartition(t)
-        if bt is not None and bt.side(3) == bt.side(4):
+        if bt is not None and (3 in bt[0]) == (4 in bt[0]):
             one_step = False
             break
 
@@ -886,8 +869,7 @@ def constrained_transition_search(
     budget = _integer(budget, "search budget")
     if budget < 1:
         raise GraphError(f"search budget must be at least 1, got {budget}")
-    if family not in FAMILY_PREDICATES:
-        raise GraphError(f"unknown family {family!r}")
+    _check_family(family)
     keep = FAMILY_PREDICATES[family]
     if g.n != h.n or degree_sequence(g) != degree_sequence(h) or not (keep(g) and keep(h)):
         return SearchResult(found=False, trace=None, complete=True, explored=0)

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .graphs import Graph, parse_edge_list
+from .graphs import Graph, GraphError, parse_edge_list
 
 FIXTURE_NAMES = ("fig1_g0", "fig1_g1", "fig1_g2", "fig2_g0", "fig2_g1")
 
 
 def load(name: str) -> Graph:
     if name not in FIXTURE_NAMES:
-        raise KeyError(f"unknown fixture {name!r}; have {', '.join(FIXTURE_NAMES)}")
+        raise GraphError(f"unknown fixture {name!r}; have {', '.join(FIXTURE_NAMES)}")
     text = (
         resources.files("twoswitch")
         .joinpath("data", f"{name}.edges")

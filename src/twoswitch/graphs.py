@@ -3,8 +3,8 @@
 Everything downstream (switches, transitions, audits) works with small
 graphs whose vertices are consecutive integers starting at 1.  Graphs are
 immutable so they can be hashed, deduplicated and used as dict keys.
-``depth_first`` is the traversal behind components, forest paths and the
-forest parameters, and ``_acyclic`` the acyclicity rule behind the
+``depth_first`` is the traversal behind components, bipartitions and
+the forest parameters, and ``_acyclic`` the acyclicity rule behind the
 forest predicates, switch verdicts and trace replay.  Two loops keep
 their own: the forest route's path search stops at its goal
 (``transition._toward``), and ``explorer.enumerate_forests`` keeps a
@@ -13,7 +13,6 @@ union-find it can undo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 
 
@@ -242,47 +241,11 @@ def is_unicyclic(g: Graph) -> bool:
     return g.size == g.n - kappa(g) + 1
 
 
-def path_in_forest(g: Graph, u: int, v: int) -> list[int] | None:
-    """The unique u-v path as a vertex list, or None if u, v are disconnected.
-
-    Raises NotAForestError when ``g`` has a cycle, since uniqueness is what
-    callers rely on.  v climbs the parent links until it meets u's climb.
-    """
-    if not is_forest(g):
-        raise NotAForestError("path_in_forest needs an acyclic graph")
-    if u not in g.vertices() or v not in g.vertices():
-        raise GraphError(f"vertex out of range: {u} or {v}")
-    parent, _ = depth_first(g.adjacency())
-    up = [u]
-    while parent[up[-1]]:
-        up.append(parent[up[-1]])
-    above_u = set(up)
-    down = [v]
-    while down[-1] not in above_u:
-        if not parent[down[-1]]:
-            return None
-        down.append(parent[down[-1]])
-    return up[: up.index(down[-1])] + down[::-1]
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """A two-colouring; part_a holds the lowest vertex of every component."""
-
-    part_a: frozenset[int]
-    part_b: frozenset[int]
-
-    def side(self, v: int) -> int:
-        if v in self.part_a:
-            return 0
-        if v in self.part_b:
-            return 1
-        raise GraphError(f"vertex {v} not in bipartition")
-
-
-def bipartition(g: Graph) -> Bipartition | None:
-    """Deterministic 2-colouring by depth parity, or None when an edge
-    joins two vertices of one colour, which means an odd cycle exists."""
+def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
+    """Deterministic 2-colouring by depth parity as ``(part_a, part_b)``,
+    where part_a holds the lowest vertex of every component, or None when
+    an edge joins two vertices of one colour, which means an odd cycle
+    exists."""
     parent, order = depth_first(g.adjacency())
     colour = [0] * (g.n + 1)
     for v in order:
@@ -292,7 +255,7 @@ def bipartition(g: Graph) -> Bipartition | None:
         return None
     part_a = frozenset(v for v in order if colour[v] == 0)
     part_b = frozenset(v for v in order if colour[v] == 1)
-    return Bipartition(part_a, part_b)
+    return part_a, part_b
 
 
 def is_bipartite(g: Graph) -> bool:

@@ -14,9 +14,10 @@ other kinds each have a general route and a forest route.
 On a general graph matching is Edmonds' blossom algorithm (1965):
 O(n^3) time, O(n + m) memory and no cap on the order.  The other five
 kinds are exponential, and each refuses graphs above ``SUBSET_MAX`` = 20
-vertices with ``CapExceededError``.  Independence is a memoized search
-over vertex subsets, so its memo holds at most 2^20 states; clique is
-independence on the complement.  Domination is a branch and bound over
+vertices with ``CapExceededError``.  Independence is a memoized
+recursion that keeps or drops the lowest vertex with a neighbour left,
+so its memo holds at most 2^20 vertex subsets; clique is independence
+on the complement.  Domination is a branch and bound over
 undominated sets, started from the greedy bound, whose table holds at
 most 2^20 sets.  Both are freed on return.  Path cover certifies each
 component with a bounded Pósa rotation–extension search for a spanning
@@ -99,32 +100,6 @@ def _bits(x: int):
         low = x & -x
         yield low.bit_length() - 1
         x ^= low
-
-
-class _Memo(dict):
-    """Values over vertex subsets, each computed on first lookup:
-    ``memo[s]`` runs ``step(s, memo)``, which reads smaller subsets back
-    through ``memo``.  No step holds the memo, so it is freed as soon as
-    the caller drops it."""
-
-    def __init__(self, step):
-        self.step = step
-
-    def __missing__(self, subset: int) -> int:
-        value = self[subset] = self.step(subset, self)
-        return value
-
-
-def _lowest_with_neighbour(adj: list[int], avail: int) -> int:
-    """Lowest vertex of ``avail`` with a neighbour in ``avail``, or -1."""
-    live = avail
-    while live:
-        low = live & -live
-        v = low.bit_length() - 1
-        if adj[v] & avail:
-            return v
-        live ^= low
-    return -1
 
 
 # -- matching --------------------------------------------------------------
@@ -249,20 +224,39 @@ def _blossom_base(
 # -- independence / clique ------------------------------------------------
 
 
-def _largest_independent(adj: list[int]) -> int:
-    def step(avail: int, memo) -> int:
-        v = _lowest_with_neighbour(adj, avail)
-        if v < 0:
-            return avail.bit_count()
-        rest = avail & ~(1 << v)
-        return max(memo[rest], 1 + memo[rest & ~adj[v]])
+def _largest_independent(adj: list[int], avail: int, memo: dict) -> int:
+    """Size of a largest independent subset of ``avail``.
 
-    return _Memo(step)[(1 << len(adj)) - 1]
+    Branches on the lowest vertex of ``avail`` with a neighbour in it,
+    left out or taken with its neighbours dropped; a subset without one
+    is independent whole.  ``memo`` keeps each subset's answer: at most
+    2^n entries, and the recursion is at most n deep.  A module-level
+    function, as ``_dominate`` is, so no reference cycle keeps the memo
+    alive.
+    """
+    if avail in memo:
+        return memo[avail]
+    live = avail
+    while live:
+        v = (live & -live).bit_length() - 1
+        if adj[v] & avail:
+            break
+        live &= live - 1
+    if not live:  # no vertex of avail has a neighbour in it
+        value = avail.bit_count()
+    else:
+        rest = avail & ~(1 << v)
+        value = max(
+            _largest_independent(adj, rest, memo),
+            1 + _largest_independent(adj, rest & ~adj[v], memo),
+        )
+    memo[avail] = value
+    return value
 
 
 def _independence(g: Graph) -> int:
     """Largest set of pairwise non-adjacent vertices."""
-    return _largest_independent(_adj_masks(g))
+    return _largest_independent(_adj_masks(g), (1 << g.n) - 1, {})
 
 
 def _clique(g: Graph) -> int:
@@ -270,7 +264,8 @@ def _clique(g: Graph) -> int:
     complement."""
     adj = _adj_masks(g)
     full = (1 << g.n) - 1
-    return _largest_independent([full & ~(a | 1 << v) for v, a in enumerate(adj)])
+    complement = [full & ~(a | 1 << v) for v, a in enumerate(adj)]
+    return _largest_independent(complement, full, {})
 
 
 # -- domination ------------------------------------------------------------

@@ -56,24 +56,6 @@ class ActionMatrix:
         return f"(({self.a},{self.b}),({self.c},{self.d}))"
 
 
-def equivalent_forms(m: ActionMatrix) -> frozenset[ActionMatrix]:
-    """The four matrices acting identically on every graph.
-
-    Swapping the two rows, or swapping the two columns, renames the same
-    deleted/added edge pairs.  Reversing one row alone does not qualify:
-    ((a,b),(d,c)) adds ad and bc instead.
-    """
-    a, b, c, d = m.labels()
-    return frozenset(
-        {
-            ActionMatrix(a, b, c, d),
-            ActionMatrix(c, d, a, b),
-            ActionMatrix(b, a, d, c),
-            ActionMatrix(d, c, b, a),
-        }
-    )
-
-
 def is_interchangeable(m: ActionMatrix, g: Graph) -> bool:
     """True when the switch really rewires ``g``.
 

@@ -20,6 +20,9 @@ recurrence beyond the reach of ``oracle_path_cover``, and
 general blossom matching up to 20 vertices; ``oracle_domination_memo``
 is likewise the memoized subset search that checks the general
 domination branch and bound there.
+``equivalent_forms`` lists the four matrices that name one switch, and
+``oracle_distances`` is a plain breadth-first search over any move
+function, the reference for switch-space distances and connectivity.
 ``oracle_leaf_fixing_switch`` picks the forest route's leaf-fixing
 switch with one path search per leaf and one gain per candidate, where
 the package takes each gain's candidates by set algebra and searches a
@@ -369,6 +372,40 @@ def oracle_leaf_fixing_switch(f: Graph, f2: Graph) -> tuple[int, int, int, int]:
                 best = (gain, (leaf, v, u, w))
     assert best is not None
     return best[1]
+
+
+# -- switch forms and switch-space distances ------------------------------------
+
+
+def equivalent_forms(m: ActionMatrix) -> frozenset[ActionMatrix]:
+    """The four matrices acting identically on every graph.
+
+    Swapping the two rows, or swapping the two columns, renames the same
+    deleted/added edge pairs.  Reversing one row alone does not qualify:
+    ((a,b),(d,c)) adds ad and bc instead.
+    """
+    a, b, c, d = m.labels()
+    return frozenset(
+        {
+            ActionMatrix(a, b, c, d),
+            ActionMatrix(c, d, a, b),
+            ActionMatrix(b, a, d, c),
+            ActionMatrix(d, c, b, a),
+        }
+    )
+
+
+def oracle_distances(start, neighbours) -> dict:
+    """Breadth-first distance from ``start`` to every state reachable
+    through ``neighbours(state)``, an iterable of the next states."""
+    dist = {start: 0}
+    queue = [start]
+    for x in queue:
+        for y in neighbours(x):
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
 
 
 # -- switch classification reference ------------------------------------------

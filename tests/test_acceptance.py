@@ -8,13 +8,13 @@ documented deterministic sample/seed.
 import itertools
 import random
 import time
-from collections import deque
 
 import numpy as np
 from conftest import record_acceptance
 from oracles import (
     census_edge_cover_table,
     census_vertex_cover_table,
+    oracle_distances,
     oracle_edge_cover,
     oracle_vertex_cover,
 )
@@ -340,15 +340,9 @@ def test_10_search_never_beats_the_constructor(forest_atlas):
         for fam in families:
             members = fam["members"]
             for i, f in enumerate(members):
-                dist = {f: 0}
-                queue = deque([f])
-                while queue:
-                    x = queue.popleft()
-                    for m in _forest_moves(x):
-                        y = apply_switch(m, x)
-                        if y not in dist:
-                            dist[y] = dist[x] + 1
-                            queue.append(y)
+                dist = oracle_distances(
+                    f, lambda x: (apply_switch(m, x) for m in _forest_moves(x))
+                )
                 for j, g in enumerate(members):
                     pairs += 1
                     if g not in dist or dist[g] > fam["lengths"][(i, j)]:

@@ -6,9 +6,9 @@ import json
 
 import pytest
 
-from twoswitch import explorer, parameters
+from twoswitch import explorer, fixtures, parameters
 from twoswitch.cli import run
-from twoswitch.graphs import Graph, format_edge_list, parse_edge_list
+from twoswitch.graphs import Graph, GraphError, format_edge_list, parse_edge_list
 from twoswitch.transition import trace_from_json, replay
 
 
@@ -408,6 +408,10 @@ class TestFixtures:
     def test_unknown_name_rejected(self, capsys):
         with pytest.raises(SystemExit):
             run(["fixtures", "fig9_g9"])
+
+    def test_load_refuses_unknown_name_as_a_domain_error(self):
+        with pytest.raises(GraphError, match="^unknown fixture 'nope'; have fig1_g0, "):
+            fixtures.load("nope")
 
 
 class TestDeterminism:

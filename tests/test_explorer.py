@@ -12,6 +12,7 @@ from conftest import forests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    oracle_distances,
     oracle_edge_diff_audit,
     oracle_interval_census,
     oracle_interval_witnesses,
@@ -170,6 +171,26 @@ class TestEnumerateFamily:
             seen[seq] = seen.get(seq, 0) + 1
         for seq in [(2, 2, 2, 2, 2), (1, 1, 2, 2, 2), (3, 3, 2, 2, 2), (1, 1, 1, 1, 0)]:
             assert len(list(enumerate_family(seq, family))) == seen.get(seq, 0)
+
+
+class TestFamilyCheck:
+    """Every entry point that takes a family refuses the same way."""
+
+    CALLS = {
+        "enumerate_family": lambda family: list(enumerate_family((1, 1), family)),
+        "interval_audit": lambda family: interval_audit((1, 1), "matching", family),
+        "constrained_transition_search": lambda family: constrained_transition_search(
+            Graph(2, [(1, 2)]), Graph(2, [(1, 2)]), family
+        ),
+        "interval_sweep": lambda family: interval_sweep(2, "matching", family),
+    }
+
+    @pytest.mark.parametrize("family", ["chordal", ["tree"]], ids=["unknown", "list"])
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_refused_as_a_domain_error(self, call, family):
+        with pytest.raises(GraphError) as info:
+            call(family)
+        assert str(info.value) == f"unknown family {family!r}"
 
 
 class TestEnumerateForests:
@@ -1065,13 +1086,15 @@ class TestConstrainedSearch:
     def test_connected_unicyclic_families_joined_order_six(self):
         # restricting to one-component members, every order-6 family is
         # a single switch component
-        from collections import deque
-
         from twoswitch.graphs import is_unicyclic, kappa
         from twoswitch.switch import apply_switch, nontrivial_matrices
 
         cen = census(6)
         from twoswitch.explorer import _family_selector
+
+        def unicyclic_moves(g):
+            switched = (apply_switch(m, g) for m in nontrivial_matrices(g))
+            return filter(is_unicyclic, switched)
 
         groups = {}
         for mask in np.nonzero(_family_selector(cen, "unicyclic"))[0]:
@@ -1081,15 +1104,6 @@ class TestConstrainedSearch:
             if kappa(members[0]) != 1 or len(members) == 1:
                 continue
             families += 1
-            start = members[0]
-            seen = {start}
-            queue = deque([start])
-            while queue:
-                g = queue.popleft()
-                for m in nontrivial_matrices(g):
-                    h = apply_switch(m, g)
-                    if h not in seen and is_unicyclic(h):
-                        seen.add(h)
-                        queue.append(h)
+            seen = oracle_distances(members[0], unicyclic_moves)
             assert all(g in seen for g in members)
         assert families > 300

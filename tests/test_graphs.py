@@ -7,7 +7,6 @@ from oracles import oracle_components
 from twoswitch.graphs import (
     Graph,
     GraphFormatError,
-    NotAForestError,
     bipartition,
     components,
     degree_sequence,
@@ -20,7 +19,6 @@ from twoswitch.graphs import (
     is_unicyclic,
     kappa,
     parse_edge_list,
-    path_in_forest,
     to_dot,
 )
 
@@ -208,22 +206,10 @@ class TestDepthFirst:
         assert kappa(g) == nx.number_connected_components(h)
         if g.n:  # networkx calls the empty graph's forestness pointless
             assert is_forest(g) == nx.is_forest(h)
-        b = bipartition(g)
-        assert (b is not None) == nx.is_bipartite(h)
-        if b is not None:
-            assert all(min(c) in b.part_a for c in want)
-
-    @given(forests(max_n=10))
-    @settings(max_examples=100)
-    def test_paths_match_networkx(self, f):
-        nx = pytest.importorskip("networkx")
-        h = nx.Graph()
-        h.add_nodes_from(f.vertices())
-        h.add_edges_from(f.edges)
-        for u in f.vertices():
-            for v in f.vertices():
-                want = nx.shortest_path(h, u, v) if nx.has_path(h, u, v) else None
-                assert path_in_forest(f, u, v) == want
+        parts = bipartition(g)
+        assert (parts is not None) == nx.is_bipartite(h)
+        if parts is not None:
+            assert all(min(c) in parts[0] for c in want)
 
 
 class TestShapePredicates:
@@ -243,40 +229,13 @@ class TestShapePredicates:
         assert f.size == f.n - kappa(f)
 
 
-class TestPathInForest:
-    def test_bundled_paths(self, fig1_graphs):
-        g0, _, g2 = fig1_graphs
-        assert path_in_forest(g0, 2, 6) == [2, 1, 3, 6]
-        assert path_in_forest(g2, 5, 7) == [5, 2, 3, 1, 4, 7]
-        assert path_in_forest(g0, 4, 4) == [4]
-
-    def test_disconnected_gives_none(self):
-        g = Graph(4, [(1, 2), (3, 4)])
-        assert path_in_forest(g, 1, 3) is None
-
-    def test_rejects_cycles(self):
-        with pytest.raises(NotAForestError):
-            path_in_forest(TRIANGLE, 1, 2)
-
-    @given(forests(max_n=9, min_n=2))
-    def test_path_is_a_path(self, f):
-        p = path_in_forest(f, 1, f.n)
-        if p is None:
-            return
-        assert p[0] == 1 and p[-1] == f.n
-        assert len(set(p)) == len(p)
-        for a, b in zip(p, p[1:]):
-            assert (min(a, b), max(a, b)) in f.edges
-
-
 class TestBipartition:
     def test_eleven_vertex_pair(self, fig2_graphs):
         g0, g1 = fig2_graphs
-        b0, b1 = bipartition(g0), bipartition(g1)
-        assert b0 is not None and b1 is not None
-        assert b0.side(1) == b0.side(3)
-        assert b0.side(3) != b0.side(4)
-        assert b1.side(3) == b1.side(4)
+        (a0, b0), (a1, b1) = bipartition(g0), bipartition(g1)
+        assert {1, 3} <= a0 or {1, 3} <= b0
+        assert (3 in a0) != (4 in a0)
+        assert {3, 4} <= a1 or {3, 4} <= b1
 
     def test_odd_cycle(self):
         assert bipartition(TRIANGLE) is None
@@ -284,15 +243,17 @@ class TestBipartition:
 
     @given(graphs(max_n=8))
     def test_parts_are_legal(self, g):
-        b = bipartition(g)
-        if b is None:
+        parts = bipartition(g)
+        if parts is None:
             # some odd closed walk exists; a triangle-free check is enough
             # to exercise both branches without re-deriving odd cycles
             return
-        assert set(b.part_a) | set(b.part_b) == set(g.vertices())
-        assert not set(b.part_a) & set(b.part_b)
+        part_a, part_b = parts
+        assert isinstance(part_a, frozenset) and isinstance(part_b, frozenset)
+        assert part_a | part_b == set(g.vertices())
+        assert not part_a & part_b
         for u, v in g.edges:
-            assert b.side(u) != b.side(v)
+            assert (u in part_a) != (v in part_a)
 
     @given(forests(max_n=9))
     def test_forests_always_bipartite(self, f):

@@ -1,4 +1,5 @@
-"""The experiment scripts, run as separate processes."""
+"""The experiment scripts, run as separate processes, and the package
+namespace they import from."""
 
 import os
 import subprocess
@@ -51,3 +52,10 @@ def test_route_audit_to_order_five():
     assert all(": pass, " in line and line.endswith("s)") for line in orders)
     assert "order 5: pass, 951 pairs, 810 switches, max excess 0 (" in proc.stdout
     assert total.startswith("total: pass, 1018 pairs, 828 switches, max excess 0 (")
+
+
+def test_namespace_exports_resolve():
+    assert all(hasattr(twoswitch, name) for name in twoswitch.__all__)
+    for gone in ("equivalent_forms", "path_in_forest", "Bipartition"):
+        assert gone not in twoswitch.__all__
+        assert not hasattr(twoswitch, gone)

@@ -4,7 +4,7 @@ import pytest
 from conftest import forests, graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_classify
+from oracles import equivalent_forms, oracle_classify
 
 from twoswitch.graphs import Graph, GraphError, degree_sequence, is_forest, is_tree
 from twoswitch.switch import (
@@ -12,7 +12,6 @@ from twoswitch.switch import (
     SwitchKind,
     apply_switch,
     classify,
-    equivalent_forms,
     is_interchangeable,
     nontrivial_matrices,
 )
