@@ -3,12 +3,20 @@
 Everything downstream (switches, transitions, audits) works with small
 graphs whose vertices are consecutive integers starting at 1.  Graphs are
 immutable so they can be hashed, deduplicated and used as dict keys.
-``depth_first`` is the traversal behind components, bipartitions and
-the forest parameters, and ``_acyclic`` the acyclicity rule behind the
-forest predicates, switch verdicts and trace replay.  Two loops keep
-their own: the forest route's path search stops at its goal
-(``transition._toward``), and ``explorer.enumerate_forests`` keeps a
-union-find it can undo.
+The constructor checks plain ``int`` endpoints inline, keeps an edge
+tuple that is already normal, and sends every other label through
+``_integer``.
+
+Connectivity questions that want a number or a yes take one union-find
+pass over the edges and build no adjacency lists: ``_parity_classes``
+counts components for ``kappa`` and 2-colours them for ``is_bipartite``,
+and ``_acyclic`` is the acyclicity rule behind the forest predicates,
+switch verdicts and trace replay.  ``depth_first`` is the traversal
+behind the questions that want vertex lists, ``components`` and
+``bipartition``.  Three loops keep their own: the forest passes of
+``parameters`` peel leaves, the forest route's path search stops at its
+goal (``transition._toward``), and ``explorer.enumerate_forests`` keeps
+a union-find it can undo.
 """
 
 from __future__ import annotations
@@ -55,17 +63,34 @@ class Graph:
     __slots__ = ("n", "edges", "_adj", "_hash")
 
     def __init__(self, n: int, edges=()):
-        n = _integer(n, "order")
+        if type(n) is not int:
+            n = _integer(n, "order")
         if n < 0:
             raise GraphFormatError(f"order must be non-negative, got {n}")
         norm = set()
-        for u, v in edges:
-            u, v = _normalize_edge(
-                _integer(u, "edge endpoint"), _integer(v, "edge endpoint")
-            )
-            if not (1 <= u and v <= n):
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise GraphFormatError(
+                    f"edge must be a pair of endpoints, got {edge!r}"
+                ) from None
+            # plain ints skip ``_integer``, which every other label takes,
+            # and a tuple of them already in order is kept as it is, so a
+            # graph made from another's edges shares their tuples
+            if type(u) is not int or type(v) is not int:
+                u, v = _integer(u, "edge endpoint"), _integer(v, "edge endpoint")
+                edge = None
+            elif type(edge) is not tuple:
+                edge = None
+            if u > v:
+                u, v = v, u
+                edge = None
+            elif u == v:
+                raise GraphFormatError(f"loop edge {u}-{v} not allowed")
+            if u < 1 or v > n:
                 raise GraphFormatError(f"edge {u}-{v} out of range for order {n}")
-            norm.add((u, v))
+            norm.add(edge or (u, v))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(norm))
         object.__setattr__(self, "_adj", None)
@@ -223,9 +248,45 @@ def components(g: Graph) -> list[list[int]]:
     return [sorted(comp) for comp in out]
 
 
+def _parity_classes(n: int, edges, odd_stops: bool) -> int | None:
+    """Component count of the graph on 1..n with ``edges``, from one
+    union-find pass that also 2-colours each class; None instead, as soon
+    as an edge closes an odd cycle, when ``odd_stops`` is set.
+
+    ``side[x]`` is 1 when x and its union-find parent take different
+    colours; path halving carries it along, so a root's is always 0.  An
+    edge inside one class whose ends take the same colour closes an odd
+    cycle.  O(m log n) time and O(n) memory.
+    """
+    parent = list(range(n + 1))
+    side = [0] * (n + 1)
+    count = n
+    for u, v in edges:
+        su = sv = 0
+        while parent[u] != u:
+            p = parent[u]
+            side[u] ^= side[p]
+            parent[u] = parent[p]
+            su ^= side[u]
+            u = parent[u]
+        while parent[v] != v:
+            p = parent[v]
+            side[v] ^= side[p]
+            parent[v] = parent[p]
+            sv ^= side[v]
+            v = parent[v]
+        if u != v:
+            parent[u] = v
+            side[u] = su ^ sv ^ 1
+            count -= 1
+        elif su == sv and odd_stops:
+            return None
+    return count
+
+
 def kappa(g: Graph) -> int:
     """Number of connected components."""
-    return len(components(g))
+    return _parity_classes(g.n, g.edges, False)
 
 
 def is_forest(g: Graph) -> bool:
@@ -259,7 +320,7 @@ def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
 
 
 def is_bipartite(g: Graph) -> bool:
-    return bipartition(g) is not None
+    return _parity_classes(g.n, g.edges, True) is not None
 
 
 # -- text formats ----------------------------------------------------------

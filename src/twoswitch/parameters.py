@@ -6,10 +6,11 @@ chromatic, clique and component count.  ``compute`` is the one entry
 point for all nine.  All algorithms here are exact and deterministic
 (ties always break toward the lowest label).
 
-On every graph ``compute`` takes components from one traversal and the
-two covers from Gallai's identities: vertex cover is n - independence,
-and edge cover n - matching on graphs with no isolated vertex.  The six
-other kinds each have a general route and a forest route.
+On every graph ``compute`` takes components from one union-find pass
+and the two covers from Gallai's identities: vertex cover is
+n - independence, and edge cover n - matching on graphs with no
+isolated vertex.  The six other kinds each have a general route and a
+forest route.
 
 On a general graph matching is Edmonds' blossom algorithm (1965):
 O(n^3) time, O(n + m) memory and no cap on the order.  The other five
@@ -33,11 +34,13 @@ seeded G(20, m) at every density from 0.25 up, and 0.15-0.25 s where a
 20-vertex component was not; a matching of G(1000, 2500) took about
 30 ms.
 
-On a forest the six kinds come from two leaves-up passes over the
-reversed ``graphs.depth_first`` preorder, O(n) each and without a cap.
-The first links a vertex to its parent whenever both have room: with one
-link per vertex that is a maximum matching nu, and with two it is a
-largest set of disjoint paths, so path cover is n minus its edges.
+On a forest the six kinds come from two leaves-up passes, O(n) each and
+without a cap.  Both take their order from ``_leaves_up``, which peels
+leaves with a degree count and the XOR of each vertex's neighbours, so
+no forest kind builds adjacency lists and nothing recurses.  The first
+links a vertex to its parent whenever both have room: with one link per
+vertex that is a maximum matching nu, and with two it is a largest set
+of disjoint paths, so path cover is n minus its edges.
 Forests are bipartite, so König's theorem gives independence n - nu, and
 with it vertex cover nu and edge cover n - nu.  The second is the
 domination greedy of Cockayne, Goodman and Hedetniemi (1975), which
@@ -525,6 +528,37 @@ def _colour_from(
 # -- forests -----------------------------------------------------------------
 
 
+def _leaves_up(g: Graph) -> tuple[list[int], list[int]]:
+    """Parents (0 at a root, indexed by label) and an order of the
+    vertices of the forest ``g`` that lists every vertex after its
+    children.
+
+    Leaves are peeled one at a time: a vertex of degree one left is
+    listed with its one neighbour left as its parent, found as the XOR
+    of its neighbours not yet peeled, and the vertex whose last
+    neighbour goes is the root of its tree.  No adjacency lists are
+    built and nothing recurses.  O(n + m) time and memory.
+    """
+    n = g.n
+    degree = [0] * (n + 1)
+    rest = [0] * (n + 1)  # XOR of the neighbours not yet peeled
+    for u, v in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+        rest[u] ^= v
+        rest[v] ^= u
+    parent = [0] * (n + 1)
+    order = [v for v in range(1, n + 1) if degree[v] < 2]
+    for v in order:  # the order grows while it is read
+        if degree[v]:  # 0 at a root
+            p = parent[v] = rest[v]
+            rest[p] ^= v
+            degree[p] -= 1
+            if degree[p] == 1:
+                order.append(p)
+    return parent, order
+
+
 def _capped_links(g: Graph, cap: int) -> int:
     """Edges of a largest subgraph of the forest ``g`` with maximum degree
     ``cap``.
@@ -536,11 +570,11 @@ def _capped_links(g: Graph, cap: int) -> int:
     parent's other links makes room.  At ``cap`` 1 this is a maximum
     matching.
     """
-    parent, order = graphs.depth_first(g.adjacency())
+    parent, order = _leaves_up(g)
     links = [0] * (g.n + 1)
     links[0] = cap  # a root has no parent edge to take
     count = 0
-    for v in reversed(order):
+    for v in order:
         p = parent[v]
         if links[v] < cap and links[p] < cap:
             links[v] += 1
@@ -561,11 +595,11 @@ def _dominating(g: Graph) -> int:
     parent into the set, or itself at a root: the parent dominates
     everything any other choice would that is not already dominated.
     """
-    parent, order = graphs.depth_first(g.adjacency())
+    parent, order = _leaves_up(g)
     chosen = [False] * (g.n + 1)
     covered = [False] * (g.n + 1)  # in the set or next to a chosen child
     size = 0
-    for v in reversed(order):
+    for v in order:
         p = parent[v]
         if covered[v] or chosen[p]:
             continue
@@ -669,7 +703,7 @@ def compute(kind: str, g: Graph) -> int:
     """Evaluate one of the nine stable parameters on ``g``.
 
     The package's one entry point for them.  Components is one
-    traversal.  The two covers are Gallai's identities, vertex cover
+    union-find pass.  The two covers are Gallai's identities, vertex cover
     n - independence and edge cover n - matching, and edge cover raises
     ``IsolatedVertexError`` when some vertex has no edge.  The six other
     kinds, the covers' two among them, take the linear leaves-up passes
@@ -682,8 +716,8 @@ def compute(kind: str, g: Graph) -> int:
     if kind == "components":
         return graphs.kappa(g)
     if kind == "edge_cover":
-        adj = g.adjacency()
-        isolated = next((v for v in g.vertices() if not adj[v]), None)
+        ends = {v for edge in g.edges for v in edge}
+        isolated = next((v for v in g.vertices() if v not in ends), None)
         if isolated is not None:
             raise IsolatedVertexError(
                 f"vertex {isolated} has degree 0; edge cover undefined"

@@ -197,6 +197,19 @@ class TestIntervalAudit:
         code, _, err = invoke(capsys, "interval-audit", "--sequence", "two,two", "--kind", "matching")
         assert code == 2 and "error:" in err
 
+    def test_forest_family_all_kinds_json_is_pinned(self, capsys):
+        # every kind over the 60 forests of the vector: the forest passes
+        # and the component count, byte for byte
+        code, out, _ = invoke(
+            capsys, "interval-audit", "--sequence", "3,2,2,2,1,1,1",
+            "--family", "forest", "--kind", "all", "--json",
+        )
+        assert code == 0
+        assert [r["checked"] for r in json.loads(out)] == [60] * 9
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "537a5aa494007eae2e2d76851cdb31ed9ed51460fe245b01c624c9d8771c5612"
+        )
+
     def test_zero_workers_is_usage_error(self, capsys):
         code, out, err = invoke(
             capsys, "interval-audit", "--sequence", "2,2,2,2,2,2,2,2",
@@ -227,6 +240,23 @@ class TestEnumerate:
     def test_cap_refusal(self, capsys):
         code, _, err = invoke(capsys, "enumerate", "--sequence", "1,1,1,1,1,1,1,1,1,1")
         assert code == 2 and "cap" in err
+
+    @pytest.mark.parametrize(
+        "family,count,digest",
+        [
+            # the family filters: one component count each, and one
+            # bipartiteness test each
+            ("unicyclic", 960, "894fb11b8fe5295b35e7fed6a7c279a488256beb6d4035a0af3dbf80f99f45a7"),
+            ("bipartite", 424, "5dff5bc99f9bed88ed8ea69d346b7cc8145f7337224f4bc880b1d5ad6f374e8e"),
+        ],
+    )
+    def test_family_json_is_pinned(self, capsys, family, count, digest):
+        code, out, _ = invoke(
+            capsys, "enumerate", "--sequence", "3,3,2,2,2,2,1,1", "--family", family, "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["count"] == count
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestEdgeDiffAudit:

@@ -1,9 +1,13 @@
+import random
+import re
+
 import numpy as np
 import pytest
 from conftest import forests, graphs
 from hypothesis import given, settings
 from oracles import oracle_components
 
+from twoswitch.census import census
 from twoswitch.graphs import (
     Graph,
     GraphFormatError,
@@ -34,14 +38,6 @@ class TestGraphBasics:
         assert (2, 2) not in g  # a loop is absent, not malformed
         assert ("a", "b") not in g
 
-    def test_rejects_bad_edges(self):
-        with pytest.raises(GraphFormatError):
-            Graph(3, [(1, 1)])
-        with pytest.raises(GraphFormatError):
-            Graph(3, [(1, 4)])
-        with pytest.raises(GraphFormatError):
-            Graph(2, [(0, 1)])
-
     @pytest.mark.parametrize(
         "n,edges",
         [
@@ -67,6 +63,65 @@ class TestGraphBasics:
         assert g == Graph(3, [(1, 3), (1, 2)])
         assert type(g.n) is int
         assert all(type(x) is int for e in g.edges for x in e)
+
+    def test_numpy_edge_arrays_are_labels(self):
+        # rows of an integer array, reversed and repeated, next to plain ints
+        rows = np.array([[3, 1], [1, 3], [4, 2]], dtype=np.int64)
+        g = Graph(4, [*rows, (2, 3)])
+        assert g.sorted_edges() == [(1, 3), (2, 3), (2, 4)]
+        assert all(type(x) is int for e in g.edges for x in e)
+        assert hash(g) == hash(Graph(4, [(1, 3), (2, 3), (2, 4)]))
+
+    def test_normal_edge_tuples_are_shared(self):
+        # a switched graph keeps its parent's edge tuples, so a search
+        # holding many such graphs stores each edge once
+        g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+        h = g.with_edges(added=[(1, 4), (2, 5)], removed=[(1, 2), (4, 5)])
+        kept = {e: e for e in g.edges}
+        assert [e for e in h.edges if e in kept and kept[e] is not e] == []
+        # anything else is rebuilt as a tuple of plain ints in order
+        for edge in ([1, 2], (2, 1), (np.int64(1), 2)):
+            (stored,) = Graph(2, [edge]).edges
+            assert type(stored) is tuple and stored == (1, 2)
+            assert stored is not edge and all(type(x) is int for x in stored)
+
+    @pytest.mark.parametrize(
+        "n,edges,message",
+        [
+            (-1, [], "order must be non-negative, got -1"),
+            (np.int64(-2), [], "order must be non-negative, got -2"),
+            (True, [], "order must be an integer, got True"),
+            ("3", [], "order must be an integer, got '3'"),
+            (3, [(True, 3)], "edge endpoint must be an integer, got True"),
+            (3, [(1, 2.5)], "edge endpoint must be an integer, got 2.5"),
+            (3, [("1", 2)], "edge endpoint must be an integer, got '1'"),
+            (3, [(1, 1)], "loop edge 1-1 not allowed"),
+            (3, [(1, 2), (2, 2)], "loop edge 2-2 not allowed"),
+            (3, [(np.int64(3), 3)], "loop edge 3-3 not allowed"),
+            (3, [(1, 4)], "edge 1-4 out of range for order 3"),
+            (3, [(4, 1)], "edge 1-4 out of range for order 3"),
+            (2, [(0, 1)], "edge 0-1 out of range for order 2"),
+            (2, [(2, -1)], "edge -1-2 out of range for order 2"),
+            (0, [(1, 2)], "edge 1-2 out of range for order 0"),
+        ],
+    )
+    def test_refusals_keep_their_messages(self, n, edges, message):
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+            Graph(n, edges)
+
+    @pytest.mark.parametrize(
+        "edge,message",
+        [
+            ((1, 2, 3), "edge must be a pair of endpoints, got (1, 2, 3)"),
+            ((1,), "edge must be a pair of endpoints, got (1,)"),
+            (1, "edge must be a pair of endpoints, got 1"),
+            ((), "edge must be a pair of endpoints, got ()"),
+            (None, "edge must be a pair of endpoints, got None"),
+        ],
+    )
+    def test_an_edge_that_is_not_a_pair_is_named(self, edge, message):
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+            Graph(3, [(1, 2), edge])
 
     def test_with_edges(self):
         g = Graph(4, [(1, 2), (3, 4)])
@@ -142,10 +197,81 @@ class TestComponents:
         assert kappa(g) == oracle_components(g)
 
 
+def _census_graphs(max_n):
+    """Every labelled graph of order at most ``max_n``, by census mask."""
+    for n in range(max_n + 1):
+        cen = census(n)
+        for mask in range(cen.n_masks):
+            yield cen.graph(mask)
+
+
+def _seeded_graphs():
+    """Seeded G(n, m) up to n = 300, sparse to dense, then bipartite
+    graphs on a random split, each with and without one edge inside a
+    side, which may close an odd cycle."""
+    rng = random.Random(2027)
+    pairs = [(u, v) for u in range(1, 301) for v in range(u + 1, 301)]
+    for n in (2, 5, 10, 30, 100, 300):
+        slots = [(u, v) for u, v in pairs if v <= n]
+        for m in sorted({0, 1, n // 2, n - 1, n, 2 * n, len(slots) // 3}):
+            if m <= len(slots):
+                yield Graph(n, rng.sample(slots, m))
+        left = set(rng.sample(range(1, n + 1), n // 2))
+        across = [(u, v) for u, v in slots if (u in left) != (v in left)]
+        inside = [(u, v) for u, v in slots if (u in left) == (v in left)]
+        for m in (n // 2, n, 3 * n):
+            edges = rng.sample(across, min(m, len(across)))
+            yield Graph(n, edges)
+            if inside:
+                yield Graph(n, [*edges, rng.choice(inside)])
+
+
+class TestUnionFind:
+    """``kappa`` and ``is_bipartite`` come from one union-find pass;
+    ``components`` and ``bipartition`` from ``depth_first``.  The two
+    must agree everywhere."""
+
+    def test_every_graph_to_order_six(self):
+        checked = 0
+        for g in _census_graphs(6):
+            assert kappa(g) == len(components(g)), g
+            assert is_bipartite(g) == (bipartition(g) is not None), g
+            checked += 1
+        assert checked == sum(2 ** (n * (n - 1) // 2) for n in range(7))
+
+    def test_seeded_graphs_to_order_300(self):
+        verdicts = set()
+        for g in _seeded_graphs():
+            assert kappa(g) == len(components(g)) == oracle_components(g)
+            assert is_bipartite(g) == (bipartition(g) is not None)
+            verdicts.add(is_bipartite(g))
+        assert verdicts == {True, False}
+
+    def test_seeded_graphs_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for g in _seeded_graphs():
+            h = nx.Graph()
+            h.add_nodes_from(g.vertices())
+            h.add_edges_from(g.edges)
+            assert kappa(g) == nx.number_connected_components(h)
+            assert is_bipartite(g) == nx.is_bipartite(h)
+
+    def test_deep_path_and_odd_cycle(self):
+        # a 5000-vertex path, its labels shuffled, closed into an odd cycle
+        labels = list(range(1, 5001))
+        random.Random(5).shuffle(labels)
+        path = Graph(5000, list(zip(labels, labels[1:])))
+        assert (kappa(path), is_bipartite(path)) == (1, True)
+        cycle = path.with_edges(added=[(labels[0], labels[-2])])
+        assert (kappa(cycle), is_bipartite(cycle)) == (1, False)
+        assert bipartition(cycle) is None
+
+
 class TestDepthFirst:
-    """``depth_first`` is the one traversal behind every connectivity
-    answer, so its invariants and every answer built on it are checked
-    against the union-find oracle and, when installed, networkx."""
+    """``depth_first`` is the traversal behind ``components`` and
+    ``bipartition``, so its invariants and the answers built on it are
+    checked against the union-find oracle and, when installed,
+    networkx."""
 
     @staticmethod
     def _check_traversal(g):

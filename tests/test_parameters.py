@@ -221,6 +221,78 @@ class TestForestRoutines:
         assert values == {**expected, "chromatic": 2, "clique": 2, "components": 1}
 
 
+class TestLeafPeeling:
+    """The forest passes take their leaves-up order from
+    ``parameters._leaves_up``; each must equal its rooted dynamic program
+    in ``tests/oracles.py``."""
+
+    PASSES = {
+        "matching": parameters._forest_matching,
+        "domination": parameters._dominating,
+        "path_cover": lambda f: f.n - parameters._capped_links(f, 2),
+    }
+
+    def _agrees_with_the_tree_dps(self, f):
+        for kind, run in self.PASSES.items():
+            assert run(f) == FOREST_ORACLES[kind](f), (kind, f)
+
+    def test_every_forest_to_order_seven(self):
+        from twoswitch.explorer import enumerate_forests
+
+        checked = 0
+        for n in range(8):
+            for edges in enumerate_forests(n):
+                self._agrees_with_the_tree_dps(Graph(n, edges))
+                checked += 1
+        assert checked == 1 + 1 + 2 + 7 + 38 + 291 + 2932 + 36961
+
+    @pytest.mark.parametrize("n", [10, 100, 700, 2000])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_seeded_forests_with_isolated_vertices(self, n, seed):
+        rng = random.Random(7 * n + seed)
+        f = _random_forest(rng, n, 0.9, isolated=n // 10)
+        assert any(f.degree(v) == 0 for v in f.vertices())
+        self._agrees_with_the_tree_dps(f)
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_two_thousand_vertex_path(self, shuffled):
+        labels = list(range(1, 2001))
+        if shuffled:
+            random.Random(2000).shuffle(labels)
+        path = Graph(2000, list(zip(labels, labels[1:])))
+        self._agrees_with_the_tree_dps(path)
+        assert [run(path) for run in self.PASSES.values()] == [1000, 667, 1]
+
+    @given(forests(max_n=12))
+    @settings(max_examples=100)
+    def test_order_lists_children_before_parents(self, f):
+        parent, order = parameters._leaves_up(f)
+        assert sorted(order) == list(f.vertices())
+        position = {v: i for i, v in enumerate(order)}
+        links = set()
+        for v in f.vertices():
+            if parent[v]:
+                assert position[v] < position[parent[v]]
+                links.add((min(v, parent[v]), max(v, parent[v])))
+        assert links == f.edges
+        assert sum(1 for v in f.vertices() if not parent[v]) == f.n - f.size
+
+    def test_no_forest_kind_builds_adjacency_lists(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("adjacency lists built")
+
+        t = _random_forest(random.Random(9), 40, 1.0)
+        expected = {kind: oracle(t) for kind, oracle in FOREST_ORACLES.items()}
+        monkeypatch.setattr(Graph, "adjacency", refuse)
+        monkeypatch.setattr("twoswitch.graphs.depth_first", refuse)
+        assert {kind: compute(kind, t) for kind in STABLE_KINDS} == {
+            **expected,
+            "chromatic": 2,
+            "clique": 2,
+            "components": 1,
+        }
+
+
 def _path(n):
     return Graph(n, [(v, v + 1) for v in range(1, n)])
 
@@ -229,14 +301,15 @@ def _cycle(n):
     return Graph(n, [(v, v % n + 1) for v in range(1, n + 1)])
 
 
-def _random_forest(rng, n, join=0.85):
+def _random_forest(rng, n, join=0.85, isolated=0):
     """Random recursive forest on shuffled labels: each vertex joins an
-    earlier one with probability ``join``, so 1.0 gives a tree."""
+    earlier one with probability ``join``, so 1.0 gives a tree, except
+    the first ``isolated`` labels, which keep no edge."""
     labels = list(range(1, n + 1))
     rng.shuffle(labels)
     edges = [
-        (labels[i], labels[rng.randrange(i)])
-        for i in range(1, n)
+        (labels[i], labels[rng.randrange(isolated, i)])
+        for i in range(isolated + 1, n)
         if rng.random() < join
     ]
     return Graph(n, edges)
