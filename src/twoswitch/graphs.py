@@ -7,16 +7,15 @@ The constructor checks plain ``int`` endpoints inline, keeps an edge
 tuple that is already normal, and sends every other label through
 ``_integer``.
 
-Connectivity questions that want a number or a yes take one union-find
-pass over the edges and build no adjacency lists: ``_parity_classes``
-counts components for ``kappa`` and 2-colours them for ``is_bipartite``,
-and ``_acyclic`` is the acyclicity rule behind the forest predicates,
-switch verdicts and trace replay.  ``depth_first`` is the traversal
-behind the questions that want vertex lists, ``components`` and
-``bipartition``.  Three loops keep their own: the forest passes of
-``parameters`` peel leaves, the forest route's path search stops at its
-goal (``transition._toward``), and ``explorer.enumerate_forests`` keeps
-a union-find it can undo.
+Connectivity questions take one union-find pass over the edges and build
+no adjacency lists: ``_parity_classes`` counts and 2-colours the
+components, for ``kappa`` and ``is_bipartite``, and its parent and
+colour links give ``components`` and ``bipartition`` their vertex sets.
+``_acyclic`` is the acyclicity rule behind the forest predicates, switch
+verdicts and trace replay.  Three loops keep their own: the forest
+passes of ``parameters`` peel leaves, the forest route's path search
+stops at its goal (``transition._toward``), and
+``explorer.enumerate_forests`` keeps a union-find it can undo.
 """
 
 from __future__ import annotations
@@ -193,34 +192,6 @@ def is_graphical(seq) -> bool:
 # -- connectivity ----------------------------------------------------------
 
 
-def depth_first(adj) -> tuple[list[int], list[int]]:
-    """Parents (0 at a root, indexed by label) and a depth-first preorder.
-
-    ``adj`` maps positive labels, ascending, to their neighbours.  Each
-    component is entered at its lowest label; every subtree of the
-    parent links, which span the graph, is one contiguous run of the
-    preorder.  O(n + m).
-    """
-    top = max(adj, default=0)
-    parent = [0] * (top + 1)
-    seen = [False] * (top + 1)
-    order: list[int] = []
-    for root in adj:
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    parent[y] = x
-                    stack.append(y)
-    return parent, order
-
-
 def _acyclic(n: int, edges) -> bool:
     """Union-find over the labels 1..n; n or more edges always close a cycle."""
     if len(edges) >= max(n, 1):
@@ -237,21 +208,11 @@ def _acyclic(n: int, edges) -> bool:
     return True
 
 
-def components(g: Graph) -> list[list[int]]:
-    """Vertex sets of connected components, each sorted, listed by minimum."""
-    parent, order = depth_first(g.adjacency())
-    out: list[list[int]] = []
-    for v in order:
-        if not parent[v]:
-            out.append([])
-        out[-1].append(v)
-    return [sorted(comp) for comp in out]
-
-
-def _parity_classes(n: int, edges, odd_stops: bool) -> int | None:
-    """Component count of the graph on 1..n with ``edges``, from one
-    union-find pass that also 2-colours each class; None instead, as soon
-    as an edge closes an odd cycle, when ``odd_stops`` is set.
+def _parity_classes(n: int, edges, odd_stops: bool):
+    """``(count, parent, side)`` for the graph on 1..n with ``edges``, from
+    one union-find pass that also 2-colours each class: the component
+    count, or None as soon as an edge closes an odd cycle when
+    ``odd_stops`` is set, and the links ``_rooted`` reads.
 
     ``side[x]`` is 1 when x and its union-find parent take different
     colours; path halving carries it along, so a root's is always 0.  An
@@ -280,13 +241,38 @@ def _parity_classes(n: int, edges, odd_stops: bool) -> int | None:
             side[u] = su ^ sv ^ 1
             count -= 1
         elif su == sv and odd_stops:
-            return None
-    return count
+            return None, parent, side
+    return count, parent, side
+
+
+def _rooted(n: int, parent: list[int], side: list[int]):
+    """Yield ``(v, root, colour)`` for v = 1..n from ``_parity_classes``
+    links: v's class root and v's colour relative to it, halving paths
+    as the pass does."""
+    for v in range(1, n + 1):
+        x = v
+        s = 0
+        while parent[x] != x:
+            p = parent[x]
+            side[x] ^= side[p]
+            parent[x] = parent[p]
+            s ^= side[x]
+            x = parent[x]
+        yield v, x, s
+
+
+def components(g: Graph) -> list[list[int]]:
+    """Vertex sets of connected components, each sorted, listed by minimum."""
+    _, parent, side = _parity_classes(g.n, g.edges, False)
+    out: dict[int, list[int]] = {}
+    for v, root, _ in _rooted(g.n, parent, side):
+        out.setdefault(root, []).append(v)
+    return list(out.values())
 
 
 def kappa(g: Graph) -> int:
     """Number of connected components."""
-    return _parity_classes(g.n, g.edges, False)
+    return _parity_classes(g.n, g.edges, False)[0]
 
 
 def is_forest(g: Graph) -> bool:
@@ -303,24 +289,20 @@ def is_unicyclic(g: Graph) -> bool:
 
 
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
-    """Deterministic 2-colouring by depth parity as ``(part_a, part_b)``,
-    where part_a holds the lowest vertex of every component, or None when
-    an edge joins two vertices of one colour, which means an odd cycle
-    exists."""
-    parent, order = depth_first(g.adjacency())
-    colour = [0] * (g.n + 1)
-    for v in order:
-        if parent[v]:
-            colour[v] = 1 - colour[parent[v]]
-    if any(colour[u] == colour[v] for u, v in g.edges):
+    """The 2-colouring as ``(part_a, part_b)``, where part_a holds the
+    lowest vertex of every component, or None when an odd cycle exists."""
+    count, parent, side = _parity_classes(g.n, g.edges, True)
+    if count is None:
         return None
-    part_a = frozenset(v for v in order if colour[v] == 0)
-    part_b = frozenset(v for v in order if colour[v] == 1)
-    return part_a, part_b
+    lowest: dict[int, int] = {}  # each class's colour at its lowest vertex
+    parts: tuple[set[int], set[int]] = (set(), set())
+    for v, root, colour in _rooted(g.n, parent, side):
+        parts[colour ^ lowest.setdefault(root, colour)].add(v)
+    return frozenset(parts[0]), frozenset(parts[1])
 
 
 def is_bipartite(g: Graph) -> bool:
-    return _parity_classes(g.n, g.edges, True) is not None
+    return _parity_classes(g.n, g.edges, True)[0] is not None
 
 
 # -- text formats ----------------------------------------------------------

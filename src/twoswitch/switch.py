@@ -4,8 +4,10 @@ A switch is described by an ``ActionMatrix`` ((a, b), (c, d)).  Rows name
 the edges to delete (ab and cd), columns the edges to add (ac and bd).
 When the matrix is not *interchangeable* in a graph the switch acts as the
 identity, so applying one is total: it never fails, it just may do nothing.
-``rewired_kind`` names a rewiring switch's kind from acyclicity before
-and after it, for ``classify`` and for trace replay alike.
+``_rewiring`` states that rule once, on a plain edge set, for every
+verdict, switched graph and trace replay.  ``rewired_kind`` names a
+rewiring switch's kind from acyclicity before and after it, for
+``classify`` and for trace replay alike.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, _acyclic, _normalize_edge
+from .graphs import Graph, GraphError, _acyclic
 
 
 class SwitchKind(enum.Enum):
@@ -56,31 +58,38 @@ class ActionMatrix:
         return f"(({self.a},{self.b}),({self.c},{self.d}))"
 
 
-def is_interchangeable(m: ActionMatrix, g: Graph) -> bool:
-    """True when the switch really rewires ``g``.
+def _rewiring(m: ActionMatrix, edges):
+    """The normalised edges ``((ab, cd), (ac, bd))`` that ``m`` removes and
+    adds on the edge set ``edges``, or None when it does not rewire.
 
-    Needs ab, cd present, the four labels distinct and in range, and the
-    added edges ac, bd absent.  Out-of-range labels simply fail the test,
-    which is what makes every matrix total on every graph.
+    It rewires when the four labels are distinct, ab and cd present and
+    ac and bd absent.  A label past the order is in no edge, so it fails
+    the test, which is what makes every matrix total on every graph.
     """
-    a, b, c, d = m.labels()
+    a, b, c, d = m.a, m.b, m.c, m.d
     if len({a, b, c, d}) != 4:
-        return False
-    if max(a, b, c, d) > g.n:
-        return False
-    edges = g.edges
+        return None
     ab = (a, b) if a < b else (b, a)
     cd = (c, d) if c < d else (d, c)
     ac = (a, c) if a < c else (c, a)
     bd = (b, d) if b < d else (d, b)
-    return ab in edges and cd in edges and ac not in edges and bd not in edges
+    if ab in edges and cd in edges and ac not in edges and bd not in edges:
+        return (ab, cd), (ac, bd)
+    return None
+
+
+def is_interchangeable(m: ActionMatrix, g: Graph) -> bool:
+    """True when the switch really rewires ``g``."""
+    return _rewiring(m, g.edges) is not None
 
 
 def apply_switch(m: ActionMatrix, g: Graph) -> Graph:
     """tau(G): rewire when interchangeable, otherwise return ``g`` itself."""
-    if not is_interchangeable(m, g):
+    change = _rewiring(m, g.edges)
+    if change is None:
         return g
-    return g.with_edges(added=m.added_edges(), removed=m.deleted_edges())
+    removed, added = change
+    return g.with_edges(added=added, removed=removed)
 
 
 def rewired_kind(g: Graph, before: bool, after: bool) -> SwitchKind:
@@ -99,11 +108,12 @@ def classify(m: ActionMatrix, g: Graph) -> SwitchKind:
     The paper characterises the same verdicts by path shapes; the tests
     keep that form as the reference.
     """
-    if not is_interchangeable(m, g):
+    change = _rewiring(m, g.edges)
+    if change is None:
         return SwitchKind.TRIVIAL
+    removed, added = change
     before = _acyclic(g.n, g.edges)
-    deleted = {_normalize_edge(*e) for e in m.deleted_edges()}
-    after = before and _acyclic(g.n, (g.edges - deleted).union(m.added_edges()))
+    after = before and _acyclic(g.n, g.edges.difference(removed).union(added))
     return rewired_kind(g, before, after)
 
 
@@ -124,9 +134,24 @@ def candidate_matrices(sorted_edges):
             yield ActionMatrix(a, b, d, c)
 
 
+def _rewirings(g: Graph):
+    """Each non-trivial switch on ``g``, in ``candidate_matrices`` order,
+    with the edges it removes and adds."""
+    edges = g.edges
+    for m in candidate_matrices(g.sorted_edges()):
+        change = _rewiring(m, edges)
+        if change is not None:
+            yield m, change
+
+
 def nontrivial_matrices(g: Graph):
     """Yield one representative per distinct non-trivial switch on ``g``:
     the ``candidate_matrices`` of its edges that are interchangeable."""
-    for m in candidate_matrices(g.sorted_edges()):
-        if is_interchangeable(m, g):
-            yield m
+    for m, _ in _rewirings(g):
+        yield m
+
+
+def _switches(g: Graph):
+    """Each ``nontrivial_matrices`` switch with the graph it makes of ``g``."""
+    for m, (removed, added) in _rewirings(g):
+        yield m, g.with_edges(added=added, removed=removed)

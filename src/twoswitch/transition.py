@@ -34,9 +34,10 @@ from .graphs import (
 from .switch import (
     ActionMatrix,
     SwitchKind,
+    _rewiring,
+    _rewirings,
     apply_switch,
     is_interchangeable,
-    nontrivial_matrices,
     rewired_kind,
 )
 
@@ -75,13 +76,14 @@ class SwitchTrace:
 
 
 def replay(trace: SwitchTrace) -> list[Graph]:
-    """All intermediate graphs, initial first.  Trivial steps are errors."""
+    """All intermediate graphs, initial first.  Trivial steps, where
+    ``apply_switch`` hands back the graph itself, are errors."""
     out = [trace.initial]
     for i, m in enumerate(trace.steps):
-        g = out[-1]
-        if not is_interchangeable(m, g):
+        g = apply_switch(m, out[-1])
+        if g is out[-1]:
             raise TrivialStepError(i, m)
-        out.append(apply_switch(m, g))
+        out.append(g)
     return out
 
 
@@ -163,27 +165,19 @@ def _edge_replay(
 
     Returns whether the initial graph and the graph after each replayed
     step is a forest, the last edge set, and the index of the step the
-    replay stopped at (None when every step rewires).  A step rewires
-    under the rule of ``is_interchangeable``: four distinct labels, ab
-    and cd present, ac and bd absent.
+    replay stopped at (None when every step rewires).  Whether a step
+    rewires, and which edges it swaps, is ``switch._rewiring``'s answer
+    on the edge set.
     """
     edges = set(initial.edges)
     forests = [_acyclic(initial.n, edges)]
     for i, m in enumerate(steps):
-        a, b, c, d = m.labels()
-        ab, cd, ac, bd = _norm(a, b), _norm(c, d), _norm(a, c), _norm(b, d)
-        if (
-            len({a, b, c, d}) != 4
-            or ab not in edges
-            or cd not in edges
-            or ac in edges
-            or bd in edges
-        ):
+        change = _rewiring(m, edges)
+        if change is None:
             return forests, edges, i
-        edges.remove(ab)
-        edges.remove(cd)
-        edges.add(ac)
-        edges.add(bd)
+        removed, added = change
+        edges.difference_update(removed)
+        edges.update(added)
         forests.append(_acyclic(initial.n, edges))
     return forests, edges, None
 
@@ -194,10 +188,6 @@ def _step_kinds(initial: Graph, forests: list[bool]) -> tuple[SwitchKind, ...]:
         rewired_kind(initial, before, after)
         for before, after in zip(forests, forests[1:])
     )
-
-
-def _norm(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
 
 
 # -- JSON wire format --------------------------------------------------------
@@ -417,12 +407,11 @@ def _scan_gaining_switch(adj2: dict[int, set[int]], working: Graph) -> ActionMat
     leaf-fixing switch gains.
     """
     best_gain, best = 0, None
-    for m in nontrivial_matrices(working):
+    for m, (removed, added) in _rewirings(working):
         a, b, x, y = m.labels()
         gain = (x in adj2[a]) + (y in adj2[b]) - (b in adj2[a]) - (y in adj2[x])
         if gain > best_gain and _acyclic(
-            working.n,
-            working.edges - {(a, b), _norm(x, y)} | {_norm(a, x), _norm(b, y)},
+            working.n, working.edges.difference(removed).union(added)
         ):
             best_gain, best = gain, m
             if gain == 2:

@@ -29,6 +29,9 @@ the package takes each gain's candidates by set algebra and searches a
 path only for a leaf that has some.  ``oracle_classify`` is the paper's
 path-shape characterisation of t- and f-switches, where the package
 decides by acyclicity before and after the switch.
+``oracle_bfs_parts`` lists components and 2-colours them by
+breadth-first search from each component's lowest vertex, where the
+package reads roots and colours off one union-find pass.
 
 ``oracle_stability_sweep`` and ``oracle_edge_diff_audit`` are the
 order-wide sweeps that compare every ordered switch shape and every
@@ -53,6 +56,7 @@ Gallai's identities, where the package uses König's theorem.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 import numpy as np
 
@@ -308,6 +312,37 @@ def oracle_components(g: Graph) -> int:
     for u, v in g.edges:
         parent[find(u)] = find(v)
     return len({find(v) for v in g.vertices()})
+
+
+def oracle_bfs_parts(g: Graph):
+    """``(components, parts)`` by breadth-first search from each
+    component's lowest vertex, which takes colour 0: the vertex lists
+    ``components`` returns, and the 2-colouring ``bipartition`` returns,
+    or None when an edge joins two vertices of one colour."""
+    adj = {v: [] for v in g.vertices()}
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    colour = {}
+    comps = []
+    for root in g.vertices():
+        if root in colour:
+            continue
+        colour[root] = 0
+        queue = deque([root])
+        comp = []
+        while queue:
+            x = queue.popleft()
+            comp.append(x)
+            for y in adj[x]:
+                if y not in colour:
+                    colour[y] = 1 - colour[x]
+                    queue.append(y)
+        comps.append(sorted(comp))
+    if any(colour[u] == colour[v] for u, v in g.edges):
+        return comps, None
+    parts = tuple(frozenset(v for v, c in colour.items() if c == side) for side in (0, 1))
+    return comps, parts
 
 
 def oracle_rank(g: Graph) -> int:

@@ -117,18 +117,19 @@ class TestStabilityAudit:
         assert out.startswith("matching=pass")
 
     def test_graph_all_kinds_json_is_pinned(self, capsys, monkeypatch):
-        # one walk over the 112 switches of fig2_g0 serves all nine kinds
-        applied = []
+        # one walk over the 112 switches of fig2_g0 serves all nine kinds,
+        # building each switched graph once
+        built = []
 
-        def counted(m, g):
-            applied.append(m)
-            return apply(m, g)
+        def counted(g, added=(), removed=()):
+            built.append(with_edges(g, added, removed))
+            return built[-1]
 
-        apply = explorer.apply_switch
-        monkeypatch.setattr(explorer, "apply_switch", counted)
+        with_edges = Graph.with_edges
+        monkeypatch.setattr(Graph, "with_edges", counted)
         code, out, _ = invoke(capsys, "stability-audit", "--graph", "fig2_g0", "--json")
         assert code == 0
-        assert len(applied) == 112
+        assert len(built) == len(set(built)) == 112
         assert [r["checked"] for r in json.loads(out)] == [112] * 9
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "8b5e003aee4472a4fd9b8162102a205014280ceb6de9a5cdc7c6c34c9e762cbd"
@@ -416,6 +417,28 @@ class TestValidateTrace:
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         code, out, err = invoke(capsys, "validate-trace", "-")
         assert code == 2 and out == "" and err.startswith("error:")
+
+
+class TestUndecodableInput:
+    """A file that is not UTF-8 is a domain error, exit 2, for every
+    command that reads one, stdin included."""
+
+    BYTES = b"\xff\xfe\x00n 3\n"
+
+    @pytest.mark.parametrize("command", ["params", "validate-trace"])
+    def test_file_is_usage_error(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.edges"
+        bad.write_bytes(self.BYTES)
+        code, out, err = invoke(capsys, command, str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read") and "bad.edges" in err
+
+    def test_stdin_is_usage_error(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(self.BYTES), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = invoke(capsys, "validate-trace", "-")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read trace from stdin")
 
 
 class TestFixtures:

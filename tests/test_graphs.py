@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import forests, graphs
 from hypothesis import given, settings
-from oracles import oracle_components
+from oracles import oracle_bfs_parts, oracle_components
 
 from twoswitch.census import census
 from twoswitch.graphs import (
@@ -14,7 +14,6 @@ from twoswitch.graphs import (
     bipartition,
     components,
     degree_sequence,
-    depth_first,
     format_edge_list,
     is_bipartite,
     is_forest,
@@ -227,23 +226,29 @@ def _seeded_graphs():
 
 
 class TestUnionFind:
-    """``kappa`` and ``is_bipartite`` come from one union-find pass;
-    ``components`` and ``bipartition`` from ``depth_first``.  The two
-    must agree everywhere."""
+    """Connectivity comes from one union-find pass: ``kappa`` and
+    ``is_bipartite`` read its count, ``components`` and ``bipartition``
+    its roots and colours.  They are checked against the breadth-first
+    reference and, when installed, networkx."""
 
     def test_every_graph_to_order_six(self):
         checked = 0
         for g in _census_graphs(6):
-            assert kappa(g) == len(components(g)), g
-            assert is_bipartite(g) == (bipartition(g) is not None), g
+            comps, parts = oracle_bfs_parts(g)
+            assert components(g) == comps, g
+            assert bipartition(g) == parts, g
+            assert kappa(g) == len(comps), g
+            assert is_bipartite(g) == (parts is not None), g
             checked += 1
         assert checked == sum(2 ** (n * (n - 1) // 2) for n in range(7))
 
     def test_seeded_graphs_to_order_300(self):
         verdicts = set()
         for g in _seeded_graphs():
-            assert kappa(g) == len(components(g)) == oracle_components(g)
-            assert is_bipartite(g) == (bipartition(g) is not None)
+            comps, parts = oracle_bfs_parts(g)
+            assert components(g) == comps and bipartition(g) == parts
+            assert kappa(g) == len(comps) == oracle_components(g)
+            assert is_bipartite(g) == (parts is not None)
             verdicts.add(is_bipartite(g))
         assert verdicts == {True, False}
 
@@ -255,70 +260,6 @@ class TestUnionFind:
             h.add_edges_from(g.edges)
             assert kappa(g) == nx.number_connected_components(h)
             assert is_bipartite(g) == nx.is_bipartite(h)
-
-    def test_deep_path_and_odd_cycle(self):
-        # a 5000-vertex path, its labels shuffled, closed into an odd cycle
-        labels = list(range(1, 5001))
-        random.Random(5).shuffle(labels)
-        path = Graph(5000, list(zip(labels, labels[1:])))
-        assert (kappa(path), is_bipartite(path)) == (1, True)
-        cycle = path.with_edges(added=[(labels[0], labels[-2])])
-        assert (kappa(cycle), is_bipartite(cycle)) == (1, False)
-        assert bipartition(cycle) is None
-
-
-class TestDepthFirst:
-    """``depth_first`` is the traversal behind ``components`` and
-    ``bipartition``, so its invariants and the answers built on it are
-    checked against the union-find oracle and, when installed,
-    networkx."""
-
-    @staticmethod
-    def _check_traversal(g):
-        parent, order = depth_first(g.adjacency())
-        assert sorted(order) == list(g.vertices())
-        tin = {v: i for i, v in enumerate(order)}
-        below = {v: {v} for v in g.vertices()}
-        for v in order:
-            p = parent[v]
-            if p:
-                assert (min(p, v), max(p, v)) in g.edges
-                assert tin[p] < tin[v]
-            x = p
-            while x:
-                below[x].add(v)
-                x = parent[x]
-        # every subtree is one contiguous run of the preorder, and the
-        # root of every component is its lowest label
-        for v in g.vertices():
-            assert set(order[tin[v] : tin[v] + len(below[v])]) == below[v]
-        roots = [v for v in order if not parent[v]]
-        assert [min(c) for c in components(g)] == roots
-        for r in roots:
-            assert min(below[r]) == r
-        # without its isolated vertices, as the forest route's working
-        # copies hold it, the mapping gives the same links and order
-        sub = {v: ns for v, ns in g.adjacency().items() if ns}
-        sub_parent, sub_order = depth_first(sub)
-        assert sub_order == [v for v in order if v in sub]
-        assert sub_parent == parent[: len(sub_parent)]
-        return parent, roots
-
-    @given(graphs(max_n=9))
-    @settings(max_examples=200)
-    def test_invariants_on_graphs(self, g):
-        parent, roots = self._check_traversal(g)
-        assert kappa(g) == len(roots) == oracle_components(g)
-        assert sorted(v for c in components(g) for v in c) == list(g.vertices())
-
-    @given(forests(max_n=12))
-    @settings(max_examples=200)
-    def test_invariants_on_forests(self, f):
-        parent, roots = self._check_traversal(f)
-        # on a forest the parent links are exactly the edges
-        links = {(min(v, parent[v]), max(v, parent[v])) for v in f.vertices() if parent[v]}
-        assert links == f.edges
-        assert kappa(f) == len(roots) == oracle_components(f)
 
     @given(graphs(max_n=9))
     @settings(max_examples=200)
@@ -336,6 +277,18 @@ class TestDepthFirst:
         assert (parts is not None) == nx.is_bipartite(h)
         if parts is not None:
             assert all(min(c) in parts[0] for c in want)
+
+    def test_deep_path_and_odd_cycle(self):
+        # a 5000-vertex path, its labels shuffled, closed into an odd cycle
+        labels = list(range(1, 5001))
+        random.Random(5).shuffle(labels)
+        path = Graph(5000, list(zip(labels, labels[1:])))
+        assert (kappa(path), is_bipartite(path)) == (1, True)
+        cycle = path.with_edges(added=[(labels[0], labels[-2])])
+        assert (kappa(cycle), is_bipartite(cycle)) == (1, False)
+        assert bipartition(cycle) is None
+        for g in (path, cycle):
+            assert (components(g), bipartition(g)) == oracle_bfs_parts(g)
 
 
 class TestShapePredicates:

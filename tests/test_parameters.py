@@ -284,7 +284,6 @@ class TestLeafPeeling:
         t = _random_forest(random.Random(9), 40, 1.0)
         expected = {kind: oracle(t) for kind, oracle in FOREST_ORACLES.items()}
         monkeypatch.setattr(Graph, "adjacency", refuse)
-        monkeypatch.setattr("twoswitch.graphs.depth_first", refuse)
         assert {kind: compute(kind, t) for kind in STABLE_KINDS} == {
             **expected,
             "chromatic": 2,

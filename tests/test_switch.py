@@ -68,6 +68,19 @@ class TestInterchangeable:
         assert not is_interchangeable(ActionMatrix(1, 3, 2, 4), P4)
 
 
+class TestOneRule:
+    """Interchangeability, classification, application and trace replay
+    read one rule, so they agree on every matrix, repeated labels and
+    labels past the order included."""
+
+    @given(graphs(max_n=8), matrices())
+    def test_every_reader_agrees(self, g, m):
+        rewires = is_interchangeable(m, g)
+        assert validate_trace(SwitchTrace(g, (m,))).steps_nontrivial == rewires
+        assert (classify(m, g) is SwitchKind.TRIVIAL) == (not rewires)
+        assert (apply_switch(m, g) is g) == (not rewires)
+
+
 class TestApply:
     def test_produces_bundled_graphs(self, fig1_graphs):
         g0, g1, g2 = fig1_graphs
@@ -76,7 +89,7 @@ class TestApply:
 
     def test_trivial_is_identity(self, fig1_graphs):
         g0, _, _ = fig1_graphs
-        assert apply_switch(ActionMatrix(1, 2, 1, 3), g0) == g0
+        assert apply_switch(ActionMatrix(1, 2, 1, 3), g0) is g0
 
     def test_inverse_round_trip(self, fig1_graphs):
         g0, _, _ = fig1_graphs
