@@ -1,8 +1,9 @@
 """Command-line front end.
 
 One subcommand per library entry point.  Exit code 0 means success or a
-passing audit, 1 means a failing audit, an invalid trace or an
-inconclusive bounded search, 2 means a usage or domain error.  Output is
+passing audit, 1 means a failing audit, an audit with a kind left
+unchecked at a cap, an invalid trace or an inconclusive bounded search,
+2 means a usage or domain error.  Output is
 deterministic for fixed inputs and flags; --json switches every report
 to machine form.
 """
@@ -15,6 +16,7 @@ import sys
 
 from . import explorer, fixtures, parameters
 from .graphs import (
+    CapExceededError,
     Graph,
     GraphError,
     format_edge_list,
@@ -116,12 +118,13 @@ def _cmd_params(args) -> int:
     if args.kind != "all":
         print(f"{args.kind}={_param_value(args.kind, g)}")
         return 0
-    values = {}
-    for kind in sorted(PARAM_KINDS):
+    rank = parameters.adjacency_rank(g)
+    values = {"rank": rank, "nullity": g.n - rank}
+    for kind in parameters.STABLE_KINDS:
         try:
-            values[kind] = _param_value(kind, g)
-        except parameters.IsolatedVertexError:
-            continue  # edge cover is undefined: skipped rather than reported
+            values[kind] = parameters.compute(kind, g)
+        except (parameters.IsolatedVertexError, CapExceededError):
+            continue  # an undefined edge cover or a capped kind is omitted
     if args.json:
         print(json.dumps(values, indent=2, sort_keys=True))
     else:

@@ -34,7 +34,7 @@ from .graphs import (
     is_unicyclic,
     kappa,
 )
-from .switch import ActionMatrix, _switches, apply_switch, candidate_matrices, nontrivial_matrices
+from .switch import ActionMatrix, _switches, candidate_matrices
 from .transition import SwitchTrace, replay, transition_forest, transition_graph
 
 
@@ -202,13 +202,26 @@ def stability_audit(graph: Graph, kinds=parameters.STABLE_KINDS) -> dict[str, Au
     tau of one ``graph`` and each of ``kinds``.
 
     One walk builds each switched graph once and evaluates every kind that
-    has not jumped yet; a kind's report stops at its first jump, and
-    ``checked`` counts the switches it was evaluated on.
-    ``stability_sweep`` checks a whole order.
+    has not stopped yet; a kind's report stops at its first jump, and
+    ``checked`` counts the switches it was evaluated on.  A kind that
+    ``compute`` refuses with ``CapExceededError``, on ``graph`` or on a
+    switched graph, stops alone, unpassed and without a counterexample,
+    its notes naming where and the cap.  ``stability_sweep`` checks a
+    whole order.
     """
     kinds = parameters._check_kinds(kinds)
     reports = {}
     base = {}
+
+    def refused(kind, checked, where, exc):
+        return AuditReport(
+            audit="stability",
+            passed=False,
+            kind=kind,
+            checked=checked,
+            notes=f"{kind} not evaluated on {where}: {exc}",
+        )
+
     for kind in kinds:
         try:
             base[kind] = parameters.compute(kind, graph)
@@ -219,13 +232,20 @@ def stability_audit(graph: Graph, kinds=parameters.STABLE_KINDS) -> dict[str, Au
                 kind=kind,
                 notes="edge_cover undefined: graph has isolated vertices",
             )
+        except CapExceededError as exc:
+            reports[kind] = refused(kind, 0, "the input graph", exc)
     checked = 0
     for m, switched in _switches(graph):
         if not base:
             break
         checked += 1
         for kind, before in list(base.items()):
-            value = parameters.compute(kind, switched)
+            try:
+                value = parameters.compute(kind, switched)
+            except CapExceededError as exc:
+                del base[kind]
+                reports[kind] = refused(kind, checked - 1, f"the graph after switch {m}", exc)
+                continue
             if abs(value - before) > 1:
                 del base[kind]
                 reports[kind] = AuditReport(
@@ -720,10 +740,7 @@ def explore(
     while queue and explored < max_states and not found:
         cur = queue.popleft()
         explored += 1
-        # not ``_switches``: faster, it lets perfbench's plateau pairs finish
-        # inside their time limit, and its check then fails them (ROADMAP item 1)
-        for m in nontrivial_matrices(cur):
-            t = apply_switch(m, cur)
+        for m, t in _switches(cur):
             if t.edges in parents or not keep(t):
                 continue
             parents[t.edges] = (cur.edges, m)

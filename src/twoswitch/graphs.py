@@ -217,7 +217,9 @@ def _parity_classes(n: int, edges, odd_stops: bool):
     ``side[x]`` is 1 when x and its union-find parent take different
     colours; path halving carries it along, so a root's is always 0.  An
     edge inside one class whose ends take the same colour closes an odd
-    cycle.  O(m log n) time and O(n) memory.
+    cycle.  Without ``odd_stops`` the pass stops at the merge that leaves
+    one class: every vertex is linked into it by then, and later edges
+    merge nothing.  O(m log n) time and O(n) memory.
     """
     parent = list(range(n + 1))
     side = [0] * (n + 1)
@@ -240,6 +242,8 @@ def _parity_classes(n: int, edges, odd_stops: bool):
             parent[u] = v
             side[u] = su ^ sv ^ 1
             count -= 1
+            if count == 1 and not odd_stops:
+                break
         elif su == sv and odd_stops:
             return None, parent, side
     return count, parent, side

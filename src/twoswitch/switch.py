@@ -5,8 +5,9 @@ the edges to delete (ab and cd), columns the edges to add (ac and bd).
 When the matrix is not *interchangeable* in a graph the switch acts as the
 identity, so applying one is total: it never fails, it just may do nothing.
 ``_rewiring`` states that rule once, on a plain edge set, for every
-verdict, switched graph and trace replay.  ``rewired_kind`` names a
-rewiring switch's kind from acyclicity before and after it, for
+verdict, switched graph and trace replay, and ``_rewirings`` walks the
+switches of a plain edge set for every loop over them.  ``rewired_kind``
+names a rewiring switch's kind from acyclicity before and after it, for
 ``classify`` and for trace replay alike.
 """
 
@@ -134,11 +135,11 @@ def candidate_matrices(sorted_edges):
             yield ActionMatrix(a, b, d, c)
 
 
-def _rewirings(g: Graph):
-    """Each non-trivial switch on ``g``, in ``candidate_matrices`` order,
-    with the edges it removes and adds."""
-    edges = g.edges
-    for m in candidate_matrices(g.sorted_edges()):
+def _rewirings(edges):
+    """Each non-trivial switch on the plain edge set ``edges``, in
+    ``candidate_matrices`` order over the sorted edges, with the edges it
+    removes and adds."""
+    for m in candidate_matrices(sorted(edges)):
         change = _rewiring(m, edges)
         if change is not None:
             yield m, change
@@ -147,11 +148,11 @@ def _rewirings(g: Graph):
 def nontrivial_matrices(g: Graph):
     """Yield one representative per distinct non-trivial switch on ``g``:
     the ``candidate_matrices`` of its edges that are interchangeable."""
-    for m, _ in _rewirings(g):
+    for m, _ in _rewirings(g.edges):
         yield m
 
 
 def _switches(g: Graph):
     """Each ``nontrivial_matrices`` switch with the graph it makes of ``g``."""
-    for m, (removed, added) in _rewirings(g):
+    for m, (removed, added) in _rewirings(g.edges):
         yield m, g.with_edges(added=added, removed=removed)

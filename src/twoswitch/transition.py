@@ -396,23 +396,21 @@ def _finishing_switch(red: set[tuple[int, int]], blue: set[tuple[int, int]]) -> 
     return ActionMatrix(a, b, c, d)
 
 
-def _scan_gaining_switch(adj2: dict[int, set[int]], working: Graph) -> ActionMatrix | None:
+def _scan_gaining_switch(adj2: dict[int, set[int]], n: int, edges: set) -> ActionMatrix | None:
     """Best forest-preserving switch by shared-edge gain, or None if the
     best available gain is not positive.
 
-    Walks the switches of the working forest in ``nontrivial_matrices``
+    Walks the switches of the working forest's edges in ``_rewirings``
     order and keeps the first forest-preserving one of the highest gain;
     only a candidate that would replace the current best is tested for
     acyclicity.  Quadratic in the edge count and only called when no
     leaf-fixing switch gains.
     """
     best_gain, best = 0, None
-    for m, (removed, added) in _rewirings(working):
+    for m, (removed, added) in _rewirings(edges):
         a, b, x, y = m.labels()
         gain = (x in adj2[a]) + (y in adj2[b]) - (b in adj2[a]) - (y in adj2[x])
-        if gain > best_gain and _acyclic(
-            working.n, working.edges.difference(removed).union(added)
-        ):
+        if gain > best_gain and _acyclic(n, edges.difference(removed).union(added)):
             best_gain, best = gain, m
             if gain == 2:
                 break
@@ -454,7 +452,7 @@ def transition_forest(f: Graph, f2: Graph) -> SwitchTrace:
     the gap, so a route whose gains come from leaf fixes costs O(n^2)
     with bounded degrees and a bounded number of searches per step.  A
     step where no leaf fix gains walks every switch of the working
-    forest instead (``nontrivial_matrices``), and the plateau search is
+    forest's edges instead (``_rewirings``), and the plateau search is
     an unbounded ``explore`` through forests.  The finished route is
     verified in one pass over a plain edge set: every step rewires, every
     intermediate is acyclic (union-find over the vertex labels) and the
@@ -521,12 +519,14 @@ def _forest_steps(f: Graph, f2: Graph) -> list[ActionMatrix]:
             if gain >= 1:
                 m = ActionMatrix(leaf, v, u, w)
             else:
-                working = Graph(f.n, _edge_set(adj1))
-                m = _scan_gaining_switch(adj2, working)
+                working = _edge_set(adj1)
+                m = _scan_gaining_switch(adj2, f.n, working)
                 if m is None:
                     # plateau: every single switch trades away as much as
                     # it gains, so fall back to an exact shortest completion
-                    steps.extend(_search_completion(working, Graph(f.n, _edge_set(adj2))))
+                    steps.extend(
+                        _search_completion(Graph(f.n, working), Graph(f.n, _edge_set(adj2)))
+                    )
                     break
         a, b, c, d = m.labels()
         gap += (b in adj2[a]) + (d in adj2[c]) - (c in adj2[a]) - (d in adj2[b])

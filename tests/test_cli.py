@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
@@ -26,6 +27,21 @@ def edges_file(tmp_path):
         return str(path)
 
     return write
+
+
+def seeded_tree30():
+    """A 30-vertex tree: vertex v joins a seeded earlier vertex."""
+    rng = random.Random(30)
+    return Graph(30, [(rng.randint(1, v - 1), v) for v in range(2, 31)])
+
+
+def seeded_g25():
+    """A G(25, 40): 40 distinct seeded vertex pairs."""
+    rng = random.Random(25)
+    edges = set()
+    while len(edges) < 40:
+        edges.add(tuple(sorted(rng.sample(range(1, 26), 2))))
+    return Graph(25, edges)
 
 
 class TestTransit:
@@ -100,6 +116,26 @@ class TestParams:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "capped at 20" in err
 
+    def test_all_omits_capped_kinds(self, capsys, edges_file, monkeypatch):
+        # subset kinds refuse 25 vertices; the rest answer, and rank and
+        # nullity share one elimination
+        ranks = []
+
+        def counted(g):
+            ranks.append(g)
+            return rank(g)
+
+        rank = parameters.adjacency_rank
+        monkeypatch.setattr(parameters, "adjacency_rank", counted)
+        g = seeded_g25()
+        code, out, err = invoke(capsys, "params", edges_file("g25.edges", g), "--kind", "all")
+        assert code == 0 and err == ""
+        values = dict(line.split("=") for line in out.splitlines())
+        assert sorted(values) == ["components", "matching", "nullity", "rank"]
+        assert values["matching"] == str(parameters.compute("matching", g))
+        assert int(values["rank"]) + int(values["nullity"]) == 25
+        assert len(ranks) == 1
+
     def test_matching_answers_above_the_cap(self, capsys, edges_file):
         cycle = Graph(21, [(v, v % 21 + 1) for v in range(1, 22)])
         path = edges_file("c21.edges", cycle)
@@ -164,6 +200,21 @@ class TestStabilityAudit:
             f"{kind}=pass checked={sweep(5, (kind,))[kind].checked}"
             for kind in parameters.STABLE_KINDS
         ]
+
+    def test_capped_kinds_stop_alone(self, capsys, edges_file):
+        # the subset kinds refuse the first switched graph with a cycle;
+        # matching, components and edge cover run over every switch
+        path = edges_file("tree30.edges", seeded_tree30())
+        code, out, _ = invoke(capsys, "stability-audit", "--graph", path)
+        assert code == 1
+        lines = out.splitlines()
+        for kind in ("components", "edge_cover", "matching"):
+            assert f"{kind}=pass checked=623" in lines
+        refused = [line for line in lines if "not evaluated" in line]
+        assert len(refused) == 6
+        assert all("after switch" in line and "capped at 20" in line for line in refused)
+        code, out, _ = invoke(capsys, "stability-audit", "--graph", path, "--kind", "matching")
+        assert code == 0 and out == "matching=pass checked=623\n"
 
     def test_requires_exactly_one_target(self, capsys):
         with pytest.raises(SystemExit):

@@ -20,7 +20,7 @@ from oracles import (
 )
 
 import twoswitch.explorer as ex
-from twoswitch import parameters
+from twoswitch import parameters, switch
 from twoswitch.census import UNDEFINED, census, slot_mask, slot_view
 from twoswitch.explorer import (
     AuditReport,
@@ -238,12 +238,29 @@ class TestSlotView:
 
 
 def _audit_one_kind(graph, kind):
-    """The stability audit of one kind on its own walk over the switches."""
-    base = parameters.compute(kind, graph)
+    """The stability audit of one kind on its own walk over the switches;
+    a refusal of ``compute`` stops it where it happens."""
+
+    def refused(checked, where, exc):
+        return AuditReport(
+            audit="stability",
+            passed=False,
+            kind=kind,
+            checked=checked,
+            notes=f"{kind} not evaluated on {where}: {exc}",
+        )
+
+    try:
+        base = parameters.compute(kind, graph)
+    except CapExceededError as exc:
+        return refused(0, "the input graph", exc)
     checked = 0
     for m in nontrivial_matrices(graph):
+        try:
+            value = parameters.compute(kind, apply_switch(m, graph))
+        except CapExceededError as exc:
+            return refused(checked, f"the graph after switch {m}", exc)
         checked += 1
-        value = parameters.compute(kind, apply_switch(m, graph))
         if abs(value - base) > 1:
             return AuditReport(
                 audit="stability",
@@ -309,6 +326,44 @@ class TestStabilityAudit:
             r.passed and r.checked == len(switches)
             for k, r in reports.items()
             if k != "domination"
+        )
+
+    @pytest.mark.parametrize("refused_at", [None, 19], ids=["input", "switch-20"])
+    def test_refused_kind_stops_alone_next_to_a_jump(self, fig2_graphs, monkeypatch, refused_at):
+        # independence is refused on the input graph or on the graph of
+        # the 20th switch, and domination jumps at the 40th: each stops
+        # there, and the seven other kinds run over every switch
+        g0, _ = fig2_graphs
+        switches = list(nontrivial_matrices(g0))
+        planted = apply_switch(switches[39], g0)
+        capped = g0 if refused_at is None else apply_switch(switches[refused_at], g0)
+        compute = parameters.compute
+
+        def planting(kind, g):
+            if kind == "independence" and g == capped:
+                raise CapExceededError("planted cap")
+            return compute(kind, g) + 5 * (kind == "domination" and g == planted)
+
+        monkeypatch.setattr(parameters, "compute", planting)
+        reports = stability_audit(g0)
+        assert reports == {k: _audit_one_kind(g0, k) for k in parameters.STABLE_KINDS}
+        refused = reports["independence"]
+        assert not refused.passed and refused.counterexample is None
+        if refused_at is None:
+            assert refused.checked == 0
+            assert refused.notes == "independence not evaluated on the input graph: planted cap"
+        else:
+            assert refused.checked == refused_at
+            assert refused.notes == (
+                f"independence not evaluated on the graph after switch "
+                f"{switches[refused_at]}: planted cap"
+            )
+        failed = reports["domination"]
+        assert not failed.passed and failed.checked == 40
+        assert all(
+            r.passed and r.checked == len(switches)
+            for k, r in reports.items()
+            if k not in ("domination", "independence")
         )
 
     def test_sweep_all_kinds_order_four(self):
@@ -915,6 +970,29 @@ class TestBipartitePair:
             monkeypatch.setattr(ex, "CLOSURE_STATES", budget)
             c = bipartite_counterexample_check().closure
         assert (c.explored, c.frontier, c.reached_target, c.complete) == expected
+
+
+    def test_closure_checks_each_candidate_once(self, fig2_graphs, monkeypatch):
+        # one walk per expanded state: every candidate matrix meets the
+        # switch rule once, and no switched graph is checked again to be built
+        counts = {"rule": 0, "candidates": 0}
+        rule, candidates = switch._rewiring, switch.candidate_matrices
+
+        def counted_rule(m, edges):
+            counts["rule"] += 1
+            return rule(m, edges)
+
+        def counted_candidates(sorted_edges):
+            for m in candidates(sorted_edges):
+                counts["candidates"] += 1
+                yield m
+
+        monkeypatch.setattr(switch, "_rewiring", counted_rule)
+        monkeypatch.setattr(switch, "candidate_matrices", counted_candidates)
+        g0, g1 = fig2_graphs
+        reach = explore(g0, is_bipartite, goal=g1, max_states=ex.CLOSURE_STATES)
+        assert (reach.explored, reach.complete) == (232, True)
+        assert counts["rule"] == counts["candidates"] > 0
 
 
 class TestExplore:

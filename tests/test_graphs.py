@@ -11,6 +11,7 @@ from twoswitch.census import census
 from twoswitch.graphs import (
     Graph,
     GraphFormatError,
+    _parity_classes,
     bipartition,
     components,
     degree_sequence,
@@ -194,6 +195,23 @@ class TestComponents:
     @given(graphs(max_n=8))
     def test_matches_union_find(self, g):
         assert kappa(g) == oracle_components(g)
+
+    @pytest.mark.parametrize("odd_stops", [False, True])
+    def test_pass_stops_once_one_class_is_left(self, odd_stops):
+        # the path 1..6 joins every vertex at its fifth edge; the three
+        # chords after it close even cycles, so only a count that needs
+        # no colouring may stop there
+        edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 4), (3, 6), (1, 6)]
+        consumed = []
+
+        def fed():
+            for edge in edges:
+                consumed.append(edge)
+                yield edge
+
+        count, _, _ = _parity_classes(6, fed(), odd_stops)
+        assert count == 1
+        assert consumed == (edges if odd_stops else edges[:5])
 
 
 def _census_graphs(max_n):
