@@ -116,15 +116,15 @@ def _cmd_transit(args) -> int:
 def _cmd_params(args) -> int:
     g = _load_graph(args.graph)
     if args.kind != "all":
-        print(f"{args.kind}={_param_value(args.kind, g)}")
-        return 0
-    rank = parameters.adjacency_rank(g)
-    values = {"rank": rank, "nullity": g.n - rank}
-    for kind in parameters.STABLE_KINDS:
-        try:
-            values[kind] = parameters.compute(kind, g)
-        except (parameters.IsolatedVertexError, CapExceededError):
-            continue  # an undefined edge cover or a capped kind is omitted
+        values = {args.kind: _param_value(args.kind, g)}
+    else:
+        rank = parameters.adjacency_rank(g)
+        values = {"rank": rank, "nullity": g.n - rank}
+        for kind in parameters.STABLE_KINDS:
+            try:
+                values[kind] = parameters.compute(kind, g)
+            except (parameters.IsolatedVertexError, CapExceededError):
+                continue  # an undefined edge cover or a capped kind is omitted
     if args.json:
         print(json.dumps(values, indent=2, sort_keys=True))
     else:
@@ -144,9 +144,12 @@ def _cmd_stability(args) -> int:
         print(json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True))
     else:
         for r in reports:
-            verdict = "pass" if r.passed else "fail"
+            if r.passed:
+                verdict = "pass"
+            else:  # a kind refused at a cap fails without a counterexample
+                verdict = "fail" if r.counterexample is not None else "refused"
             print(f"{r.kind}={verdict} checked={r.checked}")
-            if not r.passed:
+            if r.notes:
                 print(f"  note={r.notes}")
     return 0 if all(r.passed for r in reports) else 1
 

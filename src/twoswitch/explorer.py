@@ -35,7 +35,13 @@ from .graphs import (
     kappa,
 )
 from .switch import ActionMatrix, _switches, candidate_matrices
-from .transition import SwitchTrace, replay, transition_forest, transition_graph
+from .transition import (
+    SwitchTrace,
+    _verified_route,
+    replay,
+    transition_forest,
+    transition_graph,
+)
 
 
 class ValueOutOfRangeError(GraphError):
@@ -546,34 +552,38 @@ def enumerate_forests(n: int):
     realizing one vector.
     """
     slots = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)]
-    parent = list(range(n + 1))
-    size = [1] * (n + 1)
-    edges: list[tuple[int, int]] = []
+    yield from _grow_forests(slots, 0, list(range(n + 1)), [1] * (n + 1), [])
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
 
-    def rec(k: int):
-        if k == len(slots):
-            yield tuple(edges)
-            return
-        yield from rec(k + 1)
-        u, v = slots[k]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            if size[ru] < size[rv]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            size[ru] += size[rv]
-            edges.append((u, v))
-            yield from rec(k + 1)
-            edges.pop()
-            size[ru] -= size[rv]
-            parent[rv] = rv
+def _grow_forests(slots: list, k: int, parent: list[int], size: list[int], edges: list):
+    """Yield the forests that add to ``edges`` some of ``slots[k:]``, in
+    ``enumerate_forests``' order: each slot left out first, then taken
+    when its ends lie in different classes.
 
-    yield from rec(0)
+    ``parent`` and ``size`` are a union-find by size without path
+    compression, so each union is undone by resetting one link.  A
+    module-level generator, as ``_complete`` is, so no closure cell
+    leaves a reference cycle behind every call.
+    """
+    if k == len(slots):
+        yield tuple(edges)
+        return
+    yield from _grow_forests(slots, k + 1, parent, size, edges)
+    ru, rv = slots[k]
+    while parent[ru] != ru:
+        ru = parent[ru]
+    while parent[rv] != rv:
+        rv = parent[rv]
+    if ru != rv:
+        if size[ru] < size[rv]:
+            ru, rv = rv, ru
+        parent[rv] = ru
+        size[ru] += size[rv]
+        edges.append(slots[k])
+        yield from _grow_forests(slots, k + 1, parent, size, edges)
+        edges.pop()
+        size[ru] -= size[rv]
+        parent[rv] = rv
 
 
 # -- edge-move audit -----------------------------------------------------------------
@@ -657,33 +667,42 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     for v, c in ch.items():
         by_colour.setdefault(c, []).append(v)
     order = sorted(g.vertices(), key=lambda v: (len(by_colour[cg[v]]), cg[v], v))
-    image: dict[int, int] = {}
-    used: set[int] = set()
+    choices = [by_colour[cg[v]] for v in order]
+    return _extend_isomorphism(g, h, order, choices, {}, set(), 0)
 
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in by_colour[cg[v]]:
-            if w in used:
-                continue
-            ok = True
-            for u in order[:i]:
-                if ((min(u, v), max(u, v)) in g.edges) != (
-                    (min(image[u], w), max(image[u], w)) in h.edges
-                ):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used.add(w)
-                if extend(i + 1):
-                    return True
-                used.remove(w)
-                del image[v]
-        return False
 
-    return extend(0)
+def _extend_isomorphism(
+    g: Graph, h: Graph, order: list[int], choices: list, image: dict, used: set, i: int
+) -> bool:
+    """Whether the map ``image`` of ``order[:i]`` into ``h``, which uses
+    the vertices ``used``, extends to an isomorphism from ``g``, mapping
+    each ``order[j]`` into ``choices[j]``, tried in order.
+
+    A module-level function, as ``_colour_from`` is, so the recursion
+    reaches itself through the module, not a closure cell that would
+    leave a reference cycle behind every call.
+    """
+    if i == len(order):
+        return True
+    v = order[i]
+    for w in choices[i]:
+        if w in used:
+            continue
+        ok = True
+        for u in order[:i]:
+            if ((min(u, v), max(u, v)) in g.edges) != (
+                (min(image[u], w), max(image[u], w)) in h.edges
+            ):
+                ok = False
+                break
+        if ok:
+            image[v] = w
+            used.add(w)
+            if _extend_isomorphism(g, h, order, choices, image, used, i + 1):
+                return True
+            used.remove(w)
+            del image[v]
+    return False
 
 
 # -- bounded search -----------------------------------------------------------------
@@ -895,5 +914,7 @@ def constrained_transition_search(
             found=True, trace=SwitchTrace(g, (), ()), complete=True, explored=0
         )
     reach = explore(g, keep, goal=h, max_states=budget)
-    trace = SwitchTrace(g, reach.route(h)) if reach.found else None
+    trace = None
+    if reach.found:
+        trace = _verified_route(g, h, reach.route(h), forests=family in ("forest", "tree"))
     return SearchResult(reach.found, trace, reach.complete, reach.explored)

@@ -11,10 +11,12 @@ one or two searches, so a step usually costs O(n) when degrees are
 bounded and a route O(n^2) outside the plateau fallback, which is still
 an unbounded ``explorer.explore`` through forests.
 The general route rewires both graphs to a shared canonical form and
-glues the two halves, inverting one of them.  Both finished routes, and
-any trace given to ``validate_trace``, are checked by one replay on a
-plain edge set with a union-find acyclicity test per intermediate, and
-their ``kinds`` come from that replay by the rule ``classify`` uses.
+glues the two halves, inverting one of them.  ``validate_trace`` is the
+one replay of a trace: on a plain edge set, with a union-find
+acyclicity test per intermediate.  It judges a user's trace and every
+route the package returns, both routes here and the family searches of
+``explorer``, and each route's ``kinds`` come from that verdict by the
+rule ``classify`` uses.
 """
 
 from __future__ import annotations
@@ -63,8 +65,9 @@ class TraceFormatError(GraphError):
 class SwitchTrace:
     """An initial graph plus switches in application order.
 
-    ``kinds`` carries per-step classifications when the producer bothered
-    to compute them; it is advisory and not part of the wire format.
+    ``kinds`` carries the per-step classifications of ``validate_trace``
+    on every route the package returns, and is empty on a trace read from
+    JSON or built by hand; it is advisory and not part of the wire format.
     """
 
     initial: Graph
@@ -120,24 +123,43 @@ def validate_trace(
 ) -> TraceValidation:
     """Replay and check: nontrivial steps, final graph, optional forestness.
 
-    With no target the final-graph check is vacuous and only structure is
-    validated.  One replay on a plain edge set gives every answer,
-    ``kinds`` included: a step is TRIVIAL where the replay stops, a
+    The package's one replay of a trace, and the judge of every route it
+    returns: the steps act on a plain edge set, stopping at the first one
+    that does not rewire (``switch._rewiring`` decides), and a union-find
+    acyclicity test follows each step.  With no target the final-graph
+    check is vacuous and only structure is validated.  ``kinds`` come
+    from the same replay: a step is TRIVIAL where the replay stops, a
     T_SWITCH or F_SWITCH between two forests and PLAIN otherwise.
     """
-    forests, final, first_trivial = _edge_replay(trace.initial, trace.steps)
+    n = trace.initial.n
+    edges = set(trace.initial.edges)
+    before = _acyclic(n, edges)
+    first_nonforest = None if before else 0
+    first_trivial = None
+    kinds = []
+    for i, m in enumerate(trace.steps):
+        change = _rewiring(m, edges)
+        if change is None:
+            first_trivial = i
+            kinds.append(SwitchKind.TRIVIAL)
+            break
+        removed, added = change
+        edges.difference_update(removed)
+        edges.update(added)
+        after = _acyclic(n, edges)
+        kinds.append(rewired_kind(trace.initial, before, after))
+        if not after and first_nonforest is None:
+            first_nonforest = i + 1
+        before = after
     steps_nontrivial = first_trivial is None
     final_matches = steps_nontrivial and (
-        target is None or (target.n == trace.initial.n and final == target.edges)
+        target is None or (target.n == n and edges == target.edges)
     )
     forests_ok = None
-    first_nonforest = None
     if require_forests:
-        first_nonforest = next((i for i, ok in enumerate(forests) if not ok), None)
         forests_ok = first_nonforest is None
-    kinds = _step_kinds(trace.initial, forests)
-    if not steps_nontrivial:
-        kinds += (SwitchKind.TRIVIAL,)
+    else:
+        first_nonforest = None
     bound = within = None
     if target is not None:
         bound = max(0, len(target.edges - trace.initial.edges) - 1)
@@ -149,44 +171,11 @@ def validate_trace(
         steps_nontrivial=steps_nontrivial,
         forests_ok=forests_ok,
         length=len(trace.steps),
-        kinds=kinds,
+        kinds=tuple(kinds),
         first_trivial=first_trivial,
         first_nonforest=first_nonforest,
         bound=bound,
         within_bound=within,
-    )
-
-
-def _edge_replay(
-    initial: Graph, steps
-) -> tuple[list[bool], set[tuple[int, int]], int | None]:
-    """Replay ``steps`` on a plain edge set, stopping at the first one
-    that does not rewire.
-
-    Returns whether the initial graph and the graph after each replayed
-    step is a forest, the last edge set, and the index of the step the
-    replay stopped at (None when every step rewires).  Whether a step
-    rewires, and which edges it swaps, is ``switch._rewiring``'s answer
-    on the edge set.
-    """
-    edges = set(initial.edges)
-    forests = [_acyclic(initial.n, edges)]
-    for i, m in enumerate(steps):
-        change = _rewiring(m, edges)
-        if change is None:
-            return forests, edges, i
-        removed, added = change
-        edges.difference_update(removed)
-        edges.update(added)
-        forests.append(_acyclic(initial.n, edges))
-    return forests, edges, None
-
-
-def _step_kinds(initial: Graph, forests: list[bool]) -> tuple[SwitchKind, ...]:
-    """The kind of each replayed step from the forest flags around it."""
-    return tuple(
-        rewired_kind(initial, before, after)
-        for before, after in zip(forests, forests[1:])
     )
 
 
@@ -454,10 +443,10 @@ def transition_forest(f: Graph, f2: Graph) -> SwitchTrace:
     step where no leaf fix gains walks every switch of the working
     forest's edges instead (``_rewirings``), and the plateau search is
     an unbounded ``explore`` through forests.  The finished route is
-    verified in one pass over a plain edge set: every step rewires, every
-    intermediate is acyclic (union-find over the vertex labels) and the
-    last equals ``f2``, and ``kinds`` comes from that verified replay
-    (T_SWITCH on a tree, F_SWITCH otherwise).
+    judged by ``validate_trace``: every step rewires, every intermediate
+    is acyclic (union-find over the vertex labels) and the last equals
+    ``f2``, and ``kinds`` comes from that verdict (T_SWITCH on a tree,
+    F_SWITCH otherwise).
 
     Two forests with the same degree vector never differ in exactly one
     edge, so the final switch always closes a gap of two while the rest
@@ -469,12 +458,7 @@ def transition_forest(f: Graph, f2: Graph) -> SwitchTrace:
     possible route exceeds that number.
     """
     _check_transition_inputs(f, f2, forests=True)
-    steps = _forest_steps(f, f2)
-    trace = _verified_route(f, f2, steps)
-    if SwitchKind.PLAIN in trace.kinds:
-        i = trace.kinds.index(SwitchKind.PLAIN)
-        raise AssertionError(f"step {i} {steps[i]} closes a cycle")
-    return trace
+    return _verified_route(f, f2, _forest_steps(f, f2), forests=True)
 
 
 def _forest_steps(f: Graph, f2: Graph) -> list[ActionMatrix]:
@@ -536,26 +520,32 @@ def _forest_steps(f: Graph, f2: Graph) -> list[ActionMatrix]:
     return steps
 
 
-def _verified_route(f: Graph, f2: Graph, steps: list[ActionMatrix]) -> SwitchTrace:
-    """Replay ``steps`` on f's edge set, checking every one of them.
+def _verified_route(f: Graph, f2: Graph, steps, forests: bool) -> SwitchTrace:
+    """The route ``steps`` from ``f`` to ``f2`` as ``validate_trace`` judged
+    it, with its ``kinds``; every intermediate must be a forest when
+    ``forests`` is set.
 
-    Each step must rewire (``TrivialStepError`` otherwise, like
-    ``replay``) and the last graph must equal ``f2``; the other failure
-    raises ``AssertionError``, explicitly so that ``-O`` keeps it.
-    ``kinds`` come from the same replay.
+    A step that does not rewire raises ``TrivialStepError``, like
+    ``replay``; a route that misses ``f2`` or closes a cycle raises
+    ``AssertionError``, explicitly so that ``-O`` keeps it, in that order.
     """
-    forests, final, first_trivial = _edge_replay(f, steps)
-    if first_trivial is not None:
-        raise TrivialStepError(first_trivial, steps[first_trivial])
-    if final != f2.edges:
+    trace = SwitchTrace(f, tuple(steps))
+    verdict = validate_trace(trace, f2, require_forests=forests)
+    if not verdict.steps_nontrivial:
+        i = verdict.first_trivial
+        raise TrivialStepError(i, trace.steps[i])
+    if not verdict.final_matches:
         raise AssertionError("trace must land on the target graph")
-    return SwitchTrace(f, tuple(steps), _step_kinds(f, forests))
+    if verdict.forests_ok is False:
+        i = verdict.first_nonforest - 1
+        raise AssertionError(f"step {i} {trace.steps[i]} closes a cycle")
+    return SwitchTrace(f, trace.steps, verdict.kinds)
 
 
 # -- general transition via a canonical form ----------------------------------
 
 
-def _normalize_to_canonical(g: Graph) -> tuple[list[ActionMatrix], Graph]:
+def _normalize_to_canonical(g: Graph) -> list[ActionMatrix]:
     """Rewire ``g`` into the canonical realization of its degree vector.
 
     Vertices are settled one at a time in (residual degree desc, label)
@@ -596,7 +586,7 @@ def _normalize_to_canonical(g: Graph) -> tuple[list[ActionMatrix], Graph]:
             _apply_to_working(adj, m)
             steps.append(m)
         remaining.discard(v)
-    return steps, Graph(g.n, _edge_set(adj))
+    return steps
 
 
 def transition_graph(g: Graph, h: Graph) -> SwitchTrace:
@@ -605,13 +595,13 @@ def transition_graph(g: Graph, h: Graph) -> SwitchTrace:
     Both graphs are rewired to the shared canonical form; the second half
     is reversed step by step using the transpose (the inverse switch).
     No effort is made to keep intermediates inside any family, and the
-    trace is generally not shortest.
+    trace is generally not shortest.  ``validate_trace`` judges the glued
+    route, which must land on ``h``.
     """
     _check_transition_inputs(g, h, forests=False)
     if g == h:
         return SwitchTrace(g, (), ())
-    steps_g, canon_g = _normalize_to_canonical(g)
-    steps_h, canon_h = _normalize_to_canonical(h)
-    assert canon_g == canon_h, "equal degree vectors must share a canonical form"
-    steps = list(steps_g) + [m.transpose() for m in reversed(steps_h)]
-    return _verified_route(g, h, steps)
+    steps_g = _normalize_to_canonical(g)
+    steps_h = _normalize_to_canonical(h)
+    steps = steps_g + [m.transpose() for m in reversed(steps_h)]
+    return _verified_route(g, h, steps, forests=False)

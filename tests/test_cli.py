@@ -73,6 +73,23 @@ class TestTransit:
         code, _, err = invoke(capsys, "transit", "nope.edges", "fig1_g0")
         assert code == 2 and "nope.edges" in err
 
+    def test_general_route_and_its_judgement_are_pinned(self, capsys, tmp_path):
+        # the 21-switch general route from fig2_g0 to fig2_g1, and what
+        # validate-trace says of it, byte for byte as CI pins them
+        out_path = tmp_path / "fig2.trace"
+        code, out, _ = invoke(capsys, "transit", "fig2_g0", "fig2_g1", "--out", str(out_path))
+        assert code == 0 and out == ""
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+            "65ea41e56e7a55009755b10c2f040cc1fb7fe05e7a4493e5813f2bef094013c4"
+        )
+        code, out, _ = invoke(
+            capsys, "validate-trace", str(out_path), "--target", "fig2_g1", "--json"
+        )
+        assert code == 0 and json.loads(out)["length"] == 21
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ac898c8f6c479768a17db6fc5423126d718f53560464eeeac886c9ba79407c62"
+        )
+
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
         out_path = tmp_path / "missing" / "t.json"
         code, out, err = invoke(
@@ -95,6 +112,11 @@ class TestParams:
         code, out, _ = invoke(capsys, "params", "fig1_g0", "--kind", "matching")
         assert code == 0
         assert out.strip() == "matching=3"
+
+    def test_single_kind_json(self, capsys):
+        code, out, _ = invoke(capsys, "params", "fig1_g0", "--kind", "matching", "--json")
+        assert code == 0
+        assert out == json.dumps({"matching": 3}, indent=2, sort_keys=True) + "\n"
 
     def test_json(self, capsys):
         code, out, _ = invoke(capsys, "params", "fig1_g0", "--json")
@@ -215,6 +237,26 @@ class TestStabilityAudit:
         assert all("after switch" in line and "capped at 20" in line for line in refused)
         code, out, _ = invoke(capsys, "stability-audit", "--graph", path, "--kind", "matching")
         assert code == 0 and out == "matching=pass checked=623\n"
+
+    def test_refused_kinds_read_refused(self, capsys, edges_file):
+        # a kind refused at the cap has no counterexample, so its verdict
+        # is not a jump's; the exit code still says the audit is unfinished
+        path = edges_file("tree30.edges", seeded_tree30())
+        code, out, _ = invoke(capsys, "stability-audit", "--graph", path)
+        assert code == 1
+        lines = out.splitlines()
+        assert not any("=fail" in line for line in lines)
+        refused = [line for line in lines if line.endswith("=refused checked=5")]
+        assert len(refused) == 6
+
+    def test_undefined_edge_cover_is_noted(self, capsys, edges_file):
+        path = edges_file("2k2.edges", Graph(5, [(1, 2), (3, 4)]))
+        code, out, _ = invoke(capsys, "stability-audit", "--graph", path)
+        assert code == 0
+        lines = out.splitlines()
+        i = lines.index("edge_cover=pass checked=0")
+        assert lines[i + 1] == "  note=edge_cover undefined: graph has isolated vertices"
+        assert sum(line.startswith("  note=") for line in lines) == 1
 
     def test_requires_exactly_one_target(self, capsys):
         with pytest.raises(SystemExit):

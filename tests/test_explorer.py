@@ -48,7 +48,7 @@ from twoswitch.graphs import (
     is_graphical,
     is_unicyclic,
 )
-from twoswitch.switch import apply_switch, nontrivial_matrices
+from twoswitch.switch import SwitchKind, apply_switch, nontrivial_matrices
 from twoswitch.transition import SwitchTrace, replay, validate_trace
 
 FAMILIES = ("all", "forest", "tree", "unicyclic", "bipartite")
@@ -918,6 +918,20 @@ class TestAreIsomorphic:
         with pytest.raises(CapExceededError):
             are_isomorphic(Graph(13), Graph(13))
 
+    def test_regular_graphs_need_backtracking(self):
+        # colour refinement splits no regular graph, so every map comes
+        # from the backtracking search, which must undo its dead ends
+        prism = [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5), (3, 6)]
+        k33 = [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)]
+        c8 = [(v, v % 8 + 1) for v in range(1, 9)]
+        rng = random.Random(8)
+        for edges in (prism, k33, c8):
+            g = Graph(max(map(max, edges)), edges)
+            for _ in range(20):
+                perm = dict(zip(g.vertices(), rng.sample(list(g.vertices()), g.n)))
+                assert are_isomorphic(g, Graph(g.n, [(perm[u], perm[v]) for u, v in edges]))
+        assert not are_isomorphic(Graph(6, prism), Graph(6, k33))
+
     @settings(max_examples=40, deadline=None)
     @given(forests(max_n=7))
     def test_invariant_under_relabelling(self, f):
@@ -1110,6 +1124,21 @@ class TestConstrainedSearch:
         assert res.found and len(res.trace.steps) == 3
         v = validate_trace(res.trace, g, require_forests=True)
         assert v.ok
+
+    def test_forest_route_carries_its_judgement(self):
+        f = Graph(8, [(1, 2), (2, 6), (3, 4), (3, 7), (4, 5), (5, 8), (6, 7)])
+        g = Graph(8, [(1, 3), (2, 5), (2, 6), (3, 4), (4, 5), (6, 7), (7, 8)])
+        trace = constrained_transition_search(f, g, "forest").trace
+        kinds = validate_trace(trace, g, require_forests=True).kinds
+        assert trace.kinds == kinds == (SwitchKind.T_SWITCH,) * 3  # two trees
+
+    def test_bipartite_route_carries_its_judgement(self):
+        # from a 4-cycle with a pendant path to a 6-cycle with a pendant
+        # vertex; every intermediate has a cycle
+        g = Graph(6, [(1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 6)])
+        h = Graph(6, [(1, 2), (1, 3), (1, 5), (2, 4), (3, 4), (5, 6)])
+        trace = constrained_transition_search(g, h, "bipartite").trace
+        assert trace.kinds == validate_trace(trace, h).kinds == (SwitchKind.PLAIN,) * 3
 
     def test_budget_below_one_is_rejected(self):
         g = Graph(4, [(1, 2), (3, 4)])

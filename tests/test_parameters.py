@@ -676,6 +676,18 @@ class TestMemoRelease:
         g = Graph(max(map(max, edges)), edges)
         self._no_cycle_left(GENERAL["path_cover"], g)
 
+    # the two recursions of the explorer follow the same convention
+    def test_no_cycle_left_by_enumerate_forests(self):
+        from twoswitch.explorer import enumerate_forests
+
+        self._no_cycle_left(lambda n: sum(1 for _ in enumerate_forests(n)), 5)
+
+    def test_no_cycle_left_by_are_isomorphic(self):
+        from twoswitch.explorer import are_isomorphic
+        from twoswitch.fixtures import load
+
+        self._no_cycle_left(lambda g: are_isomorphic(g, g), load("fig1_g0"))
+
 
 class TestRank:
     @given(graphs(max_n=8))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from oracles import oracle_leaf_fixing_switch
 
 import twoswitch.transition as transition
-from twoswitch.explorer import enumerate_forests
+from twoswitch.explorer import constrained_transition_search, enumerate_forests
 from twoswitch.graphs import (
     Graph,
     degree_sequence,
@@ -370,6 +370,39 @@ class TestRouteVerification:
             transition_forest(self.F, self.G)
 
 
+class TestOneJudge:
+    """Every non-empty route the package returns is the trace that
+    ``validate_trace`` judged, once, with that verdict's kinds."""
+
+    F, G = TestRouteVerification.F, TestRouteVerification.G
+
+    @pytest.mark.parametrize(
+        "route, forests",
+        [
+            (transition_forest, True),
+            (transition_graph, False),
+            (lambda f, g: constrained_transition_search(f, g, "forest").trace, True),
+        ],
+        ids=["forest", "graph", "search"],
+    )
+    def test_a_returned_route_is_judged_once(self, monkeypatch, route, forests):
+        judged = []
+
+        def spy(trace, target=None, require_forests=False):
+            verdict = judge(trace, target, require_forests)
+            judged.append((trace.steps, target, require_forests, verdict))
+            return verdict
+
+        judge = transition.validate_trace
+        monkeypatch.setattr(transition, "validate_trace", spy)
+        trace = route(self.F, self.G)
+        assert len(trace) > 0
+        [(steps, target, require_forests, verdict)] = judged
+        assert steps == trace.steps and target == self.G
+        assert require_forests is forests and verdict.ok
+        assert trace.kinds == verdict.kinds
+
+
 def _forests_by_vector(max_order):
     """Forests of each order up to ``max_order``, grouped by degree vector."""
     by_vector = {}
@@ -566,6 +599,17 @@ class TestValidateTrace:
         v = validate_trace(SwitchTrace(g0, FIG1_STEPS), g2)
         assert v.kinds == (classify(FIG1_STEPS[0], g0), classify(FIG1_STEPS[1], g1))
         assert v.kinds == (SwitchKind.PLAIN, SwitchKind.PLAIN)
+
+    def test_first_nonforest_is_the_first_of_several(self, fig1_graphs):
+        # into the triangle, a switch that keeps a cycle, and back: three
+        # intermediates with a cycle, and the walk ends on a forest
+        g0, g1, _ = fig1_graphs
+        m = next(m for m in nontrivial_matrices(g1) if not is_forest(apply_switch(m, g1)))
+        steps = (FIG1_STEPS[0], m, m.transpose(), FIG1_STEPS[0].transpose())
+        v = validate_trace(SwitchTrace(g0, steps), g0, require_forests=True)
+        assert v.final_matches and v.forests_ok is False
+        assert v.first_nonforest == 1
+        assert v.kinds == (SwitchKind.PLAIN,) * 4
 
     def test_target_of_another_order_does_not_match(self, fig1_graphs):
         g0, _, _ = fig1_graphs
