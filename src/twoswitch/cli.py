@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import explorer, fixtures, parameters
@@ -332,7 +333,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        status = run()
+        sys.stdout.flush()  # a closed reader shows up here, not at exit
+    except BrokenPipeError:
+        # the reader is gone: the interpreter flushes stdout again on exit,
+        # so send what is left to the null device and exit 1, as on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -422,6 +421,10 @@ def interval_audit(
             members = list(members)
             pool_size = min(workers, len(members), os.cpu_count() or 1)
         if pool_size > 1:
+            # imported here so that ``import twoswitch`` loads no
+            # multiprocessing machinery
+            from concurrent.futures import ProcessPoolExecutor
+
             step = -(-len(members) // pool_size)
             runs = [
                 (kind, n, [g.sorted_edges() for g in members[i : i + step]])

@@ -13,9 +13,9 @@ components, for ``kappa`` and ``is_bipartite``, and its parent and
 colour links give ``components`` and ``bipartition`` their vertex sets.
 ``_acyclic`` is the acyclicity rule behind the forest predicates, switch
 verdicts and trace replay.  Three loops keep their own: the forest
-passes of ``parameters`` peel leaves, the forest route's path search
-stops at its goal (``transition._toward``), and
-``explorer.enumerate_forests`` keeps a union-find it can undo.
+passes of ``parameters`` peel leaves, the forest route and trace replay
+keep parent links that switches update in place (``transition._links``),
+and ``explorer.enumerate_forests`` keeps a union-find it can undo.
 """
 
 from __future__ import annotations

@@ -5,15 +5,19 @@ switch at a time, trimming every leaf the two sides agree on so that
 finished parts of the problem drop out; recorded switches always act on
 original labels even though the working copies shrink.  A leaf-fixing
 step picks its switch by set operations on the neighbourhoods of the
-working forests' leaves, plus a depth-first search, stopped at the
-path's end, for each leaf it has to ask a path question about: usually
-one or two searches, so a step usually costs O(n) when degrees are
-bounded and a route O(n^2) outside the plateau fallback, which is still
-an unbounded ``explorer.explore`` through forests.
+working forests' leaves, kept in one sorted list that trims update, and
+answers its path questions on the first working forest's parent links
+(``_links``), which every switch updates in place: a cut, a link and a
+path question each cost O(h), h the height of the tree under its
+current root.  So a step costs O(n) for its scan of the leaves and O(h)
+for the rest, and a route O(n^2) outside the plateau fallback, which is
+still an unbounded ``explorer.explore`` through forests.
 The general route rewires both graphs to a shared canonical form and
 glues the two halves, inverting one of them.  ``validate_trace`` is the
-one replay of a trace: on a plain edge set, with a union-find
-acyclicity test per intermediate.  It judges a user's trace and every
+one replay of a trace, on a plain edge set: while the graph is a
+forest it keeps the same parent links, so a step is judged acyclic by
+two root comparisons, and after a step closes a cycle a union-find
+over every edge judges each later one.  It judges a user's trace and every
 route the package returns, both routes here and the family searches of
 ``explorer``, and each route's ``kinds`` come from that verdict by the
 rule ``classify`` uses.
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import json
 import sys
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .graphs import (
@@ -125,8 +130,15 @@ def validate_trace(
 
     The package's one replay of a trace, and the judge of every route it
     returns: the steps act on a plain edge set, stopping at the first one
-    that does not rewire (``switch._rewiring`` decides), and a union-find
-    acyclicity test follows each step.  With no target the final-graph
+    that does not rewire (``switch._rewiring`` decides), and each step is
+    tested for acyclicity.  While the graph is a forest the test runs on
+    its parent links (``_links``), built once from the initial graph: the
+    step cuts its two edges and links its two new ones, and a link whose
+    ends already share a root closes a cycle.  That costs O(h) per step,
+    h the height of the trees it touches under their current roots.
+    From the first step that closes a cycle, or from the start when the
+    initial graph has one, a union-find over every edge (``_acyclic``)
+    tests each step instead, O(n).  With no target the final-graph
     check is vacuous and only structure is validated.  ``kinds`` come
     from the same replay: a step is TRIVIAL where the replay stops, a
     T_SWITCH or F_SWITCH between two forests and PLAIN otherwise.
@@ -134,6 +146,7 @@ def validate_trace(
     n = trace.initial.n
     edges = set(trace.initial.edges)
     before = _acyclic(n, edges)
+    up = _links(n, trace.initial.adjacency()) if before else None
     first_nonforest = None if before else 0
     first_trivial = None
     kinds = []
@@ -146,7 +159,12 @@ def validate_trace(
         removed, added = change
         edges.difference_update(removed)
         edges.update(added)
-        after = _acyclic(n, edges)
+        if up is None:
+            after = _acyclic(n, edges)
+        else:
+            after = _switch_links(up, m.a, m.b, m.c, m.d)
+            if not after:
+                up = None
         kinds.append(rewired_kind(trace.initial, before, after))
         if not after and first_nonforest is None:
             first_nonforest = i + 1
@@ -245,28 +263,80 @@ def _only(s: set) -> int:
     return x
 
 
-def _toward(adj: dict[int, set[int]], start: int, goal: int) -> int:
-    """The neighbour of ``goal`` on the forest path from ``start``, or 0
-    when no path joins them.
+def _links(n: int, adj) -> list[int]:
+    """Parent links of the forest ``adj`` on labels 1..n: ``up[x]`` is x's
+    parent, 0 at each tree's root, which is its first vertex in ``adj``.
 
-    A depth-first search from ``start`` that stops on meeting ``goal``;
-    in a forest the vertex it meets ``goal`` from is that neighbour.  The
-    only visited neighbour of a forest vertex is the one it was reached
-    from, so each stack entry carries that vertex instead of a seen set.
+    Switches update the links in place, in time linear in the height h
+    of the trees they touch under their current roots: a cut clears one
+    link, and a link re-roots the first end's tree at that end by
+    reversing the links up to its old root, then hangs it on the second
+    end.  Two vertices share a tree when they share a root.
     """
-    stack = [(start, 0)]
-    while stack:
-        x, back = stack.pop()
-        for y in adj[x]:
-            if y == goal:
-                return x
-            if y != back:
-                stack.append((y, x))
-    return 0
+    up = [0] * (n + 1)
+    seen = bytearray(n + 1)
+    for r in adj:
+        if seen[r]:
+            continue
+        seen[r] = 1
+        stack = [r]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = 1
+                    up[y] = x
+                    stack.append(y)
+    return up
+
+
+def _root(up: list[int], x: int) -> int:
+    while up[x]:
+        x = up[x]
+    return x
+
+
+def _evert(up: list[int], x: int):
+    """Make x the root of its tree."""
+    prev = 0
+    while x:
+        up[x], prev, x = prev, x, up[x]
+
+
+def _cut(up: list[int], x: int, y: int):
+    """Drop the forest edge xy."""
+    if up[x] == y:
+        up[x] = 0
+    else:
+        up[y] = 0
+
+
+def _switch_links(up: list[int], a: int, b: int, c: int, d: int) -> bool:
+    """Cut ab and cd, then link ac and bd.  False as soon as a link would
+    join two vertices of one tree, a cycle, which leaves ``up`` half
+    updated and of no further use."""
+    _cut(up, a, b)
+    _cut(up, c, d)
+    for x, y in ((a, c), (b, d)):
+        if _root(up, x) == _root(up, y):
+            return False
+        _evert(up, x)
+        up[x] = y
+    return True
+
+
+def _leaf_ends(adj1, adj2, leaf: int) -> tuple[int, int, int]:
+    """``(leaf, v, u)``: the leaf's one neighbour in each working forest."""
+    (v,) = adj1[leaf]
+    (u,) = adj2[leaf]
+    return leaf, v, u
 
 
 def _best_leaf_fix(
-    adj1: dict[int, set[int]], adj2: dict[int, set[int]]
+    adj1: dict[int, set[int]],
+    adj2: dict[int, set[int]],
+    ends: list[tuple[int, int, int]],
+    up: list[int],
 ) -> tuple[int, int, int, int, int]:
     """The leaf-fixing switch ((l,v),(u,w)) of highest gain, as (gain, l, v, u, w).
 
@@ -277,7 +347,9 @@ def _best_leaf_fix(
     when vw is wanted.  When l and u live in the same component w must
     avoid the l-u path or the result has a cycle; so when u is itself a
     leaf, whose one neighbour is then on that path, the switch only
-    works across components.
+    works across components.  ``ends`` lists the first forest's leaves
+    with their neighbours (``_leaf_ends``) in ascending label order, and
+    ``up`` holds its parent links (``_links``).
 
     The winner is the first candidate of the highest gain when candidates
     run by leaf, then partner, in ascending label order.  So the leaves
@@ -286,22 +358,17 @@ def _best_leaf_fix(
     path question asked: a pass runs only when no leaf has a valid
     partner of a higher gain, and its first valid partner in that order
     is the winner.  A partner is valid unless it is u's neighbour on the
-    l-u path, so only for a leaf with partners of the pass's gain does
-    one search from l, stopped at u, find that neighbour (``_toward``);
-    the smallest other partner wins, and when that neighbour was the
-    only one the scan goes on to the next leaf.  A candidate always
-    exists but a strict gain does not: two working forests can reach a
-    state where every leaf-fixing switch trades one shared edge for
-    another.
+    l-u path, so only a leaf with partners of the pass's gain asks for
+    that neighbour: re-rooted at l, u's tree has root l exactly when l
+    and u share a tree, and then u's parent is the neighbour.  That is
+    O(h) in the height h of the tree under its current root.  The
+    smallest other partner wins, and when the neighbour was the only one
+    the scan goes on to the next leaf.  A candidate always exists but a
+    strict gain does not: two working forests can reach a state where
+    every leaf-fixing switch trades one shared edge for another.
     """
-    leaves = []
-    for leaf, nbrs in adj1.items():
-        if len(nbrs) == 1:
-            (v,) = nbrs
-            (u,) = adj2[leaf]
-            leaves.append((leaf, v, u))
     for gain in (2, 1, 0):
-        for leaf, v, u in leaves:
+        for leaf, v, u in ends:
             near, keep, want = adj1[u], adj2[u], adj2[v]
             if gain == 2:
                 partners = (near & want) - keep
@@ -310,7 +377,9 @@ def _best_leaf_fix(
             else:
                 partners = (near & keep) - want
             if partners:
-                partners.discard(_toward(adj1, leaf, u))
+                _evert(up, leaf)
+                if _root(up, u) == leaf:
+                    partners.discard(up[u])
                 if partners:
                     return gain, leaf, v, u, min(partners)
     raise AssertionError("some leaf always admits a fixing switch")
@@ -331,7 +400,8 @@ def leaf_fixing_switch(f: Graph, f2: Graph) -> ActionMatrix:
         raise GraphError("trimmable leaves present; trim before switching")
     adj1 = {v: set(f.neighbors(v)) for v in f.vertices()}
     adj2 = {v: set(f2.neighbors(v)) for v in f2.vertices()}
-    _, leaf, v, u, w = _best_leaf_fix(adj1, adj2)
+    ends = [_leaf_ends(adj1, adj2, x) for x in adj1 if len(adj1[x]) == 1]
+    _, leaf, v, u, w = _best_leaf_fix(adj1, adj2, ends, _links(f.n, adj1))
     m = ActionMatrix(leaf, v, u, w)
     assert is_interchangeable(m, f), "constructed switch must be applicable"
     return m
@@ -432,21 +502,22 @@ def transition_forest(f: Graph, f2: Graph) -> SwitchTrace:
 
     Cost: a leaf-fixing step scans the leaves at most three times, once
     per gain, each leaf by set operations on three neighbourhoods, and
-    searches the working forest, O(n), from a leaf only when that leaf
-    has candidates of the pass's gain; the pass ends at the first such
-    leaf unless its only candidate was the path neighbour.  So a step
-    takes at most one search per leaf and pass, but on seeded random
-    pairs it took 1.6 on average at n = 100 and 1.8 at n = 1024, and
-    never more than 5.  Every switch outside the plateau search shrinks
-    the gap, so a route whose gains come from leaf fixes costs O(n^2)
-    with bounded degrees and a bounded number of searches per step.  A
-    step where no leaf fix gains walks every switch of the working
+    asks the path question, O(h) on the working forest's parent links
+    with h the height of the tree under its current root, of a leaf only
+    when that leaf has candidates of the pass's gain; the pass ends at
+    the first such leaf unless its only candidate was the path
+    neighbour.  The switch itself is two cuts and two links, O(h) each,
+    and the leaf list changes only where a trim or a switch touched it.
+    So a step costs O(n) for the leaf scan plus O(h) per path question,
+    and a route whose gains come from leaf fixes O(n^2) with bounded
+    degrees; on path-like forests h is near n, and a step stays O(n).
+    A step where no leaf fix gains walks every switch of the working
     forest's edges instead (``_rewirings``), and the plateau search is
     an unbounded ``explore`` through forests.  The finished route is
     judged by ``validate_trace``: every step rewires, every intermediate
-    is acyclic (union-find over the vertex labels) and the last equals
-    ``f2``, and ``kinds`` comes from that verdict (T_SWITCH on a tree,
-    F_SWITCH otherwise).
+    is acyclic (two root comparisons on parent links per step) and the
+    last equals ``f2``, and ``kinds`` comes from that verdict (T_SWITCH
+    on a tree, F_SWITCH otherwise).
 
     Two forests with the same degree vector never differ in exactly one
     edge, so the final switch always closes a gap of two while the rest
@@ -468,12 +539,18 @@ def _forest_steps(f: Graph, f2: Graph) -> list[ActionMatrix]:
     working forests always have as many edges, so they agree exactly when
     it is 0.  Only a vertex a trim or a switch has just touched can turn
     into a trimmable leaf, so only those are tested.  A vertex that loses
-    its last edge leaves both working copies.
+    its last edge leaves both working copies.  ``ends`` holds each leaf
+    of the first working forest with its neighbours (``_leaf_ends``) in
+    label order: a trim removes and adds entries, and a switch, which
+    changes no degree, only rewrites those of its four labels that are
+    leaves.  ``up`` holds the first working forest's parent links.
     """
     adj1 = {v: set(ns) for v, ns in f.adjacency().items() if ns}
     adj2 = {v: set(ns) for v, ns in f2.adjacency().items() if ns}
+    up = _links(f.n, adj1)
     gap = len(f2.edges - f.edges)
     touched = set(adj1)
+    ends = [_leaf_ends(adj1, adj2, x) for x in adj1 if len(adj1[x]) == 1]
     steps: list[ActionMatrix] = []
     while gap:
         lam = {v for v in touched if len(adj1[v]) == 1 and adj1[v] == adj2[v]}
@@ -486,35 +563,44 @@ def _forest_steps(f: Graph, f2: Graph) -> list[ActionMatrix]:
                 del adj2[v]
                 adj1[nb].discard(v)
                 adj2[nb].discard(v)
+                _cut(up, v, nb)
+                del ends[bisect_left(ends, (v,))]
                 if adj1[nb]:
                     touched.add(nb)
+                    if len(adj1[nb]) == 1:
+                        insort(ends, _leaf_ends(adj1, adj2, nb))
                 else:  # nb lost its last edge, so it leaves play too
                     del adj1[nb], adj2[nb]
+                    del ends[bisect_left(ends, (nb,))]
                     touched.discard(nb)
             continue
 
         assert gap != 1, "equal degree vectors forbid a one-edge difference"
-        if gap == 2:
+        if gap == 2:  # the last switch, so the working state is not updated
             e1 = _edge_set(adj1)
             e2 = _edge_set(adj2)
-            m = _finishing_switch(e1 - e2, e2 - e1)
+            steps.append(_finishing_switch(e1 - e2, e2 - e1))
+            break
+        gain, leaf, v, u, w = _best_leaf_fix(adj1, adj2, ends, up)
+        if gain >= 1:
+            m = ActionMatrix(leaf, v, u, w)
         else:
-            gain, leaf, v, u, w = _best_leaf_fix(adj1, adj2)
-            if gain >= 1:
-                m = ActionMatrix(leaf, v, u, w)
-            else:
-                working = _edge_set(adj1)
-                m = _scan_gaining_switch(adj2, f.n, working)
-                if m is None:
-                    # plateau: every single switch trades away as much as
-                    # it gains, so fall back to an exact shortest completion
-                    steps.extend(
-                        _search_completion(Graph(f.n, working), Graph(f.n, _edge_set(adj2)))
-                    )
-                    break
+            working = _edge_set(adj1)
+            m = _scan_gaining_switch(adj2, f.n, working)
+            if m is None:
+                # plateau: every single switch trades away as much as
+                # it gains, so fall back to an exact shortest completion
+                steps.extend(
+                    _search_completion(Graph(f.n, working), Graph(f.n, _edge_set(adj2)))
+                )
+                break
         a, b, c, d = m.labels()
         gap += (b in adj2[a]) + (d in adj2[c]) - (c in adj2[a]) - (d in adj2[b])
         _apply_to_working(adj1, m)
+        _switch_links(up, a, b, c, d)
+        for x in m.labels():  # a leaf's neighbour may move, never its degree
+            if len(adj1[x]) == 1:
+                ends[bisect_left(ends, (x,))] = _leaf_ends(adj1, adj2, x)
         steps.append(m)
         touched = {a, b, c, d}
     return steps

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -13,6 +16,16 @@ from twoswitch.transition import transition_forest, validate_trace
 
 # one verdict line per acceptance test, printed after the run
 ACCEPTANCE_LINES: list[tuple[str, bool, str]] = []
+
+
+def package_env() -> dict[str, str]:
+    """The environment for a child interpreter that imports this package
+    from the same source tree as the tests."""
+    import twoswitch
+
+    src = str(Path(twoswitch.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 def record_acceptance(label: str, ok: bool, detail: str = "") -> None:

@@ -1,11 +1,15 @@
-"""The argparse front end, run in-process."""
+"""The argparse front end, run in-process, and once as a program whose
+reader leaves early."""
 
 import hashlib
 import io
 import json
 import random
+import subprocess
+import sys
 
 import pytest
+from conftest import package_env
 
 from twoswitch import explorer, fixtures, parameters
 from twoswitch.cli import run
@@ -351,6 +355,26 @@ class TestEnumerate:
         assert code == 0
         assert json.loads(out)["count"] == count
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestClosedPipe:
+    def test_reader_leaving_early_gets_no_traceback(self):
+        # 375 KB of JSON, far more than a pipe holds, so the program is
+        # still writing when its reader closes the pipe after 10 bytes
+        argv = ["enumerate", "--sequence", "3,3,3,3,2,2,2,2", "--family", "all", "--json"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "twoswitch.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=package_env(),
+        )
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert head == b'{"count":6'
+        assert b"Traceback" not in err and err == b""
 
 
 class TestEdgeDiffAudit:

@@ -1,5 +1,6 @@
 """Family enumeration, the two audits, isomorphism and bounded searches."""
 
+import concurrent.futures
 import copy
 import functools
 import itertools
@@ -667,7 +668,9 @@ class TestIntervalAudit:
                 assert all(grp for _, _, grp in items), "empty group submitted"
                 return map(fn, items)
 
-        monkeypatch.setattr(ex, "ProcessPoolExecutor", SerialPool)
+        # interval_audit imports the pool class from its module when it
+        # starts a pool, so the patch goes there
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(ex.os, "cpu_count", lambda: 3)
         # K8 is the only member of its family: no pool at all
         one = interval_audit((7,) * 8, "matching", "all", workers=5000)

@@ -1,10 +1,11 @@
 """The experiment scripts, run as separate processes, and the package
 namespace they import from."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import package_env
 
 import twoswitch
 
@@ -12,14 +13,11 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def run_script(name, *args):
-    src = str(Path(twoswitch.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=package_env(),
         timeout=300,
     )
 
@@ -59,3 +57,16 @@ def test_namespace_exports_resolve():
     for gone in ("equivalent_forms", "path_in_forest", "Bipartition"):
         assert gone not in twoswitch.__all__
         assert not hasattr(twoswitch, gone)
+
+
+def test_import_loads_no_process_pool():
+    # interval_audit imports its worker pool only when it starts one
+    probe = (
+        "import sys, twoswitch; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=package_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -128,8 +128,8 @@ class TestLeafFixingSwitch:
         states = []
         best = transition._best_leaf_fix
 
-        def spy(adj1, adj2):
-            choice = best(adj1, adj2)
+        def spy(adj1, adj2, *links):
+            choice = best(adj1, adj2, *links)
             states.append((transition._edge_set(adj1), transition._edge_set(adj2), choice))
             return choice
 
@@ -275,6 +275,31 @@ class TestRouteIdentity:
         assert total == 765
         digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
         assert digest[:16] == "e76e85016062ad18"
+
+    @pytest.mark.parametrize(
+        "shape, n, trees, length, digest",
+        [
+            # three seeded trees on 1..1024
+            ("forest", 1024, 3, 997, "5478e2d40267fc14c0b5b5f904a0c67c5086a14e6f8c05aba2712f64ec2f1cbb"),
+            # the path 1-2-...-512 against a seeded path with the same ends,
+            # where the working trees are as tall as they get
+            ("path", 512, 1, 497, "43d41b1ae2415010f6dcc34b87a3961c94112d4862df4ef7b7bc82582b5b4ac7"),
+        ],
+    )
+    def test_large_routes_are_pinned(self, shape, n, trees, length, digest):
+        # taken from the route that searched the working forest for each
+        # path question and replayed with a union-find per step
+        rng = random.Random(n)
+        if shape == "forest":
+            a, b = _same_vector_pair(rng, n, trees)
+        else:
+            order = [1, *rng.sample(range(2, n), n - 2), n]
+            a, b = [(v, v + 1) for v in range(1, n)], list(zip(order, order[1:]))
+        f, g = Graph(n, a), Graph(n, b)
+        assert kappa(f) == trees
+        trace = transition_forest(f, g)
+        assert len(trace) == length
+        assert hashlib.sha256(trace_to_json(trace).encode()).hexdigest() == digest
 
 
 class TestFallbackRoutes:
@@ -466,6 +491,42 @@ def _same_vector_pair(rng, n, k):
     return first, second
 
 
+def _graph_replay_verdict(trace, target, require_forests):
+    """``validate_trace(...).as_dict()`` as a replay on ``Graph``s gives it,
+    with ``is_forest`` on every intermediate and ``classify`` for kinds."""
+    graphs, kinds, first_trivial = [trace.initial], [], None
+    for i, m in enumerate(trace.steps):
+        kinds.append(classify(m, graphs[-1]).value)
+        after = apply_switch(m, graphs[-1])
+        if after is graphs[-1]:
+            first_trivial = i
+            break
+        graphs.append(after)
+    nontrivial = first_trivial is None
+    final = nontrivial and (target is None or graphs[-1] == target)
+    forests_ok = first_nonforest = None
+    if require_forests:
+        cyclic = [k for k, x in enumerate(graphs) if not is_forest(x)]
+        forests_ok = not cyclic
+        first_nonforest = cyclic[0] if cyclic else None
+    bound = within = None
+    if target is not None:
+        bound = max(0, len(target.edges - trace.initial.edges) - 1)
+        within = len(trace.steps) <= bound
+    return {
+        "ok": nontrivial and final and forests_ok is not False,
+        "final_matches": final,
+        "steps_nontrivial": nontrivial,
+        "forests_ok": forests_ok,
+        "length": len(trace.steps),
+        "kinds": kinds,
+        "first_trivial": first_trivial,
+        "first_nonforest": first_nonforest,
+        "bound": bound,
+        "within_bound": within,
+    }
+
+
 def _random_forest(rng, n):
     slots = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)]
     rng.shuffle(slots)
@@ -610,6 +671,64 @@ class TestValidateTrace:
         assert v.final_matches and v.forests_ok is False
         assert v.first_nonforest == 1
         assert v.kinds == (SwitchKind.PLAIN,) * 4
+
+    def test_matches_a_graph_replay_on_walks_through_cycles(self):
+        # seeded walks from forests: switches that close and open cycles,
+        # undoing steps that return to a forest and go on from there, and
+        # in every fourth walk one matrix with random labels, usually
+        # trivial; each judged against four targets, one of another order,
+        # with and without the forest requirement
+        rng = random.Random(3303)
+        returned = 0  # walks back on a forest after a cycle before any trivial step
+        for _ in range(400):
+            n = rng.randint(5, 12)
+            g = start = _random_forest(rng, n)
+            steps, cyclic, trivial, back = [], False, False, False
+            odd_one = rng.randrange(40)
+            for i in range(rng.randint(1, 10)):
+                moves = list(nontrivial_matrices(g))
+                if i == odd_one or not moves:
+                    m = ActionMatrix(*(rng.randint(1, n + 1) for _ in range(4)))
+                elif steps and rng.random() < 0.3:
+                    m = steps[-1].transpose()
+                else:
+                    m = rng.choice(moves)
+                steps.append(m)
+                after = apply_switch(m, g)
+                trivial = trivial or after is g
+                g = after
+                cyclic = cyclic or not is_forest(g)
+                back = back or (cyclic and not trivial and is_forest(g))
+            returned += back
+            trace = SwitchTrace(start, tuple(steps))
+            for target in (None, g, start, Graph(n + 1, g.edges)):
+                for forests in (False, True):
+                    got = validate_trace(trace, target, forests).as_dict()
+                    assert got == _graph_replay_verdict(trace, target, forests)
+        assert returned > 50
+
+    def test_forest_route_takes_one_union_find(self, monkeypatch, fig1_graphs):
+        # the initial graph's acyclicity only; each step of a forest is
+        # judged on parent links, and after a cycle each step takes one
+        calls = []
+
+        def spy(n, edges):
+            calls.append(len(edges))
+            return acyclic(n, edges)
+
+        acyclic = transition._acyclic
+        a, b = _same_vector_pair(random.Random(1000), 1000, 2)
+        f, g = Graph(1000, a), Graph(1000, b)
+        trace = transition_forest(f, g)
+        monkeypatch.setattr(transition, "_acyclic", spy)
+        verdict = validate_trace(trace, g, require_forests=True)
+        assert verdict.ok and len(trace) > 900
+        assert calls == [998]
+        calls.clear()
+        g0, _, g2 = fig1_graphs
+        verdict = validate_trace(SwitchTrace(g0, FIG1_STEPS), g2, require_forests=True)
+        assert verdict.first_nonforest == 1  # the first step closes a triangle
+        assert calls == [6, 6]
 
     def test_target_of_another_order_does_not_match(self, fig1_graphs):
         g0, _, _ = fig1_graphs
