@@ -39,11 +39,14 @@ Beside the tables, ``degree_id`` ranks each mask's degree vector densely
 per vertex; a presence array over all 2^(3n) packed vectors and its
 running count give the ranks with no sort: about 0.03 s at n = 7.
 
-At n = 7 the build takes 0.39-0.45 s on a 2-core VM, no phase over
-0.1 s; ``Census.build_s`` has the seconds of each table and phase.  A
-census keeps only what the sweeps read, 32 MB at n = 7 (the tables,
-popcount, forest flags and degree ids); building census(1..7) in one
-process peaks at 102 MB RSS.  Only ``Census`` checks the order.
+numpy is imported by the table builders, not by the module, so the
+first census of a process pays for that import: at n = 7 that first
+build takes 0.33-0.35 s on a 2-core VM, about 0.07 s of it the import,
+and no phase over 0.1 s; ``Census.build_s`` has the seconds of each
+table and phase, the import excluded.  A census keeps only what the
+sweeps read, 32 MB at n = 7 (the tables, popcount, forest flags and
+degree ids); building census(1..7) in one process peaks at about 100 MB
+RSS, numpy included.  Only ``Census`` checks the order.
 
 Tables are cross-checked against the per-graph algorithms and the
 recurrences in the test suite; this module is the engine of the
@@ -55,10 +58,12 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graphs import CapExceededError, Graph, GraphError, _integer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CENSUS_MAX = 7
 # table value of an undefined parameter (edge cover with an isolated
@@ -132,6 +137,9 @@ class Census:
         if not 0 <= n <= CENSUS_MAX:
             error = GraphError if n < 0 else CapExceededError
             raise error(f"census supports orders 0..{CENSUS_MAX}, got {n}")
+        # the first census of a process loads numpy; ``import twoswitch`` does not
+        import numpy as np
+
         self.n = n
         self.slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
         self.slot_index = {uv: k for k, uv in enumerate(self.slots)}
@@ -203,6 +211,8 @@ class Census:
     def _degrees(self) -> list[np.ndarray]:
         """Each vertex's degree in every mask: slot k = uv adds 1 at u and
         at v in the masks that hold it, one strided view each."""
+        import numpy as np
+
         degrees = [np.zeros(self.n_masks, dtype=np.uint8) for _ in range(self.n)]
         for k, uv in enumerate(self.slots):
             for w in uv:
@@ -211,6 +221,8 @@ class Census:
         return degrees
 
     def _degree_keys(self, degrees: list[np.ndarray]) -> np.ndarray:
+        import numpy as np
+
         key = np.zeros(self.n_masks, dtype=np.int32)  # 3n <= 21 bits
         for v, d in enumerate(degrees):
             key |= d.astype(np.int32) << (3 * v)
@@ -222,6 +234,8 @@ class Census:
         of each mask's key among them, so ``degree_vectors[degree_id]`` is
         ``key``.  A presence array over all 2^(3n) keys and its running
         count give the ranks without a sort."""
+        import numpy as np
+
         present = np.zeros(1 << (3 * self.n), dtype=bool)
         present[key] = True
         rank = np.cumsum(present, dtype=np.int32) - 1
@@ -248,6 +262,8 @@ class Census:
         components, and there are 2^(kappa-1) of them.  Each of the 2^(n-1)
         such sets adds 1 to the masks with no edge across it, a strided view
         with its cut's slots clear."""
+        import numpy as np
+
         comp = np.zeros(self.n_masks, dtype=np.uint8)
         if self.n == 0:
             return comp
@@ -268,12 +284,16 @@ class Census:
         second of each pair in the upper half of a length-2 axis, and it
         takes the larger of the two; after every slot each mask has seen all
         of its submasks."""
+        import numpy as np
+
         for k in range(self.n_slots):
             pairs = marks.reshape(-1, 2, 1 << k)
             np.maximum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
         return marks
 
     def _clique_table(self) -> np.ndarray:
+        import numpy as np
+
         # the complete graph on each vertex subset t, marked |t|
         marks = np.zeros(self.n_masks, dtype=np.uint8)
         np.maximum.at(
@@ -282,6 +302,8 @@ class Census:
         return self._largest_inside(marks)
 
     def _domination_by_stars(self, degrees: list[np.ndarray]) -> np.ndarray:
+        import numpy as np
+
         # a star forest: every edge has an end of degree 1
         star_forest = np.ones(self.n_masks, dtype=bool)
         for k, (u, v) in enumerate(self.slots):
@@ -293,6 +315,8 @@ class Census:
         return self.n - self._largest_inside(self.popcount * star_forest)
 
     def _chromatic_table(self) -> np.ndarray:
+        import numpy as np
+
         # each partition's cluster graph, read back at the complement masks:
         # mask m's complement is mask M - 1 - m, so the table reversed
         n = self.n

@@ -24,6 +24,7 @@ from .graphs import (
     parse_edge_list,
     to_dot,
 )
+from .switch import SwitchKind
 from .transition import (
     trace_from_json,
     trace_to_json,
@@ -158,10 +159,7 @@ def _cmd_stability(args) -> int:
 def _cmd_interval(args) -> int:
     seq = _parse_sequence(args.sequence)
     kinds = parameters.STABLE_KINDS if args.kind == "all" else (args.kind,)
-    reports = [
-        explorer.interval_audit(seq, k, family=args.family, workers=args.workers)
-        for k in kinds
-    ]
+    reports = explorer._interval_audits(seq, kinds, args.family, args.workers)
     if args.json:
         print(json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True))
     else:
@@ -228,7 +226,11 @@ def _cmd_validate(args) -> int:
     trace = trace_from_json(_read_text("trace", path))
     target = _load_graph(args.target) if args.target else None
     report = validate_trace(trace, target, require_forests=args.require_forests)
-    _emit(report.as_dict(), args.json)
+    verdict = report.as_dict()
+    if not args.json:
+        # a count per kind, not a word per step, so a long route's verdict stays short
+        verdict["kinds"] = {kind.value: report.kinds.count(kind) for kind in SwitchKind}
+    _emit(verdict, args.json)
     return 0 if report.ok else 1
 
 

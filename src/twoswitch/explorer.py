@@ -13,8 +13,7 @@ import itertools
 import os
 from collections import deque
 from dataclasses import asdict, dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import parameters
 from .census import UNDEFINED, census, slot_mask, slot_view
@@ -41,6 +40,9 @@ from .transition import (
     transition_forest,
     transition_graph,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ValueOutOfRangeError(GraphError):
@@ -186,6 +188,8 @@ def _switch_patterns(cen):
 
 
 def _family_selector(cen, family: str) -> np.ndarray:
+    import numpy as np
+
     _check_family(family)
     if family == "all":
         return np.ones(cen.n_masks, dtype=bool)
@@ -286,7 +290,7 @@ def _switch_pairs(cen):
 
 
 def _first_true(flags: np.ndarray) -> int | None:
-    first = int(np.argmax(flags))
+    first = int(flags.argmax())
     return first if flags.flat[first] else None
 
 
@@ -312,6 +316,8 @@ def stability_sweep(n: int, kinds=parameters.STABLE_KINDS) -> dict[str, AuditRep
     has several bad switches, the shape first in ``_switch_patterns``
     order is named.
     """
+    import numpy as np
+
     cen = census(n)
     kinds = parameters._check_kinds(kinds)
     if not kinds:
@@ -378,8 +384,12 @@ def stability_sweep(n: int, kinds=parameters.STABLE_KINDS) -> dict[str, AuditRep
 
 
 def _interval_eval(args):
-    kind, n, edge_lists = args
-    return [parameters.compute(kind, Graph(n, edges)) for edges in edge_lists]
+    kinds, n, edge_lists = args
+    out = []
+    for edges in edge_lists:
+        g = Graph(n, edges)
+        out.append([parameters.compute(kind, g) for kind in kinds])
+    return out
 
 
 def interval_audit(
@@ -393,28 +403,39 @@ def interval_audit(
     The family is enumerated at every order (``enumerate_family``), and
     each value's witness is the first member with that value in
     enumeration order (ascending sorted edge lists).  With ``workers`` = 1
-    one walk keeps a witness per value: 31 MB peak RSS for the 133,105
-    members of (3,3,3,3,3,3,2,2,2).  ``workers`` > 1 (capped at the member
-    and CPU counts) processes evaluate contiguous runs of a list of every
+    one walk keeps a witness per value: 16.5-16.7 MB peak RSS for the
+    133,105 members of (3,3,3,3,3,3,2,2,2) under matching, a process
+    that never loads numpy.  ``workers`` > 1 (capped at the member and
+    CPU counts) processes evaluate contiguous runs of a list of every
     member, about 2.4 KB each: 354 MB there, and roughly 2.5 GB for the
     1,024,380-member 4-regular family at order 9.  The report does not
     depend on ``workers``.  ``interval_sweep`` checks every vector of an
     order at once from the census.
     """
+    return _interval_audits(seq, (kind,), family, workers)[0]
+
+
+def _interval_audits(seq, kinds, family: str, workers: int) -> list[AuditReport]:
+    """``interval_audit`` of each of ``kinds``, in order, from one walk
+    over the family: each member is evaluated on every kind that is
+    defined on the family, and each kind keeps its own first witness per
+    value."""
     seq = tuple(_integer(d, "degree") for d in seq)
     n = len(seq)
-    parameters._check_kind(kind)
+    kinds = parameters._check_kinds(kinds)
     _check_family(family)
     workers = _integer(workers, "worker count")
     if workers < 1:
         raise GraphError(f"worker count must be at least 1, got {workers}")
-    value_of = {}
-    checked = 0
+    notes = {}
     if not is_graphical(seq):
-        notes = "sequence is not graphical"
-    elif kind == "edge_cover" and any(d == 0 for d in seq):
-        notes = "edge_cover undefined: sequence has isolated vertices"
-    else:
+        notes = dict.fromkeys(kinds, "sequence is not graphical")
+    elif "edge_cover" in kinds and 0 in seq:
+        notes["edge_cover"] = "edge_cover undefined: sequence has isolated vertices"
+    walked = [kind for kind in kinds if kind not in notes]
+    value_of = {kind: {} for kind in kinds}
+    checked = 0
+    if walked:
         members = enumerate_family(seq, family)
         pool_size = 1
         if workers > 1:
@@ -427,33 +448,41 @@ def interval_audit(
 
             step = -(-len(members) // pool_size)
             runs = [
-                (kind, n, [g.sorted_edges() for g in members[i : i + step]])
+                (walked, n, [g.sorted_edges() for g in members[i : i + step]])
                 for i in range(0, len(members), step)
             ]
             with ProcessPoolExecutor(max_workers=pool_size) as pool:
                 computed = [v for run in pool.map(_interval_eval, runs) for v in run]
-            pairs = zip(computed, members)
+            rows = zip(computed, members)
         else:
-            pairs = ((parameters.compute(kind, g), g) for g in members)
-        for checked, (v, g) in enumerate(pairs, 1):
-            value_of.setdefault(v, g)
-        notes = "" if value_of else "family is empty"
-    values = tuple(sorted(value_of))
-    interval_ok = None
-    if values:
-        interval_ok = values == tuple(range(values[0], values[-1] + 1))
-    return AuditReport(
-        audit="interval",
-        passed=interval_ok is not False,
-        kind=kind,
-        family=family,
-        sequence=seq,
-        values=values,
-        interval_ok=interval_ok,
-        witnesses=value_of,
-        checked=checked,
-        notes=notes,
-    )
+            rows = ((map(parameters.compute, walked, itertools.repeat(g)), g) for g in members)
+        witnesses = [value_of[kind] for kind in walked]
+        for checked, (values, g) in enumerate(rows, 1):
+            for seen, v in zip(witnesses, values):
+                seen.setdefault(v, g)
+        if not checked:
+            notes.update(dict.fromkeys(walked, "family is empty"))
+    reports = []
+    for kind in kinds:
+        values = tuple(sorted(value_of[kind]))
+        interval_ok = None
+        if values:
+            interval_ok = values == tuple(range(values[0], values[-1] + 1))
+        reports.append(
+            AuditReport(
+                audit="interval",
+                passed=interval_ok is not False,
+                kind=kind,
+                family=family,
+                sequence=seq,
+                values=values,
+                interval_ok=interval_ok,
+                witnesses=value_of[kind],
+                checked=checked if kind in walked else 0,
+                notes=notes.get(kind, ""),
+            )
+        )
+    return reports
 
 
 def realize_parameter_value(seq, kind: str, value: int, family: str = "all") -> Graph:
@@ -520,6 +549,8 @@ def interval_sweep(n: int, kind: str, family: str = "all") -> SweepReport:
     A defined edge cover is at most n - 1 <= 6, so undefined entries are
     marked in bit 7 and that bit is cleared before anything is counted.
     """
+    import numpy as np
+
     cen = census(n)
     parameters._check_kind(kind)
     ids, values = cen.degree_id, cen.tables[kind]
@@ -622,7 +653,7 @@ def edge_diff_audit(n: int) -> AuditReport:
             cur = slot_view(cen.degree_id, bits, 1 << kdel)
             same = cur == slot_view(cen.degree_id, bits, 1 << kadd)
             checked += cur.size
-            first = int(np.argmax(same))
+            first = int(same.argmax())
             if same.flat[first]:
                 mask = slot_mask(first, bits, 1 << kdel)
                 return AuditReport(

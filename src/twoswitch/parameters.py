@@ -53,8 +53,6 @@ from __future__ import annotations
 
 from math import gcd
 
-import numpy as np
-
 from . import graphs
 from .graphs import CapExceededError, Graph, GraphError
 
@@ -462,8 +460,11 @@ def _path_cover_by_subsets(adj: list[int]) -> int:
     one; the cheapest u give best[S], and exactly those u form last[S].
     Subsets are processed one popcount layer at a time, vectorized over
     the layer and over u: O(2^k * k) time and about 5 * 2^k bytes of
-    tables whatever the edges.
+    tables whatever the edges.  numpy is imported at the call, so no
+    other parameter loads it.
     """
+    import numpy as np
+
     n = len(adj)
     adj = np.array(adj, dtype=np.uint32)[:, None]
     bit = (np.int64(1) << np.arange(n, dtype=np.int64))[:, None]

@@ -523,10 +523,13 @@ def transition_forest(f: Graph, f2: Graph) -> SwitchTrace:
     edge, so the final switch always closes a gap of two while the rest
     typically narrow it by at least one: the trace stays within
     max(0, |E(f2) - E(f)| - 1) switches whenever the greedy gains hold
-    up, which is always the case through n = 7 (all 1,427,121 ordered
-    pairs, reproduced by ``scripts/route_audit.py``) and everywhere else
-    we have looked except for rare plateau pairs where even the shortest
-    possible route exceeds that number.
+    up, which is the case for every pair through n = 7 (all 1,427,121
+    ordered pairs, reproduced by ``scripts/route_audit.py``).  Beyond
+    that no length bound is guaranteed: on an 8-vertex pair of paths
+    even the shortest all-forest route takes |E(f2) - E(f)| switches,
+    and on a 14-vertex pair with 7 differing edges the construction
+    takes 7 switches where an all-forest route of 5 exists.  Both pairs
+    are pinned in the tests.
     """
     _check_transition_inputs(f, f2, forests=True)
     return _verified_route(f, f2, _forest_steps(f, f2), forests=True)

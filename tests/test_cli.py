@@ -308,6 +308,27 @@ class TestIntervalAudit:
             "537a5aa494007eae2e2d76851cdb31ed9ed51460fe245b01c624c9d8771c5612"
         )
 
+    def test_all_kinds_walk_the_family_once(self, capsys, monkeypatch):
+        # one walk evaluates all nine kinds on each member, and the report
+        # is the one pinned above
+        calls = []
+        enumerate_family = explorer.enumerate_family
+
+        def counted(*args):
+            calls.append(args)
+            return enumerate_family(*args)
+
+        monkeypatch.setattr(explorer, "enumerate_family", counted)
+        code, out, _ = invoke(
+            capsys, "interval-audit", "--sequence", "3,2,2,2,1,1,1",
+            "--family", "forest", "--kind", "all", "--json",
+        )
+        assert code == 0
+        assert calls == [((3, 2, 2, 2, 1, 1, 1), "forest")]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "537a5aa494007eae2e2d76851cdb31ed9ed51460fe245b01c624c9d8771c5612"
+        )
+
     def test_zero_workers_is_usage_error(self, capsys):
         code, out, err = invoke(
             capsys, "interval-audit", "--sequence", "2,2,2,2,2,2,2,2",
@@ -508,6 +529,29 @@ class TestValidateTrace:
         )
         assert code == 0
         assert "ok=true" in out
+
+    def test_plain_verdict_counts_the_kinds(self, capsys, tmp_path):
+        # the 21 plain switches of the general fig2 route: one line per kind
+        # with its count, not one word per step
+        out_path = tmp_path / "fig2.trace"
+        invoke(capsys, "transit", "fig2_g0", "fig2_g1", "--out", str(out_path))
+        code, out, _ = invoke(capsys, "validate-trace", str(out_path), "--target", "fig2_g1")
+        assert code == 0
+        assert out.splitlines() == [
+            "ok=true",
+            "final_matches=true",
+            "steps_nontrivial=true",
+            "forests_ok=none",
+            "length=21",
+            "kinds.trivial=0",
+            "kinds.plain=21",
+            "kinds.t_switch=0",
+            "kinds.f_switch=0",
+            "first_trivial=none",
+            "first_nonforest=none",
+            "bound=7",
+            "within_bound=false",
+        ]
 
     def test_wrong_target_fails(self, capsys, tmp_path):
         out_path = tmp_path / "trace.json"

@@ -680,6 +680,20 @@ class TestIntervalAudit:
         assert sizes == [3]
         assert many == interval_audit((2,) * 8, "matching", "all")
 
+    @pytest.mark.parametrize(
+        "seq,family",
+        [((3, 2, 2, 2, 1, 1, 1), "forest"), ((2,) * 6, "all"), ((1, 1, 0, 2, 2, 2), "all"),
+         ((3, 1), "all"), ((2, 2, 2, 2), "forest")],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_walk_gives_every_kinds_report(self, seq, family, workers):
+        # an isolated vertex leaves edge cover unwalked; the family of four
+        # 2s holds no forest
+        kinds = parameters.STABLE_KINDS
+        assert ex._interval_audits(seq, kinds, family, workers) == [
+            interval_audit(seq, kind, family, workers=workers) for kind in kinds
+        ]
+
     @pytest.mark.parametrize("seq,family,kinds", ENUMERATED)
     def test_enumeration_path_matches_the_sorting_oracle(self, seq, family, kinds):
         checked = len(list(enumerate_family(seq, family)))

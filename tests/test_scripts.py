@@ -59,14 +59,69 @@ def test_namespace_exports_resolve():
         assert not hasattr(twoswitch, gone)
 
 
+def run_probe(probe):
+    return subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=package_env(), timeout=120
+    )
+
+
 def test_import_loads_no_process_pool():
-    # interval_audit imports its worker pool only when it starts one
+    # interval_audit imports its worker pool only when it starts one, and
+    # numpy is imported only by the table kernels that use it
     probe = (
         "import sys, twoswitch; "
-        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process', 'numpy')"
+        " if m in sys.modules])"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=package_env(), timeout=60
-    )
+    proc = run_probe(probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+NUMPY_PROBE = """
+import contextlib, io, random, sys
+import twoswitch
+from twoswitch import cli, explorer
+
+def step(name, ok):
+    print(name, ok, 'numpy' in sys.modules)
+
+def command(*argv):
+    sys.argv = ['twoswitch', *argv]
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            cli.main()
+        except SystemExit as exit:
+            return exit.code == 0
+
+f0, _, f2 = twoswitch.fig1()
+trace = twoswitch.transition_forest(f0, f2)
+step('route', twoswitch.validate_trace(trace, f2, require_forests=True).ok)
+r = random.Random(20)
+g = twoswitch.Graph(20, [(u, v) for u in range(1, 21) for v in range(u + 1, 21) if r.random() < 0.5])
+values = [twoswitch.compute(kind, g) for kind in twoswitch.STABLE_KINDS]
+step('params', values[twoswitch.STABLE_KINDS.index('path_cover')] == 1)
+step('interval', twoswitch.interval_audit((3, 2, 2, 2, 1, 1, 1), 'domination', 'tree').passed)
+step('search', twoswitch.constrained_transition_search(f0, f2, 'forest').found)
+step('transit', command('transit', '--family', 'forest', 'fig1_g0', 'fig1_g2'))
+step('census', twoswitch.census(5).n == 5)
+step('sweep', all(r.passed for r in explorer.stability_sweep(5).values()))
+"""
+
+
+def test_per_graph_paths_load_no_numpy():
+    # the forest route and its judge, the nine kinds on CI's G(20, 1/2),
+    # whose path cover the spanning-path search certifies, a tree family's
+    # interval audit, a family search and the CLI's route: none loads
+    # numpy; the first census does
+    proc = run_probe(NUMPY_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "route True False",
+        "params True False",
+        "interval True False",
+        "search True False",
+        "transit True False",
+        "census True True",
+        "sweep True True",
+    ]

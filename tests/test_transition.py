@@ -258,6 +258,51 @@ class TestTransitionForest:
             frontier = nxt
         assert g not in seen
 
+    def test_construction_can_miss_a_reachable_bound(self):
+        # a 14-vertex pair from a random soak, D = 7 differing edges: the
+        # construction takes D switches, while the shortest all-forest route
+        # takes 5, so D - 1 is reachable and the construction misses it
+        f = Graph(14, [(1, 8), (1, 12), (1, 13), (2, 7), (2, 9), (3, 6), (4, 12),
+                       (5, 13), (6, 9), (9, 14), (10, 11), (11, 12), (11, 14)])
+        g = Graph(14, [(1, 2), (1, 7), (1, 12), (2, 9), (3, 13), (4, 14), (5, 11),
+                       (6, 8), (6, 9), (9, 14), (10, 11), (11, 12), (12, 13)])
+        trace = transition_forest(f, g)
+        assert trace.steps == tuple(
+            ActionMatrix(*s)
+            for s in [(3, 6, 13, 5), (7, 2, 1, 8), (8, 2, 6, 5), (13, 1, 12, 4),
+                      (1, 4, 5, 2), (1, 5, 14, 11), (1, 14, 2, 4)]
+        )
+        report = validate_trace(trace, g, require_forests=True)
+        assert report.ok and report.length == len(g.edges - f.edges) == 7
+        assert report.bound == 6 and report.within_bound is False
+        witness = SwitchTrace(
+            f,
+            tuple(
+                ActionMatrix(*s)
+                for s in [(1, 8, 7, 2), (2, 8, 3, 6), (5, 13, 11, 14), (1, 13, 2, 3),
+                          (4, 12, 14, 13)]
+            ),
+            (),
+        )
+        report = validate_trace(witness, g, require_forests=True)
+        assert report.ok and report.forests_ok and report.length == 5
+
+        # the forests within two switches of either end are disjoint sets,
+        # so no all-forest route is shorter than the witness
+        def ball(x):
+            frontier, seen = {x}, {x}
+            for _ in range(2):
+                frontier = {
+                    apply_switch(m, y)
+                    for y in frontier
+                    for m in nontrivial_matrices(y)
+                    if classify(m, y) in (SwitchKind.F_SWITCH, SwitchKind.T_SWITCH)
+                } - seen
+                seen |= frontier
+            return seen
+
+        assert not ball(f) & ball(g)
+
 
 class TestRouteIdentity:
     def test_seeded_routes_are_pinned(self):
