@@ -13,11 +13,25 @@ One line per order gives the pair count, the total number of switches,
 the largest length - max(0, D - 1) and the elapsed time; a last line
 gives the totals.  The exit status is 1 if any route fails a check.
 Order 7 has 1,397,131 pairs and takes several minutes.
+
+``--soak SECONDS --seed S`` routes random pairs above the exhaustive
+orders instead, drawn from ``random.Random(S)`` until SECONDS have
+passed: n = randint(8, 24), k = randint(1, max(1, n // 4)), then
+``forest_pair(rng, n, k)`` from ``perfbench/inputs.py``, two forests of
+k trees each with one degree vector.  Every route is the one its judge
+passed.  The soak prints each draw whose route is longer than
+max(0, D - 1), with its index, n, k, D and length, then one line with
+the pairs, the pairs over D - 1, the largest excess and the seconds.
+A route over D - 1 is reported, not failed: D - 1 is not always
+reachable.  The exit status is 1 only if a route raises.
 """
 
 import argparse
+import random
 import sys
 import time
+import traceback
+from pathlib import Path
 
 from twoswitch.explorer import enumerate_forests
 from twoswitch.graphs import Graph, GraphError, degree_sequence, is_forest
@@ -71,10 +85,52 @@ def summary(label: str, pairs: int, switches: int, excess: int, failed: int, ela
     )
 
 
+def soak(seconds: float, seed: int) -> int:
+    """Route random pairs for ``seconds``; 1 if a route raised, else 0."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from inputs import forest_pair
+
+    rng = random.Random(seed)
+    draws = over = excess = raised = 0
+    t0 = time.perf_counter()
+    while time.perf_counter() - t0 < seconds:
+        n = rng.randint(8, 24)
+        k = rng.randint(1, max(1, n // 4))
+        f, g = (Graph(n, edges) for edges in forest_pair(rng, n, k))
+        d = len(g.edges - f.edges)
+        try:
+            length = len(transition_forest(f, g))
+        except Exception:  # report the draw and go on; the exit status says it
+            raised += 1
+            print(f"  FAIL draw {draws}: n={n}, k={k}, D={d}: the route raised", flush=True)
+            traceback.print_exc()
+        else:
+            if length > max(0, d - 1):
+                over += 1
+                print(f"  draw {draws}: n={n}, k={k}, D={d}, length {length}", flush=True)
+            excess = max(excess, length - max(0, d - 1))
+        draws += 1
+    print(
+        f"soak seed {seed}: {draws} pairs, {over} over D - 1, max excess {excess}"
+        + (f", {raised} raised" if raised else "")
+        + f" ({time.perf_counter() - t0:.1f}s)"
+    )
+    return 1 if raised else 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-order", type=int, default=7, choices=range(0, 8))
+    ap.add_argument(
+        "--soak",
+        type=float,
+        metavar="SECONDS",
+        help="route random pairs of 8 to 24 vertices for SECONDS instead",
+    )
+    ap.add_argument("--seed", type=int, default=1, help="the soak's seed")
     args = ap.parse_args()
+    if args.soak is not None:
+        return soak(args.soak, args.seed)
 
     rows = []
     t0 = time.perf_counter()

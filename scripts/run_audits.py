@@ -10,12 +10,18 @@ of every forest-preserving switch (6,478,920 of them); it takes about
 six minutes on a 2-core VM, most of it building each switched forest
 and taking its matching number, and is off by default.  Each line gives
 its section's elapsed time; the stability lines give each order's
-census build separately, with the seconds of each of its phases.
+census build separately, with its peak of traced memory (tracemalloc,
+on only around the build, in MB of 2^20 bytes) and the seconds of each
+of its phases.  numpy is loaded before the first build, so that no
+line counts its import.
 """
 
 import argparse
 import sys
 import time
+import tracemalloc
+
+import numpy  # noqa: F401  (loaded here, not inside the first traced build)
 
 from twoswitch import parameters
 from twoswitch.census import census
@@ -70,9 +76,13 @@ def main() -> int:
     failed = False
     t0 = time.perf_counter()
     for n in range(1, args.max_order + 1):
+        tracemalloc.start()
         t = time.perf_counter()
-        phases = ", ".join(f"{k} {v:.2f}s" for k, v in census(n).build_s.items())
+        cen = census(n)
         built = time.perf_counter() - t
+        peak = tracemalloc.get_traced_memory()[1] / (1 << 20)
+        tracemalloc.stop()
+        phases = ", ".join(f"{k} {v:.2f}s" for k, v in cen.build_s.items())
         t = time.perf_counter()
         reports = stability_sweep(n)
         bad = [k for k, r in reports.items() if not r.passed]
@@ -80,7 +90,8 @@ def main() -> int:
         verdict = "pass" if not bad else f"FAIL {bad}"
         print(
             f"stability  n={n}: {verdict} ({checked} incidences, "
-            f"{time.perf_counter()-t:.1f}s; census built in {built:.1f}s: {phases})"
+            f"{time.perf_counter()-t:.1f}s; census built in {built:.1f}s, "
+            f"peak {peak:.1f} MB: {phases})"
         )
         failed |= bool(bad)
     for n in range(1, args.max_order + 1):

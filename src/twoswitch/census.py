@@ -9,8 +9,9 @@ Five tables are the largest pattern subgraph inside each mask.  A table
 of marks holds each pattern mask's size and 0 elsewhere; one maximum
 over submasks (the max form of Yates's subset zeta transform, C(n,2)
 passes of M/2 maxima) then gives every mask the largest pattern inside
-it.  The patterns, each marked with its number of edges unless said
-otherwise:
+it.  The five tables of marks are the columns of one (M, 5) array, so
+those passes run once for all five.  The patterns, each marked with its
+number of edges unless said otherwise:
 
 - matching: the masks of maximum degree at most 1;
 - clique: the edges within each vertex subset t, marked |t|;
@@ -31,22 +32,31 @@ masks is the table reversed.  Edge cover is n - matching on graphs with
 no isolated vertex (Gallai), ``UNDEFINED`` elsewhere.  Components take
 2^(n-1) cut tests, each adding 1 to the strided view of the masks with
 no edge across its cut, and run first: the linear-forest marks read the
-forest flags.  The degrees, built the same way one slot at a time, give
-the degree-1 and maximum-degree tests and the degree ids.
+forest flags.  The degrees are one int32 key per mask, 3 bits per
+vertex, built the same way: slot uv adds 8^u + 8^v to the masks that
+hold it.  The maximum-degree, star-forest and isolated-vertex tests
+read the key's fields a fixed run of ``RUN`` masks at a time, so their
+temporaries are a few MB at any order.
 
 Beside the tables, ``degree_id`` ranks each mask's degree vector densely
 (0 .. 111,849 at n = 7), and ``degree_vectors[id]`` packs it into 3 bits
 per vertex; a presence array over all 2^(3n) packed vectors and its
-running count give the ranks with no sort: about 0.03 s at n = 7.
+running count give the ranks with no sort, written over the keys a run
+at a time: about 0.02 s at n = 7.
 
 numpy is imported by the table builders, not by the module, so the
 first census of a process pays for that import: at n = 7 that first
-build takes 0.33-0.35 s on a 2-core VM, about 0.07 s of it the import,
-and no phase over 0.1 s; ``Census.build_s`` has the seconds of each
-table and phase, the import excluded.  A census keeps only what the
-sweeps read, 32 MB at n = 7 (the tables, popcount, forest flags and
-degree ids); building census(1..7) in one process peaks at about 100 MB
-RSS, numpy included.  Only ``Census`` checks the order.
+build takes about 0.18 s on a quiet 2-core VM (0.177-0.181 s in 5 fresh
+processes), about 0.07 s of it the import, and no phase over 0.05 s;
+``Census.build_s`` has the seconds of each table and phase, the import
+excluded, and ``submask_max`` the one maximum over submasks.  A census
+keeps only what the sweeps read (the tables, popcount, forest flags and
+degree ids).  Memory limit, in MB of 2^20 bytes as tracemalloc counts
+numpy's arrays: an order-7 build keeps at most 32 MB (30.9 measured)
+and allocates at most 20 MB beyond what it keeps (10.0 measured: the
+marks array, then the presence and rank arrays of the degree ids); a
+test holds both bounds.  Building census(1..7) in one process peaks at
+about 71 MB RSS, numpy included.  Only ``Census`` checks the order.
 
 Tables are cross-checked against the per-graph algorithms and the
 recurrences in the test suite; this module is the engine of the
@@ -69,6 +79,9 @@ CENSUS_MAX = 7
 # table value of an undefined parameter (edge cover with an isolated
 # vertex); real values never exceed n
 UNDEFINED = 99
+# masks per run of the passes that decode the degree keys: their
+# temporaries stay a few MB whatever the order
+RUN = 1 << 16
 
 
 # -- mask layout --------------------------------------------------------------
@@ -163,26 +176,45 @@ class Census:
 
         # advisory seconds per build phase; not part of the tables
         self.build_s: dict[str, float] = {}
-        degrees = self._timed("degrees", self._degrees)
-        top = np.zeros(self.n_masks, dtype=np.uint8)  # the maximum degree
-        no_isolated = np.ones(self.n_masks, dtype=bool)
-        for d in degrees:
-            np.maximum(top, d, out=top)
-            no_isolated &= d != 0
+        key = self._timed("degrees", self._degree_keys)
         comp = self._timed("components", self._components_table)
-        self.forest = self.popcount.astype(np.int16) + comp.astype(np.int16) == n
-        largest = self._largest_inside
-        mu = self._timed("matching", lambda: largest(self.popcount * (top <= 1)))
-        omega = self._timed("clique", self._clique_table)
+        self.forest = self.popcount + comp == n  # uint8 sums, at most 21 + 7
+        low = sum(1 << 3 * v for v in range(n))  # bit 0 of each degree field
+        within = np.array(self.edges_within, dtype=np.int32)
+
+        def matching(d, run):  # no field has bit 1 or 2: every degree <= 1
+            return d & 6 * low == 0
+
+        def star_forest(d, run):
+            # no edge joins two vertices of degree 2 or more: move their
+            # fields' bits 3v to bits v and look up the edges among them
+            big = (d >> 1 | d >> 2) & low
+            inside = sum(big >> 2 * v & 1 << v for v in range(n))
+            return np.arange(run.start, run.stop, dtype=np.int32) & within[inside] == 0
+
+        def linear_forest(d, run):
+            # a forest where no field has bit 2, or bits 0 and 1: degrees <= 2
+            return self.forest[run] & ((d >> 2 | d & d >> 1) & low == 0)
+
+        # the five patterns' marks as the columns of one array, for one
+        # maximum over submasks
+        marks = np.zeros((self.n_masks, 5), dtype=np.uint8)
+        self._timed("matching", lambda: self._mark(marks[:, 0], key, matching))
+        self._timed("clique", lambda: self._clique_marks(marks[:, 1]))
+        self._timed("domination", lambda: self._mark(marks[:, 2], key, star_forest))
+        self._timed("path_cover", lambda: self._mark(marks[:, 3], key, linear_forest))
+        self._timed("chromatic", lambda: self._cluster_marks(marks[:, 4]))
+        self._timed("submask_max", lambda: self._largest_inside(marks))
+        mu, omega = marks[:, 0].copy(), marks[:, 1].copy()
+        gamma, pi, chi = n - marks[:, 2], n - marks[:, 3], n - marks[::-1, 4]
+        del marks
         alpha = omega[::-1].copy()
         nu = np.uint8(n) - alpha
-        gamma = self._timed("domination", lambda: self._domination_by_stars(degrees))
-        linear_forest = self.forest & (top <= 2)
-        pi = self._timed(
-            "path_cover", lambda: n - largest(self.popcount * linear_forest)
-        )
-        chi = self._timed("chromatic", self._chromatic_table)
-        eps = np.where(no_isolated, np.uint8(n) - mu, np.uint8(UNDEFINED))
+        eps = np.empty(self.n_masks, dtype=np.uint8)
+        for run in self._runs():  # n - mu where every degree field is nonzero
+            d = key[run]
+            no_isolated = (d | d >> 1 | d >> 2) & low == low
+            eps[run] = np.where(no_isolated, n - mu[run], UNDEFINED)
 
         self.tables = {
             "matching": mu,
@@ -195,7 +227,6 @@ class Census:
             "path_cover": pi,
             "edge_cover": eps,  # UNDEFINED where an isolated vertex exists
         }
-        key = self._timed("degree_keys", lambda: self._degree_keys(degrees))
         self.degree_id, self.degree_vectors = self._timed(
             "degree_ids", lambda: self._degree_ids(key)
         )
@@ -208,24 +239,22 @@ class Census:
 
     # -- geometry -----------------------------------------------------------
 
-    def _degrees(self) -> list[np.ndarray]:
-        """Each vertex's degree in every mask: slot k = uv adds 1 at u and
-        at v in the masks that hold it, one strided view each."""
-        import numpy as np
+    def _runs(self) -> list[slice]:
+        """The masks in runs of at most ``RUN``, so that a temporary per mask
+        costs a run, not the order."""
+        return [
+            slice(lo, min(lo + RUN, self.n_masks)) for lo in range(0, self.n_masks, RUN)
+        ]
 
-        degrees = [np.zeros(self.n_masks, dtype=np.uint8) for _ in range(self.n)]
-        for k, uv in enumerate(self.slots):
-            for w in uv:
-                view = slot_view(degrees[w], 1 << k, 1 << k)
-                view += 1
-        return degrees
-
-    def _degree_keys(self, degrees: list[np.ndarray]) -> np.ndarray:
+    def _degree_keys(self) -> np.ndarray:
+        """Every mask's degree vector at 3 bits per vertex: slot k = uv adds
+        8^u + 8^v to the masks that hold it, one strided view each."""
         import numpy as np
 
         key = np.zeros(self.n_masks, dtype=np.int32)  # 3n <= 21 bits
-        for v, d in enumerate(degrees):
-            key |= d.astype(np.int32) << (3 * v)
+        for k, (u, v) in enumerate(self.slots):
+            view = slot_view(key, 1 << k, 1 << k)
+            view += (1 << 3 * u) + (1 << 3 * v)
         return key
 
     def _degree_ids(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,15 +262,24 @@ class Census:
         order's distinct keys in ascending order, and ``degree_id`` the rank
         of each mask's key among them, so ``degree_vectors[degree_id]`` is
         ``key``.  A presence array over all 2^(3n) keys and its running
-        count give the ranks without a sort."""
+        count give the ranks without a sort; both passes go a run at a
+        time, and the ranks are written over ``key``."""
         import numpy as np
 
         present = np.zeros(1 << (3 * self.n), dtype=bool)
-        present[key] = True
-        rank = np.cumsum(present, dtype=np.int32) - 1
-        return rank[key], np.flatnonzero(present)
+        for run in self._runs():
+            present[key[run]] = True
+        rank = present.astype(np.int32)
+        np.cumsum(rank, out=rank)  # in place: a cast inside cumsum costs a copy
+        rank -= 1
+        for run in self._runs():
+            key[run] = rank[key[run]]
+        return key, np.flatnonzero(present)
 
     def graph(self, mask: int) -> Graph:
+        mask = _integer(mask, "mask")
+        if not 0 <= mask < self.n_masks:
+            raise GraphError(f"mask must be in 0..{self.n_masks - 1}, got {mask}")
         edges = [
             (u + 1, v + 1)
             for k, (u, v) in enumerate(self.slots)
@@ -280,53 +318,40 @@ class Census:
 
     def _largest_inside(self, marks: np.ndarray) -> np.ndarray:
         """``marks[m]`` becomes the largest ``marks[s]`` over the submasks s
-        of m, in place.  Along slot k the masks pair up as (m, m | 2^k), the
-        second of each pair in the upper half of a length-2 axis, and it
-        takes the larger of the two; after every slot each mask has seen all
-        of its submasks."""
+        of m, in place, for each column of ``marks`` at once.  Along slot k
+        the masks pair up as (m, m | 2^k), the second of each pair in the
+        upper half of a length-2 axis, and it takes the larger of the two;
+        after every slot each mask has seen all of its submasks."""
         import numpy as np
 
         for k in range(self.n_slots):
-            pairs = marks.reshape(-1, 2, 1 << k)
+            pairs = marks.reshape(-1, 2, 1 << k, *marks.shape[1:])
             np.maximum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
         return marks
 
-    def _clique_table(self) -> np.ndarray:
+    def _mark(self, column: np.ndarray, key: np.ndarray, pattern) -> None:
+        """Mark each mask that ``pattern(key[run], run)`` accepts with its
+        number of edges, a run of masks at a time."""
+        for run in self._runs():
+            column[run] = self.popcount[run] * pattern(key[run], run)
+
+    def _clique_marks(self, column: np.ndarray) -> None:
         import numpy as np
 
         # the complete graph on each vertex subset t, marked |t|
-        marks = np.zeros(self.n_masks, dtype=np.uint8)
         np.maximum.at(
-            marks, self.edges_within, [t.bit_count() for t in range(1 << self.n)]
+            column, self.edges_within, [t.bit_count() for t in range(1 << self.n)]
         )
-        return self._largest_inside(marks)
 
-    def _domination_by_stars(self, degrees: list[np.ndarray]) -> np.ndarray:
-        import numpy as np
-
-        # a star forest: every edge has an end of degree 1
-        star_forest = np.ones(self.n_masks, dtype=bool)
-        for k, (u, v) in enumerate(self.slots):
-            ok, du, dv = (
-                slot_view(a, 1 << k, 1 << k)
-                for a in (star_forest, degrees[u], degrees[v])
-            )
-            ok &= (du == 1) | (dv == 1)
-        return self.n - self._largest_inside(self.popcount * star_forest)
-
-    def _chromatic_table(self) -> np.ndarray:
-        import numpy as np
-
-        # each partition's cluster graph, read back at the complement masks:
-        # mask m's complement is mask M - 1 - m, so the table reversed
-        n = self.n
-        marks = np.zeros(self.n_masks, dtype=np.uint8)
-        for blocks in _partitions((1 << n) - 1):
+    def _cluster_marks(self, column: np.ndarray) -> None:
+        # each partition's cluster graph, marked n - #blocks; the table is
+        # read back at the complement masks: mask m's complement is mask
+        # M - 1 - m, so the column reversed
+        for blocks in _partitions((1 << self.n) - 1):
             cluster = 0
             for block in blocks:
                 cluster |= self.edges_within[block]
-            marks[cluster] = n - len(blocks)
-        return n - self._largest_inside(marks)[::-1]
+            column[cluster] = self.n - len(blocks)
 
 
 def census(n: int) -> Census:

@@ -1,6 +1,7 @@
 """The vectorized mask tables against the per-graph implementations."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,17 @@ class TestGeometry:
         cen = census(5)
         for mask in range(cen.n_masks):
             assert cen.mask_of(cen.graph(mask)) == mask
+
+    @pytest.mark.parametrize("mask", [-1, 8, 9, True])
+    def test_graph_rejects_masks_outside_the_order(self, mask):
+        # order 3 has masks 0..7; the bits of 8 and 9 name no edge slot
+        with pytest.raises(GraphError, match="mask"):
+            census(3).graph(mask)
+
+    def test_graph_takes_numpy_integer_masks(self):
+        cen = census(3)
+        for mask in range(cen.n_masks):
+            assert cen.graph(np.int64(mask)) == cen.graph(np.uint8(mask)) == cen.graph(mask)
 
     def test_mask_of_rejects_wrong_order(self):
         with pytest.raises(GraphError):
@@ -178,7 +190,8 @@ class TestDegreeIds:
     def test_build_phase_is_timed(self):
         # one phase per built table; the other three are read off these
         built = {"components", "matching", "clique", "domination", "path_cover"}
-        assert built | {"chromatic", "degree_ids"} <= set(census(3).build_s)
+        shared = {"submask_max"}  # the one maximum over submasks of all five marks
+        assert built | {"chromatic", "degree_ids"} | shared <= set(census(3).build_s)
 
 
 class TestPathCoverReference:
@@ -255,3 +268,37 @@ class TestLargestInside:
         got = cen._largest_inside(marks.copy())
         assert got.dtype == np.uint8
         assert got.tolist() == want
+
+    def test_stacked_columns_match_one_pass_each(self):
+        cen = census(4)
+        rng = np.random.default_rng(5)
+        stacked = rng.integers(0, 256, (cen.n_masks, 3), dtype=np.uint8)
+        got = cen._largest_inside(stacked.copy())
+        assert got.shape == stacked.shape and got.dtype == np.uint8
+        for j in range(stacked.shape[1]):
+            column = stacked[:, j]
+            want = [
+                max(int(column[s]) for s in range(m + 1) if s & m == s)
+                for m in range(cen.n_masks)
+            ]
+            assert got[:, j].tolist() == want, j
+            assert np.array_equal(got[:, j], cen._largest_inside(column.copy())), j
+
+
+class TestMemory:
+    """The stated limit of the census module docstring: a fresh order-7
+    build keeps at most 32 MB and allocates at most 20 MB more on top of
+    what it keeps (MB = 2^20 bytes, numpy's arrays as tracemalloc sees
+    them, numpy already loaded)."""
+
+    def test_order_seven_build_is_bounded(self):
+        tracemalloc.start()
+        try:
+            cen = Census(CENSUS_MAX)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cen.n == CENSUS_MAX
+        mb = 1 << 20
+        assert retained <= 32 * mb, retained / mb
+        assert peak - retained <= 20 * mb, (peak - retained) / mb

@@ -1,6 +1,7 @@
 """The experiment scripts, run as separate processes, and the package
 namespace they import from."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,28 @@ def test_route_audit_to_order_five():
     assert all(": pass, " in line and line.endswith("s)") for line in orders)
     assert "order 5: pass, 951 pairs, 810 switches, max excess 0 (" in proc.stdout
     assert total.startswith("total: pass, 1018 pairs, 828 switches, max excess 0 (")
+
+
+def test_run_audits_reports_the_census_peak():
+    proc = run_script("run_audits.py", "--max-order", "3")
+    assert proc.returncode == 0, proc.stderr
+    stability = [line for line in proc.stdout.splitlines() if line.startswith("stability")]
+    assert len(stability) == 3
+    for line in stability:
+        assert re.search(r"; census built in \d+\.\ds, peak \d+\.\d MB: degrees \d", line), line
+
+
+def test_route_audit_soak():
+    proc = run_script("route_audit.py", "--soak", "1", "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    *draws, summary = proc.stdout.splitlines()
+    assert all(re.fullmatch(r"  draw \d+: n=\d+, k=\d+, D=\d+, length \d+", line) for line in draws)
+    found = re.fullmatch(
+        r"soak seed 1: (\d+) pairs, (\d+) over D - 1, max excess (\d+) \(\d+\.\ds\)", summary
+    )
+    assert found, summary
+    pairs, over, _ = map(int, found.groups())
+    assert pairs > 0 and over == len(draws)
 
 
 def test_namespace_exports_resolve():
