@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 from . import parameters
-from .census import UNDEFINED, census, slot_mask, slot_view
+from .census import UNDEFINED, census, runs_of, slot_mask, slot_view
 from .fixtures import fig2
 from .graphs import (
     CapExceededError,
@@ -197,9 +197,8 @@ def _family_selector(cen, family: str) -> np.ndarray:
         return cen.forest.copy()
     if family == "tree":
         return cen.forest & (cen.tables["components"] == 1)
-    if family == "unicyclic":
-        comp = cen.tables["components"].astype(np.int16)
-        return cen.popcount.astype(np.int16) == cen.n - comp + 1
+    if family == "unicyclic":  # uint8 sums, at most 21 + 7
+        return cen.popcount + cen.tables["components"] == cen.n + 1
     return cen.tables["chromatic"] <= 2  # bipartite
 
 
@@ -548,6 +547,19 @@ def interval_sweep(n: int, kind: str, family: str = "all") -> SweepReport:
     reads the table and the ids whole; the others gather their members.
     A defined edge cover is at most n - 1 <= 6, so undefined entries are
     marked in bit 7 and that bit is cleared before anything is counted.
+
+    The pairs are marked a run of ``census.RUN`` masks (or members) at a
+    time, each run's index ``id << 3 | value`` built as intp, the type
+    numpy indexes with, so the scatter casts nothing and no index
+    outlives its run.  At n = 7, census built, on a 2-core VM (5
+    interleaved processes, 20 calls each): an 'all' call takes 6.7-7.1
+    ms (median per process), against 9.9-12.0 ms for one whole-order
+    int32 index; all 45 kind-family sweeps take 0.12-0.14 s (best of 5
+    per process), against 0.18-0.20 s.
+    Memory limit, as tracemalloc counts numpy's arrays (MB of 2^20
+    bytes): at most 6 MB beyond the census for any kind and family, 1.9
+    MB measured for 'all' and 4.0 MB for 'unicyclic', whose selector is
+    the largest temporary; a test holds the bound.
     """
     import numpy as np
 
@@ -557,11 +569,14 @@ def interval_sweep(n: int, kind: str, family: str = "all") -> SweepReport:
     if family != "all":
         masks = np.flatnonzero(_family_selector(cen, family))
         ids, values = ids[masks], values[masks]
-    if kind == "edge_cover":
-        values = np.minimum(values, np.uint8(7))
-    n_ids = cen.degree_vectors.size
-    marked = np.zeros(n_ids << 3, dtype=bool)
-    marked[(ids << 3) | values] = True
+    marked = np.zeros(cen.degree_vectors.size << 3, dtype=bool)
+    for run in runs_of(ids.size):
+        index = np.left_shift(ids[run], 3, dtype=np.intp)
+        if kind == "edge_cover":
+            index |= np.minimum(values[run], np.uint8(7))
+        else:
+            index |= values[run]
+        marked[index] = True
     bits = np.packbits(marked, bitorder="little")  # one byte per id
     if kind == "edge_cover":
         bits &= np.uint8(0x7F)

@@ -3,7 +3,9 @@
 import concurrent.futures
 import copy
 import functools
+import hashlib
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -22,7 +24,7 @@ from oracles import (
 
 import twoswitch.explorer as ex
 from twoswitch import parameters, switch
-from twoswitch.census import UNDEFINED, census, slot_mask, slot_view
+from twoswitch.census import RUN, UNDEFINED, census, slot_mask, slot_view
 from twoswitch.explorer import (
     AuditReport,
     CapExceededError,
@@ -840,6 +842,90 @@ class TestIntervalSweep:
         assert expected["passed"] is False
         assert report.as_dict() == expected
         assert report.bad_sequence == degree_sequence(cen.graph(mask))
+
+    # sha256 over the JSON of every order-7 report, kinds then families
+    ORDER_SEVEN_DIGEST = "8e286898840ae432176b31e59cebd1f92dfdf7121dc5ed8a96f174b68cda533d"
+
+    def test_order_seven_wire_format(self):
+        # n <= 5 is compared with the reference above and n <= 6 fits in
+        # one run of masks; order 7 is the order that takes 32 runs
+        h = hashlib.sha256()
+        for kind in parameters.STABLE_KINDS:
+            for family in FAMILIES:
+                report = interval_sweep(7, kind, family).as_dict()
+                h.update(json.dumps(report, sort_keys=True).encode() + b"\n")
+        assert h.hexdigest() == self.ORDER_SEVEN_DIGEST
+
+    @pytest.mark.parametrize(
+        "kind,family,where",
+        [
+            ("matching", "all", "first"),
+            ("clique", "all", "middle"),
+            ("path_cover", "all", "last"),
+            ("domination", "unicyclic", "last"),
+            ("edge_cover", "all", "first"),
+            ("edge_cover", "all", "middle"),
+            ("edge_cover", "all", "last"),
+            ("edge_cover", "bipartite", "last"),
+        ],
+    )
+    def test_planted_gap_in_each_run(self, monkeypatch, kind, family, where):
+        # order 7 marks its members in runs of RUN: plant a gap, as above,
+        # at a member of the family's first, middle or last run; an edge
+        # cover gap goes at a mask whose next or previous mask is undefined
+        cen = copy.copy(census(7))
+        unplanted = interval_sweep(7, kind, family)
+        table = cen.tables[kind].copy()
+        members = np.flatnonzero(ex._family_selector(cen, family))
+        runs = -(-members.size // RUN)
+        r = {"first": 0, "middle": runs // 2, "last": runs - 1}[where]
+        span = members[r * RUN : (r + 1) * RUN]
+        if kind == "edge_cover":
+            below, above = np.maximum(span - 1, 0), np.minimum(span + 1, cen.n_masks - 1)
+            beside = (table[below] == UNDEFINED) | (table[above] == UNDEFINED)
+            span = span[(table[span] != UNDEFINED) & beside]
+        ids = cen.degree_id[members]
+        top = 6 if kind == "edge_cover" else 7  # largest value that can occur
+        for mask in span:
+            group = members[ids == cen.degree_id[mask]]
+            rest = table[group[group != mask]]
+            if rest.size and int(rest.max()) + 2 <= top:
+                table[mask] = rest.max() + 2
+                break
+            if rest.size and int(rest.min()) >= 2:
+                table[mask] = rest.min() - 2
+                break
+        else:
+            pytest.fail("no member of the run can carry a gap")
+        if where == "last" and family == "all":
+            assert mask >= cen.n_masks - RUN
+        cen.tables = {**cen.tables, kind: table}
+        monkeypatch.setattr(ex, "census", lambda n: cen)
+
+        report = interval_sweep(7, kind, family)
+        assert unplanted.passed and report.passed is False
+        assert report.families == unplanted.families
+        assert report.bad_sequence == degree_sequence(cen.graph(int(mask)))
+
+    def test_memory_is_bounded(self):
+        """The stated limit of the docstring: with census(7) built, no
+        order-7 sweep allocates more than 6 MB (MB = 2^20 bytes, numpy's
+        arrays as tracemalloc sees them).  Measured peaks, matching and
+        edge cover alike: 'all' 1.9 MB, 'forest' 2.3, 'tree' 2.1,
+        'unicyclic' 4.0 and 'bipartite' 3.0.  One whole-order int32 index
+        and an int16 unicyclic selector read 8.9 MB ('all', matching),
+        10.9 MB ('all', edge cover) and 16.0 MB ('unicyclic')."""
+        census(7)
+        peaks = {}
+        for kind in ("matching", "edge_cover"):
+            for family in FAMILIES:
+                tracemalloc.start()
+                try:
+                    interval_sweep(7, kind, family)
+                    peaks[kind, family] = tracemalloc.get_traced_memory()[1] / (1 << 20)
+                finally:
+                    tracemalloc.stop()
+        assert max(peaks.values()) <= 6, peaks
 
 
 class TestRealizeParameterValue:
