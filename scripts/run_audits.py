@@ -9,11 +9,14 @@ rank = 2*matching by exact elimination, and checks the matching step
 of every forest-preserving switch (6,478,920 of them); it takes about
 six minutes on a 2-core VM, most of it building each switched forest
 and taking its matching number, and is off by default.  Each line gives
-its section's elapsed time; the stability lines give each order's
-census build separately, with its peak of traced memory (tracemalloc,
-on only around the build, in MB of 2^20 bytes) and the seconds of each
-of its phases.  numpy is loaded before the first build, so that no
-line counts its import.
+its section's elapsed time and the threads its sweeps split their
+passes over (``explorer.sweep_workers``: one below order 7; an interval
+sweep of a family with one run of members, as the order-7 forests and
+trees, runs on one); the stability lines give each order's census
+build separately, with its peak of traced memory (tracemalloc, on only
+around the build, in MB of 2^20 bytes) and the seconds of each of its
+phases.  numpy is loaded before the first build, so that no line
+counts its import.
 """
 
 import argparse
@@ -30,6 +33,7 @@ from twoswitch.explorer import (
     enumerate_forests,
     interval_sweep,
     stability_sweep,
+    sweep_workers,
 )
 from twoswitch.graphs import Graph, is_forest
 from twoswitch.parameters import adjacency_rank, compute
@@ -63,6 +67,12 @@ def audit_rank_steps_order_8() -> bool:
     return True
 
 
+def threads(n: int) -> str:
+    """The threads an order-``n`` sweep runs on, for its line."""
+    workers = sweep_workers(n)
+    return f"on {workers} thread{'s' if workers > 1 else ''}"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-order", type=int, default=7, choices=range(1, 8))
@@ -90,7 +100,7 @@ def main() -> int:
         verdict = "pass" if not bad else f"FAIL {bad}"
         print(
             f"stability  n={n}: {verdict} ({checked} incidences, "
-            f"{time.perf_counter()-t:.1f}s; census built in {built:.1f}s, "
+            f"{time.perf_counter()-t:.1f}s {threads(n)}; census built in {built:.1f}s, "
             f"peak {peak:.1f} MB: {phases})"
         )
         failed |= bool(bad)
@@ -102,13 +112,14 @@ def main() -> int:
                 if not interval_sweep(n, kind, family).passed:
                     bad.append((kind, family))
         verdict = "pass" if not bad else f"FAIL {bad}"
-        print(f"interval   n={n}: {verdict} ({time.perf_counter()-t:.1f}s)")
+        print(f"interval   n={n}: {verdict} ({time.perf_counter()-t:.1f}s {threads(n)})")
         failed |= bool(bad)
     for n in range(2, args.max_order + 1):
         t = time.perf_counter()
         report = edge_diff_audit(n)
         verdict = "pass" if report.passed else "FAIL"
-        print(f"edge-move  n={n}: {verdict} ({report.checked} moves, {time.perf_counter()-t:.1f}s)")
+        elapsed = time.perf_counter() - t
+        print(f"edge-move  n={n}: {verdict} ({report.checked} moves, {elapsed:.1f}s {threads(n)})")
         failed |= not report.passed
     if args.rank_steps_order_8:
         print("rank audit n=8:")

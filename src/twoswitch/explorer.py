@@ -5,18 +5,29 @@ to forests, trees, unicyclic or bipartite members.  The audits confirm
 the two headline behaviours of the 2-switch on these families: every
 parameter moves by at most one per switch, and the value set of a
 parameter over a family is a full integer interval.
+
+The three order-wide sweeps (``stability_sweep``, ``interval_sweep``,
+``edge_diff_audit``) are independent numpy passes over census tables:
+switch pairs, runs of ``census.RUN`` masks and edge moves.  Each sweep
+splits its passes into interleaved shares over ``sweep_workers(n)``
+threads, one per usable CPU, at most one per run of masks and at most
+``SWEEP_THREADS_CAP`` = 3, so orders up to 6 run on the calling thread
+alone; numpy releases the GIL inside each kernel.  At n = 7 each thread
+holds one buffer: 1.2 MB for stability, 0.9 + 0.5 MB for an interval
+sweep, 0.5 MB for edge moves.  No report depends on the thread count.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import threading
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 from . import parameters
-from .census import UNDEFINED, census, runs_of, slot_mask, slot_view
+from .census import RUN, UNDEFINED, census, runs_of, slot_mask, slot_view
 from .fixtures import fig2
 from .graphs import (
     CapExceededError,
@@ -193,13 +204,68 @@ def _family_selector(cen, family: str) -> np.ndarray:
     _check_family(family)
     if family == "all":
         return np.ones(cen.n_masks, dtype=bool)
-    if family == "forest":
-        return cen.forest.copy()
+    if family == "forest":  # the census's own flags, read-only
+        forest = cen.forest.view()
+        forest.flags.writeable = False
+        return forest
     if family == "tree":
         return cen.forest & (cen.tables["components"] == 1)
     if family == "unicyclic":  # uint8 sums, at most 21 + 7
         return cen.popcount + cen.tables["components"] == cen.n + 1
     return cen.tables["chromatic"] <= 2  # bipartite
+
+
+# threads an order-wide sweep may use at most; each holds one buffer of
+# at most 1.4 MB at order 7 (see the sweeps)
+SWEEP_THREADS_CAP = 3
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def sweep_workers(n: int) -> int:
+    """Threads an order-``n`` sweep runs on: one per usable CPU, at most
+    one per run of ``census.RUN`` masks and at most ``SWEEP_THREADS_CAP``,
+    so orders up to 6 run on the calling thread alone."""
+    runs = -(-(1 << n * (n - 1) // 2) // RUN)
+    return max(1, min(_usable_cpus(), runs, SWEEP_THREADS_CAP))
+
+
+def _in_shares(work, items: list, shares: int) -> list:
+    """``[work(items[i::shares]) for i in range(shares)]``, with at most
+    one share per item.
+
+    The calling thread takes the first share and a thread of its own
+    each of the others.  ``work`` runs numpy kernels, which release the
+    GIL, and calls no other module: perfbench's tracer wraps those names
+    and keeps one stack of spans.  Every thread has joined before this
+    returns or raises; the first error, in share order, is raised here.
+    """
+    shares = min(shares, len(items))
+    if shares <= 1:
+        return [work(items)]
+    results, errors = [None] * shares, [None] * shares
+
+    def run(i):
+        try:
+            results[i] = work(items[i::shares])
+        except BaseException as exc:  # raised below, once every thread joined
+            errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, shares)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 # -- stability audit --------------------------------------------------------------
@@ -308,12 +374,21 @@ def stability_sweep(n: int, kinds=parameters.STABLE_KINDS) -> dict[str, AuditRep
     ascending mask order with the kinds last, and compares every kind in
     one uint8 pass: no index array and no gather.  That is 2^(C(n,2)-4)
     rows of len(kinds) bytes per pair, about 124 million comparisons at
-    n = 7 for all nine kinds, with temporaries of one pair's view at a
-    time.  Only a pair with a jump is searched kind by kind.  ``checked``
-    counts every (graph, switch) incidence, both directions of each pair.
-    A failing kind reports its lowest-mask bad incidence; when one graph
-    has several bad switches, the shape first in ``_switch_patterns``
-    order is named.
+    n = 7 for all nine kinds.  Only a pair with a jump is searched kind
+    by kind.  ``checked`` counts every (graph, switch) incidence, both
+    directions of each pair.  A failing kind reports its lowest-mask bad
+    incidence; when one graph has several bad switches, the shape first
+    in ``_switch_patterns`` order is named.
+
+    The pairs go in interleaved shares to ``sweep_workers(n)`` threads.
+    Each thread takes the differences of a pair into one reused buffer,
+    1.2 MB at n = 7 for all nine kinds, and keeps only the first bad
+    element per kind and side of a pair with a jump; the caller keeps
+    the least (mask, position) per kind and sums the defined edge-cover
+    starts.  At n = 7, census built, on a 2-core VM (medians of 15
+    calls, 5 interleaved processes per side): 111-193 ms, median 123,
+    on 2 threads and 173-259 ms on one CPU, against 203-264 ms for one
+    thread allocating three temporaries per pair.
     """
     import numpy as np
 
@@ -323,40 +398,54 @@ def stability_sweep(n: int, kinds=parameters.STABLE_KINDS) -> dict[str, AuditRep
         return {}
     stack = np.stack([cen.tables[kind] for kind in kinds], axis=-1, dtype=np.uint8)
     rows = cen.n_masks >> 4  # the graphs on one side of a switch pair
-    incidences = defined_incidences = 0
-    cover = "edge_cover" in kinds
-    if cover:
+    cover = kinds.index("edge_cover") if "edge_cover" in kinds else None
+    if cover is not None:
         # isolated vertices leave the table undefined; only an incidence
         # whose starting graph is defined counts and judges
         defined = cen.tables["edge_cover"] < UNDEFINED
-    worst: dict[str, tuple[int, int, ActionMatrix]] = {}
-    for bits, sides in _switch_pairs(cen):
-        (req, _, _), (inv_req, _, _) = sides
-        incidences += 2 * rows
-        if cover:
+    pairs = list(_switch_pairs(cen))
+    views = []
+    for i, (bits, ((req, _, _), (inv_req, _, _))) in enumerate(pairs):
+        starts = ()
+        if cover is not None:
             starts = slot_view(defined, bits, req), slot_view(defined, bits, inv_req)
-            defined_incidences += sum(int(np.count_nonzero(s)) for s in starts)
-        # uint8 arithmetic: after - cur + 1 wraps into 0..2 exactly when
-        # |after - cur| <= 1, as table values are below 255
-        cur = slot_view(stack, bits, req)
-        bad = slot_view(stack, bits, inv_req) - cur + np.uint8(1) > 2
-        if not bad.any():
-            continue
-        by_kind = bad.reshape(rows, len(kinds))
-        for j in np.flatnonzero(by_kind.any(axis=0)):
-            kind = kinds[j]
-            if kind == "edge_cover":
-                firsts = (_first_true(by_kind[:, j] & s.reshape(-1)) for s in starts)
-            else:
-                firsts = (_first_true(by_kind[:, j]),) * 2
+        views.append((i, slot_view(stack, bits, req), slot_view(stack, bits, inv_req), starts))
+
+    def compare(share):
+        diff = np.empty(rows * len(kinds), dtype=np.uint8)
+        defined_starts, found = 0, []
+        for i, cur, after, starts in share:
+            defined_starts += sum(int(np.count_nonzero(s)) for s in starts)
+            # uint8 arithmetic: after - cur + 1 wraps into 0..2 exactly
+            # when |after - cur| <= 1, as table values are below 255
+            out = diff.reshape(cur.shape)
+            np.subtract(after, cur, out=out)
+            out += 1
+            if out.max() <= 2:
+                continue
+            by_kind = (diff > 2).reshape(rows, len(kinds))
+            for j in np.flatnonzero(by_kind.any(axis=0)):
+                if j == cover:
+                    firsts = [_first_true(by_kind[:, j] & s.reshape(-1)) for s in starts]
+                else:
+                    firsts = [_first_true(by_kind[:, j])] * 2
+                found.append((i, j, firsts))
+        return defined_starts, found
+
+    incidences, defined_incidences = 2 * rows * len(pairs), 0
+    worst: dict[str, tuple[int, int, ActionMatrix]] = {}
+    for defined_starts, found in _in_shares(compare, views, sweep_workers(cen.n)):
+        defined_incidences += defined_starts
+        for i, j, firsts in found:
+            kind, (bits, sides) = kinds[j], pairs[i]
             # the two views order the free slots alike, so the first bad
             # element is the lowest bad graph on each side
             for first, (side_req, position, m) in zip(firsts, sides):
                 if first is None:
                     continue
-                found = (slot_mask(first, bits, side_req), position, m)
-                if kind not in worst or found[:2] < worst[kind][:2]:
-                    worst[kind] = found
+                candidate = (slot_mask(first, bits, side_req), position, m)
+                if kind not in worst or candidate[:2] < worst[kind][:2]:
+                    worst[kind] = candidate
     checked = {
         kind: defined_incidences if kind == "edge_cover" else incidences for kind in kinds
     }
@@ -550,16 +639,20 @@ def interval_sweep(n: int, kind: str, family: str = "all") -> SweepReport:
 
     The pairs are marked a run of ``census.RUN`` masks (or members) at a
     time, each run's index ``id << 3 | value`` built as intp, the type
-    numpy indexes with, so the scatter casts nothing and no index
-    outlives its run.  At n = 7, census built, on a 2-core VM (5
-    interleaved processes, 20 calls each): an 'all' call takes 6.7-7.1
-    ms (median per process), against 9.9-12.0 ms for one whole-order
-    int32 index; all 45 kind-family sweeps take 0.12-0.14 s (best of 5
-    per process), against 0.18-0.20 s.
-    Memory limit, as tracemalloc counts numpy's arrays (MB of 2^20
-    bytes): at most 6 MB beyond the census for any kind and family, 1.9
-    MB measured for 'all' and 4.0 MB for 'unicyclic', whose selector is
-    the largest temporary; a test holds the bound.
+    numpy indexes with, so the scatter casts nothing.  The runs go in
+    interleaved shares to ``sweep_workers(n)`` threads; each marks its
+    own array (0.9 MB at n = 7) through one reused index of a run (0.5
+    MB), and the caller ORs the arrays.  At n = 7, census built, on a
+    2-core VM (5 interleaved processes per side, 20 calls each): an
+    'all' call takes 4.5-10.7 ms, median 6.2, on 2 threads and 6.7-7.3
+    ms on one CPU, against 6.9-10.8 ms for one thread before the split;
+    the forest and tree families have one run of members, so one thread.
+    Memory limit, as tracemalloc counts numpy's arrays in every thread
+    (MB of 2^20 bytes): at most 6 MB beyond the census for any kind and
+    family on up to ``SWEEP_THREADS_CAP`` threads.  Measured: 'all' 1.4,
+    2.8 and 4.3 MB on 1, 2 and 3 threads (0.2 MB more for edge cover),
+    'unicyclic' 4.0-4.3 MB, whose selector is the largest temporary; a
+    test holds the bound on 1 and 3 threads.
     """
     import numpy as np
 
@@ -569,14 +662,23 @@ def interval_sweep(n: int, kind: str, family: str = "all") -> SweepReport:
     if family != "all":
         masks = np.flatnonzero(_family_selector(cen, family))
         ids, values = ids[masks], values[masks]
-    marked = np.zeros(cen.degree_vectors.size << 3, dtype=bool)
-    for run in runs_of(ids.size):
-        index = np.left_shift(ids[run], 3, dtype=np.intp)
-        if kind == "edge_cover":
-            index |= np.minimum(values[run], np.uint8(7))
-        else:
-            index |= values[run]
-        marked[index] = True
+    runs = [(ids[run], values[run]) for run in runs_of(ids.size)]
+
+    def mark(share):
+        marked = np.zeros(cen.degree_vectors.size << 3, dtype=bool)
+        index = np.empty(min(ids.size, RUN), dtype=np.intp)
+        for run_ids, run_values in share:
+            at = index[: run_ids.size]
+            np.left_shift(run_ids, 3, out=at, dtype=np.intp)
+            if kind == "edge_cover":
+                run_values = np.minimum(run_values, np.uint8(7))
+            at |= run_values
+            marked[at] = True
+        return marked
+
+    marked, *others = _in_shares(mark, runs, sweep_workers(cen.n))
+    for other in others:
+        marked |= other
     bits = np.packbits(marked, bitorder="little")  # one byte per id
     if kind == "edge_cover":
         bits &= np.uint8(0x7F)
@@ -654,30 +756,49 @@ def edge_diff_audit(n: int) -> AuditReport:
     incidence.  A failure reports the lowest-mask graph of the first
     failing move and ``checked`` counts the incidences up to and including
     that move.
+
+    The moves go in interleaved shares to ``sweep_workers(n)`` threads,
+    each comparing into one reused buffer of 2^(C(n,2)-2) flags (0.5 MB
+    at n = 7) and stopping at its first failing move; the first over all
+    threads is reported.  At n = 7, census built, on a 2-core VM
+    (medians of 15 calls, 5 interleaved processes per side): 91-153 ms,
+    median 113, on 2 threads and 175-237 ms on one CPU, against 168-225
+    ms for one thread before the split.
     """
+    import numpy as np
+
     cen = census(n)
-    checked = 0
-    for kdel in range(cen.n_slots):
-        for kadd in range(cen.n_slots):
-            if kadd == kdel:
-                continue
-            if kadd < kdel:  # the move (kadd, kdel) compared these and passed
-                checked += cen.n_masks >> 2
-                continue
+    slots = range(cen.n_slots)
+    moves = [(kdel, kadd) for kdel in slots for kadd in slots if kadd != kdel]
+    views = []
+    for position, (kdel, kadd) in enumerate(moves):
+        if kadd > kdel:  # the later move (kadd, kdel) compares the same graphs
             bits = (1 << kdel) | (1 << kadd)
             cur = slot_view(cen.degree_id, bits, 1 << kdel)
-            same = cur == slot_view(cen.degree_id, bits, 1 << kadd)
-            checked += cur.size
+            views.append((position, cur, slot_view(cen.degree_id, bits, 1 << kadd)))
+
+    def compare(share):
+        same = np.empty(cen.n_masks >> 2, dtype=bool)
+        for position, cur, after in share:  # in loop order, so stop at the first failure
+            np.equal(cur, after, out=same.reshape(cur.shape))
             first = int(same.argmax())
-            if same.flat[first]:
-                mask = slot_mask(first, bits, 1 << kdel)
-                return AuditReport(
-                    audit="edge_diff",
-                    passed=False,
-                    counterexample=(cen.graph(mask), cen.graph(mask ^ bits)),
-                    checked=checked,
-                )
-    return AuditReport(audit="edge_diff", passed=True, checked=checked)
+            if same[first]:
+                return position, first
+        return None
+
+    failures = [f for f in _in_shares(compare, views, sweep_workers(cen.n)) if f is not None]
+    if not failures:
+        return AuditReport(audit="edge_diff", passed=True, checked=len(moves) * (cen.n_masks >> 2))
+    position, first = min(failures)
+    kdel, kadd = moves[position]
+    bits = (1 << kdel) | (1 << kadd)
+    mask = slot_mask(first, bits, 1 << kdel)
+    return AuditReport(
+        audit="edge_diff",
+        passed=False,
+        counterexample=(cen.graph(mask), cen.graph(mask ^ bits)),
+        checked=(position + 1) * (cen.n_masks >> 2),
+    )
 
 
 # -- isomorphism ------------------------------------------------------------------

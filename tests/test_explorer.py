@@ -7,6 +7,9 @@ import hashlib
 import itertools
 import json
 import random
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -571,6 +574,166 @@ def _planted_census(n: int, seed: int):
     return cen
 
 
+def _with_shares(counts, call):
+    """``call()`` with each share count of ``counts`` forced on
+    ``sweep_workers``, leaving no thread behind."""
+    threads = threading.active_count()
+    reports = []
+    for count in counts:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ex, "sweep_workers", lambda n, count=count: count)
+            reports.append(call())
+        assert threading.active_count() == threads
+    return reports
+
+
+class TestSweepShares:
+    """The sweeps split their items over threads in interleaved shares;
+    orders up to 6 run on one by default, so the share count is forced."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_one_worker_per_cpu_and_run_up_to_the_cap(self, monkeypatch, cpus):
+        monkeypatch.setattr(ex, "_usable_cpus", lambda: cpus)
+        assert [ex.sweep_workers(n) for n in range(7)] == [1] * 7
+        assert ex.sweep_workers(7) == min(cpus, ex.SWEEP_THREADS_CAP)
+
+    def test_shares_interleave_and_keep_their_order(self):
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = threading.active_count()
+            for shares in (1, 2, 3, 8):
+                out = ex._in_shares(lambda share: (threading.get_ident(), share), range(10), shares)
+                assert [share for _, share in out] == [range(i, 10, shares) for i in range(shares)]
+                assert out[0][0] == threading.get_ident()
+                assert threading.active_count() == threads
+            assert ex._in_shares(len, [7], 4) == [1]
+        finally:
+            sys.setswitchinterval(old)
+
+    def test_a_helper_error_is_raised_once_every_thread_joined(self):
+        threads = threading.active_count()
+        done = []
+
+        def work(share):
+            if share[0] == 2:
+                raise ValueError("planted")
+            time.sleep(0.05)
+            done.append(share[0])
+
+        with pytest.raises(ValueError, match="planted"):
+            ex._in_shares(work, range(4), 4)
+        assert sorted(done) == [0, 1, 3]
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize(
+        "n, call, kernel",
+        [
+            (5, lambda: stability_sweep(5), "subtract"),
+            (6, lambda: edge_diff_audit(6), "equal"),
+            (7, lambda: interval_sweep(7, "matching"), "left_shift"),
+        ],
+        ids=["stability", "edge_diff", "interval"],
+    )
+    def test_a_sweep_raises_what_a_helper_raised(self, monkeypatch, n, call, kernel):
+        census(n)
+        threads = threading.active_count()
+        real = getattr(np, kernel)
+
+        def planted(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise ValueError("planted")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, kernel, planted)
+        monkeypatch.setattr(ex, "sweep_workers", lambda n: 2)
+        with pytest.raises(ValueError, match="planted"):
+            call()
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_reports_do_not_depend_on_the_share_count(self, n):
+        def sweeps():
+            intervals = [
+                interval_sweep(n, kind, family)
+                for kind in parameters.STABLE_KINDS
+                for family in FAMILIES
+            ]
+            return stability_sweep(n), edge_diff_audit(n), intervals
+
+        default = sweeps()
+        assert _with_shares((1, 2, 3, 4), sweeps) == [default] * 4
+
+    @pytest.mark.parametrize("shares", [2, 3, 4])
+    @pytest.mark.parametrize("n, seed", [(5, s) for s in range(12)] + [(6, s) for s in range(3)])
+    def test_planted_tables(self, monkeypatch, n, seed, shares):
+        # jumps (the lowest bad incidence among many, edge cover planted on
+        # undefined masks) and edge-move collisions
+        cen = _planted_census(n, seed)
+        monkeypatch.setattr(ex, "census", lambda n: cen)
+        stability = _with_shares((1, shares), lambda: stability_sweep(n))
+        assert stability[0] == stability[1] == oracle_stability_sweep(cen, parameters.STABLE_KINDS)
+        edge_diff = _with_shares((1, shares), lambda: edge_diff_audit(n))
+        assert edge_diff[0] == edge_diff[1] == oracle_edge_diff_audit(cen)
+        assert not edge_diff[0].passed
+
+    @pytest.mark.parametrize("shares", [2, 3, 4])
+    @pytest.mark.parametrize("shift", [2, -2])
+    def test_planted_jump(self, monkeypatch, shares, shift):
+        cen = copy.copy(census(5))
+        table = cen.tables["matching"].copy()
+        k = cen.mask_of(Graph(5, [(1, 2), (3, 4)]))
+        table[k] = int(table[k]) + shift
+        cen.tables = dict(cen.tables, matching=table)
+        monkeypatch.setattr(ex, "census", lambda n: cen)
+        one, many = _with_shares((1, shares), lambda: stability_sweep(5, ("matching",)))
+        assert one == many and not one["matching"].passed
+
+    @pytest.mark.parametrize("shares", [2, 3, 4])
+    def test_edge_cover_planted_on_an_undefined_mask(self, monkeypatch, shares):
+        cen = copy.copy(census(6))
+        table = cen.tables["edge_cover"].copy()
+        table[cen.mask_of(Graph(6, [(1, 2), (3, 4)]))] = 2
+        cen.tables = dict(cen.tables, edge_cover=table)
+        monkeypatch.setattr(ex, "census", lambda n: cen)
+        one, many = _with_shares((1, shares), lambda: stability_sweep(6))
+        assert one == many and not one["edge_cover"].passed
+
+    @pytest.mark.parametrize("shares", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_planted_collision(self, monkeypatch, shares, seed):
+        cen = copy.copy(census(6))
+        ids = cen.degree_id.copy()
+        rng = random.Random(seed)
+        for _ in range(3):
+            mask = rng.randrange(1, cen.full_mask)
+            kdel = rng.choice([k for k in range(cen.n_slots) if mask >> k & 1])
+            kadd = rng.choice([k for k in range(cen.n_slots) if not mask >> k & 1])
+            ids[mask ^ (1 << kdel) ^ (1 << kadd)] = ids[mask]
+        cen.degree_id = ids
+        monkeypatch.setattr(ex, "census", lambda n: cen)
+        one, many = _with_shares((1, shares), lambda: edge_diff_audit(6))
+        assert one == many == oracle_edge_diff_audit(cen)
+
+    @pytest.mark.parametrize("shares", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "kind,family,where",
+        [
+            ("matching", "all", "first"),
+            ("clique", "all", "middle"),
+            ("path_cover", "all", "last"),
+            ("edge_cover", "all", "last"),
+            ("domination", "unicyclic", "last"),
+        ],
+    )
+    def test_planted_gap_in_each_run(self, monkeypatch, shares, kind, family, where):
+        cen, mask = _plant_gap_in_run(kind, family, where)
+        monkeypatch.setattr(ex, "census", lambda n: cen)
+        one, many = _with_shares((1, shares), lambda: interval_sweep(7, kind, family))
+        assert one == many and not one.passed
+        assert one.bad_sequence == degree_sequence(cen.graph(int(mask)))
+
+
 class TestSweepOrders:
     SWEEPS = {
         "stability": stability_sweep,
@@ -873,33 +1036,10 @@ class TestIntervalSweep:
         # order 7 marks its members in runs of RUN: plant a gap, as above,
         # at a member of the family's first, middle or last run; an edge
         # cover gap goes at a mask whose next or previous mask is undefined
-        cen = copy.copy(census(7))
         unplanted = interval_sweep(7, kind, family)
-        table = cen.tables[kind].copy()
-        members = np.flatnonzero(ex._family_selector(cen, family))
-        runs = -(-members.size // RUN)
-        r = {"first": 0, "middle": runs // 2, "last": runs - 1}[where]
-        span = members[r * RUN : (r + 1) * RUN]
-        if kind == "edge_cover":
-            below, above = np.maximum(span - 1, 0), np.minimum(span + 1, cen.n_masks - 1)
-            beside = (table[below] == UNDEFINED) | (table[above] == UNDEFINED)
-            span = span[(table[span] != UNDEFINED) & beside]
-        ids = cen.degree_id[members]
-        top = 6 if kind == "edge_cover" else 7  # largest value that can occur
-        for mask in span:
-            group = members[ids == cen.degree_id[mask]]
-            rest = table[group[group != mask]]
-            if rest.size and int(rest.max()) + 2 <= top:
-                table[mask] = rest.max() + 2
-                break
-            if rest.size and int(rest.min()) >= 2:
-                table[mask] = rest.min() - 2
-                break
-        else:
-            pytest.fail("no member of the run can carry a gap")
+        cen, mask = _plant_gap_in_run(kind, family, where)
         if where == "last" and family == "all":
             assert mask >= cen.n_masks - RUN
-        cen.tables = {**cen.tables, kind: table}
         monkeypatch.setattr(ex, "census", lambda n: cen)
 
         report = interval_sweep(7, kind, family)
@@ -907,25 +1047,72 @@ class TestIntervalSweep:
         assert report.families == unplanted.families
         assert report.bad_sequence == degree_sequence(cen.graph(int(mask)))
 
-    def test_memory_is_bounded(self):
+    def test_forest_selector_is_the_census_flags_read_only(self):
+        # the census's own array, not a 2 MB copy at order 7, and no
+        # caller can write through it
+        cen = census(7)
+        forest = ex._family_selector(cen, "forest")
+        assert np.shares_memory(forest, cen.forest)
+        assert not forest.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            forest[0] = False
+
+    def test_memory_is_bounded(self, monkeypatch):
         """The stated limit of the docstring: with census(7) built, no
         order-7 sweep allocates more than 6 MB (MB = 2^20 bytes, numpy's
-        arrays as tracemalloc sees them).  Measured peaks, matching and
-        edge cover alike: 'all' 1.9 MB, 'forest' 2.3, 'tree' 2.1,
-        'unicyclic' 4.0 and 'bipartite' 3.0.  One whole-order int32 index
-        and an int16 unicyclic selector read 8.9 MB ('all', matching),
-        10.9 MB ('all', edge cover) and 16.0 MB ('unicyclic')."""
+        arrays as tracemalloc sees them, in every thread), on one thread
+        and on ``SWEEP_THREADS_CAP`` = 3.  Measured peaks, matching and
+        edge cover alike, on 1, 2 and 3 threads: 'all' 1.4-1.5, 2.8-3.0
+        and 4.3-4.5 MB; 'forest' 1.7 and 'tree' 2.1 (one run, so one
+        thread); 'unicyclic' 4.0, 4.2-4.3 and 4.2-4.3; 'bipartite' 2.8,
+        4.1-4.2 and 4.1-4.2.  One whole-order int32 index and an int16
+        unicyclic selector read 8.9 MB ('all', matching), 10.9 MB ('all',
+        edge cover) and 16.0 MB ('unicyclic')."""
         census(7)
         peaks = {}
-        for kind in ("matching", "edge_cover"):
-            for family in FAMILIES:
-                tracemalloc.start()
-                try:
-                    interval_sweep(7, kind, family)
-                    peaks[kind, family] = tracemalloc.get_traced_memory()[1] / (1 << 20)
-                finally:
-                    tracemalloc.stop()
+        for cpus in (1, 64):
+            monkeypatch.setattr(ex, "_usable_cpus", lambda: cpus)
+            for kind in ("matching", "edge_cover"):
+                for family in FAMILIES:
+                    tracemalloc.start()
+                    try:
+                        interval_sweep(7, kind, family)
+                        peak = tracemalloc.get_traced_memory()[1] / (1 << 20)
+                    finally:
+                        tracemalloc.stop()
+                    peaks[ex.sweep_workers(7), kind, family] = peak
         assert max(peaks.values()) <= 6, peaks
+
+
+def _plant_gap_in_run(kind: str, family: str, where: str):
+    """A copy of ``census(7)`` whose ``kind`` table has a gap planted at a
+    member of the family's first, middle or last run of ``RUN`` members,
+    and the planted mask."""
+    cen = copy.copy(census(7))
+    table = cen.tables[kind].copy()
+    members = np.flatnonzero(ex._family_selector(cen, family))
+    runs = -(-members.size // RUN)
+    r = {"first": 0, "middle": runs // 2, "last": runs - 1}[where]
+    span = members[r * RUN : (r + 1) * RUN]
+    if kind == "edge_cover":
+        below, above = np.maximum(span - 1, 0), np.minimum(span + 1, cen.n_masks - 1)
+        beside = (table[below] == UNDEFINED) | (table[above] == UNDEFINED)
+        span = span[(table[span] != UNDEFINED) & beside]
+    ids = cen.degree_id[members]
+    top = 6 if kind == "edge_cover" else 7  # largest value that can occur
+    for mask in span:
+        group = members[ids == cen.degree_id[mask]]
+        rest = table[group[group != mask]]
+        if rest.size and int(rest.max()) + 2 <= top:
+            table[mask] = rest.max() + 2
+            break
+        if rest.size and int(rest.min()) >= 2:
+            table[mask] = rest.min() - 2
+            break
+    else:
+        pytest.fail("no member of the run can carry a gap")
+    cen.tables = {**cen.tables, kind: table}
+    return cen, mask
 
 
 class TestRealizeParameterValue:

@@ -28,7 +28,10 @@ def test_run_audits_to_order_five():
     assert proc.returncode == 0, proc.stderr
     *sections, total = proc.stdout.splitlines()
     assert len(sections) == 5 + 5 + 4
-    assert all(": pass (" in line and line.endswith("s)") for line in sections)
+    assert all(": pass (" in line and line.endswith(")") for line in sections)
+    # every line's elapsed time, then the threads its sweeps ran on: one
+    # below order 7
+    assert all(re.search(r"[ (]\d+\.\ds on 1 thread[;)]", line) for line in sections)
     assert "stability  n=5: pass (17160 incidences, " in proc.stdout
     assert "edge-move  n=5: pass (23040 moves, " in proc.stdout
     assert total.startswith("total ")

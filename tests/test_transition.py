@@ -303,6 +303,52 @@ class TestTransitionForest:
 
         assert not ball(f) & ball(g)
 
+    # the other four pairs of the same soak (route_audit.py --soak --seed 1,
+    # by draw index) whose construction takes D switches: (n, f, g, D)
+    SOAK_PAIRS = {
+        15441: (18, [(1, 7), (2, 15), (2, 17), (3, 7), (4, 11), (4, 14), (5, 9), (6, 7),
+                     (6, 10), (6, 12), (7, 13), (7, 18), (8, 16), (14, 15), (15, 16), (17, 18)],
+                [(1, 2), (2, 15), (3, 4), (4, 17), (5, 7), (6, 7), (6, 10), (6, 16), (7, 12),
+                 (7, 13), (7, 18), (8, 11), (9, 18), (14, 15), (14, 17), (15, 16)], 9),
+        35322: (11, [(1, 2), (1, 3), (1, 10), (2, 5), (2, 7), (2, 9), (3, 4), (6, 8), (6, 11),
+                     (7, 8)],
+                [(1, 2), (1, 3), (1, 10), (2, 5), (2, 9), (2, 11), (3, 6), (4, 7), (6, 8),
+                 (7, 8)], 3),
+        84395: (15, [(1, 11), (2, 10), (3, 5), (3, 9), (4, 6), (5, 8), (6, 11), (6, 13),
+                     (6, 14), (7, 12), (7, 15), (8, 10), (8, 12), (9, 14)],
+                [(1, 8), (2, 3), (3, 5), (4, 6), (5, 8), (6, 7), (6, 11), (6, 15), (7, 12),
+                 (8, 10), (9, 13), (9, 14), (10, 11), (12, 14)], 7),
+        164272: (14, [(1, 2), (1, 7), (2, 4), (3, 14), (4, 6), (5, 9), (5, 13), (7, 8), (7, 12),
+                      (7, 14), (8, 10), (8, 13), (11, 12)],
+                 [(1, 7), (1, 12), (2, 4), (2, 8), (3, 7), (4, 5), (5, 14), (6, 7), (7, 14),
+                  (8, 10), (8, 13), (9, 13), (11, 12)], 7),
+    }
+
+    @pytest.mark.parametrize("draw", SOAK_PAIRS)
+    def test_soak_pairs_route_in_d_switches(self, draw):
+        # today's lengths, recorded as facts: each route takes D switches
+        n, a, b, d = self.SOAK_PAIRS[draw]
+        f, g = Graph(n, a), Graph(n, b)
+        report = validate_trace(transition_forest(f, g), g, require_forests=True)
+        assert report.ok and report.forests_ok
+        assert report.length == len(g.edges - f.edges) == d
+
+    def test_no_route_of_d_minus_one_on_the_order_eleven_soak_pair(self):
+        # the forests one switch from either end are disjoint sets, so no
+        # all-forest route of D - 1 = 2 switches exists for this pair
+        n, a, b, _ = self.SOAK_PAIRS[35322]
+        f, g = Graph(n, a), Graph(n, b)
+
+        def ball(x):
+            return {x} | {
+                apply_switch(m, x)
+                for m in nontrivial_matrices(x)
+                if classify(m, x) in (SwitchKind.F_SWITCH, SwitchKind.T_SWITCH)
+            }
+
+        assert len(ball(f)) > 1 and len(ball(g)) > 1
+        assert not ball(f) & ball(g)
+
 
 class TestRouteIdentity:
     def test_seeded_routes_are_pinned(self):
