@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequence", required=True, help="degree vector, e.g. 3,1,1,1")
     p.add_argument("--kind", choices=("all",) + parameters.STABLE_KINDS, default="all")
     p.add_argument("--family", choices=sorted(explorer.FAMILY_PREDICATES), default="all")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="processes, at most one per usable CPU")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_interval)
 

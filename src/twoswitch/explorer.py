@@ -19,6 +19,7 @@ sweep, 0.5 MB for edge moves.  No report depends on the thread count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import threading
@@ -471,13 +472,17 @@ def stability_sweep(n: int, kinds=parameters.STABLE_KINDS) -> dict[str, AuditRep
 # -- interval audit ----------------------------------------------------------------
 
 
-def _interval_eval(args):
-    kinds, n, edge_lists = args
-    out = []
-    for edges in edge_lists:
-        g = Graph(n, edges)
-        out.append([parameters.compute(kind, g) for kind in kinds])
-    return out
+def _interval_walk(seq, family: str, kinds, share: int, shares: int):
+    """Evaluate every ``shares``-th family member from index ``share`` on
+    ``kinds``; return the count and, per kind, each value's first
+    ``(index, sorted edges)``."""
+    firsts = [{} for _ in kinds]
+    walked = 0
+    members = itertools.islice(enumerate(enumerate_family(seq, family)), share, None, shares)
+    for walked, (i, g) in enumerate(members, 1):
+        for seen, v in zip(firsts, map(parameters.compute, kinds, itertools.repeat(g))):
+            seen.setdefault(v, (i, g))
+    return walked, [{v: (i, g.sorted_edges()) for v, (i, g) in seen.items()} for seen in firsts]
 
 
 def interval_audit(
@@ -490,24 +495,19 @@ def interval_audit(
 
     The family is enumerated at every order (``enumerate_family``), and
     each value's witness is the first member with that value in
-    enumeration order (ascending sorted edge lists).  With ``workers`` = 1
-    one walk keeps a witness per value: 16.5-16.7 MB peak RSS for the
-    133,105 members of (3,3,3,3,3,3,2,2,2) under matching, a process
-    that never loads numpy.  ``workers`` > 1 (capped at the member and
-    CPU counts) processes evaluate contiguous runs of a list of every
-    member, about 2.4 KB each: 354 MB there, and roughly 2.5 GB for the
-    1,024,380-member 4-regular family at order 9.  The report does not
-    depend on ``workers``.  ``interval_sweep`` checks every vector of an
-    order at once from the census.
+    enumeration order.  ``min(workers, usable CPUs)`` processes each
+    enumerate the family and evaluate their own stride of members, so
+    each holds one enumeration stack and its witnesses: on the 133,105
+    members of (3,3,3,3,3,3,2,2,2), nine kinds, 2-core VM, one worker
+    took 21-27 s at 20 MB peak RSS and two 12-14 s at 22 + 16 MB.  The
+    report does not depend on ``workers``.
     """
     return _interval_audits(seq, (kind,), family, workers)[0]
 
 
 def _interval_audits(seq, kinds, family: str, workers: int) -> list[AuditReport]:
-    """``interval_audit`` of each of ``kinds``, in order, from one walk
-    over the family: each member is evaluated on every kind that is
-    defined on the family, and each kind keeps its own first witness per
-    value."""
+    """``interval_audit`` of each of ``kinds``, in order: each member is
+    evaluated once on every kind defined on the family."""
     seq = tuple(_integer(d, "degree") for d in seq)
     n = len(seq)
     kinds = parameters._check_kinds(kinds)
@@ -524,30 +524,24 @@ def _interval_audits(seq, kinds, family: str, workers: int) -> list[AuditReport]
     value_of = {kind: {} for kind in kinds}
     checked = 0
     if walked:
-        members = enumerate_family(seq, family)
-        pool_size = 1
-        if workers > 1:
-            members = list(members)
-            pool_size = min(workers, len(members), os.cpu_count() or 1)
-        if pool_size > 1:
+        walk = functools.partial(_interval_walk, seq, family, walked)
+        shares = min(workers, _usable_cpus())
+        if shares > 1:
             # imported here so that ``import twoswitch`` loads no
             # multiprocessing machinery
             from concurrent.futures import ProcessPoolExecutor
 
-            step = -(-len(members) // pool_size)
-            runs = [
-                (walked, n, [g.sorted_edges() for g in members[i : i + step]])
-                for i in range(0, len(members), step)
-            ]
-            with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                computed = [v for run in pool.map(_interval_eval, runs) for v in run]
-            rows = zip(computed, members)
+            with ProcessPoolExecutor(max_workers=shares) as pool:
+                results = list(pool.map(walk, range(shares), [shares] * shares))
         else:
-            rows = ((map(parameters.compute, walked, itertools.repeat(g)), g) for g in members)
-        witnesses = [value_of[kind] for kind in walked]
-        for checked, (values, g) in enumerate(rows, 1):
-            for seen, v in zip(witnesses, values):
-                seen.setdefault(v, g)
+            results = [walk(0, 1)]
+        checked = sum(count for count, _ in results)
+        for k, kind in enumerate(walked):
+            # in index order, so each value keeps its first member
+            seen = value_of[kind]
+            for _, v, edges in sorted((i, v, e) for _, f in results for v, (i, e) in f[k].items()):
+                if v not in seen:
+                    seen[v] = Graph(n, edges)
         if not checked:
             notes.update(dict.fromkeys(walked, "family is empty"))
     reports = []
@@ -574,8 +568,9 @@ def _interval_audits(seq, kinds, family: str, workers: int) -> list[AuditReport]
 
 
 def realize_parameter_value(seq, kind: str, value: int, family: str = "all") -> Graph:
-    """A family member with ``kind`` equal to ``value``, found by walking a
-    switch trace between the extreme witnesses rather than by scanning."""
+    """A family member with ``kind`` equal to ``value``: the switch trace
+    between the extreme witnesses of ``interval_audit``, which enumerates
+    the whole family, is replayed until it reaches the value."""
     if family not in ("all", "forest"):
         raise GraphError("realization walks need family 'all' or 'forest'")
     value = _integer(value, "parameter value")

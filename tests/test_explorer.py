@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -766,6 +767,40 @@ class TestSweepOrders:
             sweep(3)
 
 
+@functools.lru_cache(maxsize=None)
+def _one_walk(seq, family, kinds) -> list[AuditReport]:
+    """The interval reports of one walk in this process, the reference for
+    every share count."""
+    return ex._interval_audits(seq, kinds, family, 1)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stand in for the process pool; return its record: each pool's size,
+    and each job's ``(share, shares)`` with what its walk returned."""
+    record = types.SimpleNamespace(sizes=[], jobs=[])
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            record.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            for job in zip(*iterables):
+                record.jobs.append((job, fn(*job)))
+                yield record.jobs[-1][1]
+
+    # the audit imports the pool class from its module when it starts a
+    # pool, so the patch goes there
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return record
+
+
 class TestIntervalAudit:
     def test_serial_walk_keeps_one_member_per_value(self):
         # 1,074 members with two values: the walk keeps the two witnesses,
@@ -813,37 +848,53 @@ class TestIntervalAudit:
         two = interval_audit((2,) * 8, "matching", "all", workers=2)
         assert one == two
 
-    def test_pool_never_exceeds_members_or_cpus(self, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            """Records the requested size and maps in this process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                items = list(items)
-                assert all(grp for _, _, grp in items), "empty group submitted"
-                return map(fn, items)
-
-        # interval_audit imports the pool class from its module when it
-        # starts a pool, so the patch goes there
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(ex.os, "cpu_count", lambda: 3)
-        # K8 is the only member of its family: no pool at all
+    def test_pool_takes_one_share_per_usable_cpu(self, serial_pool, monkeypatch):
+        monkeypatch.setattr(ex, "_usable_cpus", lambda: 3)
+        # K8 is the only member of its family: the shares past the first
+        # walk nothing
         one = interval_audit((7,) * 8, "matching", "all", workers=5000)
-        assert sizes == []
+        assert serial_pool.sizes == [3]
+        assert [job for job, _ in serial_pool.jobs] == [(0, 3), (1, 3), (2, 3)]
+        assert [walked for _, (walked, _) in serial_pool.jobs] == [1, 0, 0]
         assert one == interval_audit((7,) * 8, "matching", "all")
         many = interval_audit((2,) * 8, "matching", "all", workers=5000)
-        assert sizes == [3]
+        assert serial_pool.sizes == [3, 3]
         assert many == interval_audit((2,) * 8, "matching", "all")
+
+    def test_one_usable_cpu_starts_no_pool(self, serial_pool, monkeypatch):
+        # the affinity mask, not the machine's CPU count, sizes the pool
+        monkeypatch.setattr(ex, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(ex.os, "cpu_count", lambda: 8)
+        report = interval_audit((2,) * 8, "matching", "all", workers=4)
+        assert serial_pool.sizes == []
+        assert report == interval_audit((2,) * 8, "matching", "all", workers=1)
+
+    @pytest.mark.parametrize(
+        "seq,family,kinds", [*ENUMERATED, ((2,) * 8, "all", parameters.STABLE_KINDS)]
+    )
+    @pytest.mark.parametrize("shares", [2, 3, 4])
+    def test_shares_do_not_change_the_reports(
+        self, serial_pool, monkeypatch, seq, family, kinds, shares
+    ):
+        monkeypatch.setattr(ex, "_usable_cpus", lambda: 64)
+        got = ex._interval_audits(seq, kinds, family, shares)
+        assert serial_pool.sizes == [shares]
+        assert got == _one_walk(seq, family, kinds)
+
+    def test_shares_hold_no_member_list(self, serial_pool, monkeypatch):
+        # three walks over the 6,057 members, nine kinds: each keeps its
+        # witnesses only, where a list of every member peaked at 7.8 MB
+        monkeypatch.setattr(ex, "_usable_cpus", lambda: 3)
+        seq, kinds = (3, 3, 3, 3, 2, 2, 2, 2), parameters.STABLE_KINDS
+        tracemalloc.start()
+        try:
+            reports = ex._interval_audits(seq, kinds, "all", 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert serial_pool.sizes == [3]
+        assert [r.checked for r in reports] == [6057] * len(kinds)
+        assert peak <= 0.25 * 2**20
 
     @pytest.mark.parametrize(
         "seq,family",

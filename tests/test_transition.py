@@ -333,6 +333,32 @@ class TestTransitionForest:
         assert report.ok and report.forests_ok
         assert report.length == len(g.edges - f.edges) == d
 
+    # for three of those pairs, one vertex relabelling (vertex v becomes
+    # the (v - 1)-th entry; ``random.Random(draw).shuffle`` of 1..n) under
+    # which the route takes 7 of D = 9, 6 of 7 and 6 of 7 switches
+    RELABELLINGS = {
+        15441: [2, 12, 9, 1, 3, 5, 14, 13, 10, 18, 8, 15, 17, 16, 11, 6, 7, 4],
+        84395: [5, 9, 6, 7, 1, 3, 12, 15, 11, 13, 2, 4, 10, 14, 8],
+        164272: [7, 4, 11, 12, 9, 6, 14, 2, 5, 10, 8, 1, 13, 3],
+    }
+
+    @pytest.mark.parametrize("draw", RELABELLINGS)
+    def test_a_relabelled_route_reaches_d_minus_one(self, draw):
+        # a fact about the pair, not about the construction on these
+        # labels: the relabelled route, mapped back, is an all-forest route
+        # of at most D - 1 switches, so D - 1 is reachable
+        n, a, b, d = self.SOAK_PAIRS[draw]
+        label = dict(zip(range(1, n + 1), self.RELABELLINGS[draw]))
+        back = {v: u for u, v in label.items()}
+        trace = transition_forest(
+            Graph(n, [(label[u], label[v]) for u, v in a]),
+            Graph(n, [(label[u], label[v]) for u, v in b]),
+        )
+        steps = tuple(ActionMatrix(*(back[x] for x in (s.a, s.b, s.c, s.d))) for s in trace.steps)
+        report = validate_trace(SwitchTrace(Graph(n, a), steps), Graph(n, b), require_forests=True)
+        assert report.ok and report.forests_ok and report.within_bound
+        assert report.length <= d - 1
+
     def test_no_route_of_d_minus_one_on_the_order_eleven_soak_pair(self):
         # the forests one switch from either end are disjoint sets, so no
         # all-forest route of D - 1 = 2 switches exists for this pair
